@@ -1,27 +1,92 @@
 """Clone fragments (n-ary parts of generated clones) and subuniverse closure.
 
-clone_fragment computes the least set of n-ary operations containing the
-projections and closed under applying each generator; the ambient set is
-finite so the worklist terminates.  For zero-absorbing {0,1}-valued
-generators (any argument 0 forces value 0) there is a fast path: only the
-variable identifications of the generators can produce new tables, because
-a composition involving a non-projection member vanishes outside the single
-point where that member is nonzero.  The fast path asserts the shape of its
-intermediate results and falls back to the generic worklist if anything
-unexpected appears.
+Both rest on one semi-naive closure loop, `_close`: the least set of rows
+that contains a seed and is closed under componentwise application of a list
+of operations.  subuniverse_closure runs it on tuples in A^m.  clone_fragment
+runs it on value tables in A^(k^n), seeded with the n projections: the
+n-ary part of the clone generated by F is the subuniverse of A^(k^n) that
+the projections generate under F.  Each round applies every operation only
+to the argument combinations that involve a row found in the round before,
+as numpy gathers over blocks of combinations.
+
+For zero-absorbing {0,1}-valued generators (any argument 0 forces value 0)
+clone_fragment has a fast path: besides the variable identifications of the
+generators only the constant zero can appear, because a composition
+involving a non-projection member vanishes outside the single point where
+that member is nonzero.  The fast path therefore applies when the
+identifications are all projections or include the constant zero.  It
+asserts the shape of its intermediate results and falls back to the closure
+loop if anything unexpected appears.
 """
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 import numpy as np
 
-from .core import (CapExceeded, Domain, Operation, Relation, args_to_index,
-                   make_projection)
-from .commutation import OperationSet, _digit_matrix
+from .core import CapExceeded, Domain, Operation, Relation
+from .commutation import _BLOCK_ENTRIES, OperationSet, _digit_matrix, _unique_rows
 
 FRAGMENT_CAP = 1_000_000
 IDENTIFICATION_MAP_CAP = 10_000_000
+
+
+def _fresh_combos(known: int, start: int, arity: int, block: int):
+    """Blocks of index tuples in range(known)^arity with some entry >= start.
+
+    Tuples are grouped by the position p of their first entry >= start, so
+    each one is produced exactly once.
+    """
+    for p in range(arity):
+        radices = [start] * p + [known - start] + [known] * (arity - p - 1)
+        total = prod(radices)
+        for lo in range(0, total, block):
+            flat = np.arange(lo, min(lo + block, total), dtype=np.int64)
+            combos = np.stack(np.unravel_index(flat, radices), axis=1)
+            combos[:, p] += start
+            yield combos
+
+
+def _close(seed: np.ndarray, ops: OperationSet, cap: int | None = None) -> np.ndarray:
+    """Rows of the least superset of seed closed under componentwise ops.
+
+    seed is a (rows, m) uint8 array.  Raises CapExceeded once more than cap
+    rows are known.
+    """
+    k = ops.domain.k
+    rows = _unique_rows(seed)
+    m = rows.shape[1]
+    seen = {row.tobytes() for row in rows}
+    start = 0
+    while start < len(rows):
+        known = len(rows)
+        fresh: list[bytes] = []
+        for arity in ops.arities():
+            tables = ops.tables(arity)
+            block = max(1, _BLOCK_ENTRIES // (m * max(len(tables), 1)))
+            for combos in _fresh_combos(known, start, arity, block):
+                idx = rows[combos[:, 0]].astype(np.int64)
+                for j in range(1, arity):
+                    idx *= k
+                    idx += rows[combos[:, j]]
+                for row in _unique_rows(tables[:, idx].reshape(-1, m)):
+                    key = row.tobytes()
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.append(key)
+                if cap is not None and len(seen) > cap:
+                    raise CapExceeded(f"fragment size {len(seen)} exceeds the cap of {cap}")
+        start = known
+        if fresh:
+            new_rows = np.frombuffer(b"".join(fresh), dtype=np.uint8).reshape(-1, m)
+            rows = np.vstack([rows, new_rows])
+    return rows
+
+
+def _projection_rows(k: int, arity: int) -> np.ndarray:
+    """The value tables of the arity-ary projections, one per row."""
+    return _digit_matrix(k ** arity, arity, k, np.uint8).T
 
 
 def _zero_absorbing(op: Operation) -> bool:
@@ -56,13 +121,12 @@ def _identification_tables(gen: Operation, arity: int) -> np.ndarray | None:
     maxes = out.max(axis=1)
     if np.any((sums > 1) | (maxes > 1)):
         return None
-    return np.unique(out, axis=0)
+    return _unique_rows(out)
 
 
 def _spike_fragment(domain: Domain, generators: list[Operation], arity: int,
                     cap: int) -> OperationSet | None:
-    rows = [np.array([make_projection(domain, arity, i + 1).table for i in range(arity)],
-                     dtype=np.uint8)]
+    rows = [_projection_rows(domain.k, arity)]
     for gen in generators:
         if arity ** gen.arity > IDENTIFICATION_MAP_CAP:
             raise CapExceeded(
@@ -71,7 +135,9 @@ def _spike_fragment(domain: Domain, generators: list[Operation], arity: int,
         if tables is None:
             return None
         rows.append(tables)
-    merged = np.unique(np.vstack(rows), axis=0)
+    merged = _unique_rows(np.vstack(rows))
+    if len(merged) > arity and merged.any(axis=1).all():
+        return None     # composition may still reach the constant zero
     if len(merged) > cap:
         raise CapExceeded(f"fragment size {len(merged)} exceeds the cap of {cap}")
     return OperationSet(domain, {arity: merged})
@@ -83,41 +149,13 @@ def clone_fragment(generators: OperationSet, arity: int,
     if arity < 1:
         raise ValueError("fragment arity must be positive")
     domain = generators.domain
-    gens = sorted(generators.members(), key=lambda op: (op.arity, op.table))
-    if not gens:
-        return OperationSet.from_operations(
-            domain, [make_projection(domain, arity, i + 1) for i in range(arity)])
-
+    gens = list(generators.members())
     if _spike_applicable(gens):
         result = _spike_fragment(domain, gens, arity, cap)
         if result is not None:
             return result
-
-    k = domain.k
-    members: dict[tuple, None] = {}
-    for i in range(arity):
-        members.setdefault(make_projection(domain, arity, i + 1).table, None)
-    frontier = list(members)
-    while frontier:
-        old = {t for t in members if t not in set(frontier)}
-        current = list(members)
-        new_tables = []
-        for gen in gens:
-            gt = gen.table
-            for combo in product(current, repeat=gen.arity):
-                if all(t in old for t in combo):
-                    continue
-                table = tuple(
-                    gt[args_to_index([t[idx] for t in combo], k)]
-                    for idx in range(k ** arity))
-                if table not in members:
-                    members[table] = None
-                    new_tables.append(table)
-                    if len(members) > cap:
-                        raise CapExceeded(
-                            f"fragment size {len(members)} exceeds the cap of {cap}")
-        frontier = new_tables
-    return OperationSet(domain, {arity: np.array(list(members), dtype=np.uint8)})
+    rows = _close(_projection_rows(domain.k, arity), generators, cap)
+    return OperationSet(domain, {arity: rows})
 
 
 def fragment_contains(fragment: OperationSet, op: Operation) -> bool:
@@ -132,30 +170,13 @@ def subuniverse_closure(seed, ops: OperationSet) -> Relation:
     if not seed:
         raise ValueError("seed must be nonempty")
     m = len(seed[0])
-    if any(len(t) != m for t in seed):
-        raise ValueError("seed tuples must all have the same arity")
+    if m < 1 or any(len(t) != m for t in seed):
+        raise ValueError("seed tuples must all have the same positive arity")
     domain = ops.domain
     k = domain.k
     for t in seed:
         for v in t:
             if not 0 <= v < k:
                 raise ValueError(f"seed entry {v} out of range 0..{k - 1}")
-    members = sorted(ops.members(), key=lambda op: (op.arity, op.table))
-    closed: set[tuple] = set(seed)
-    frontier = list(dict.fromkeys(seed))
-    while frontier:
-        old = closed - set(frontier)
-        current = sorted(closed)
-        fresh = []
-        for op in members:
-            table = op.table
-            for combo in product(current, repeat=op.arity):
-                if all(t in old for t in combo):
-                    continue
-                image = tuple(table[args_to_index([t[i] for t in combo], k)]
-                              for i in range(m))
-                if image not in closed:
-                    closed.add(image)
-                    fresh.append(image)
-        frontier = fresh
-    return Relation(domain, m, tuple(closed))
+    rows = _close(np.array(seed, dtype=np.uint8), ops)
+    return Relation(domain, m, tuple(map(tuple, rows.tolist())))

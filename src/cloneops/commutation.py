@@ -1,27 +1,31 @@
 """Preservation, commutation and exhaustive centraliser/polymorphism enumeration.
 
-The enumerators sweep candidate value tables as numpy arrays.  A candidate
-batch is filtered matrix by matrix (matrices in lexicographic order, dead
-candidates dropped periodically), which is the vectorised form of the
-early-abort scalar check in `commutes`.  Ternary centralisers are not swept
-directly: candidates are assembled from diagonal-compatible triples of
-binary centraliser members (their three identification minors) extended on
-the tuples with pairwise distinct entries, and commutation is then decided
-by an exact per-pattern counting test (see `_ternary_pattern_mask`).
+g commutes with f exactly when g preserves the graph of f, so one sweep
+kernel serves both searches: `preserve_mask` filters a batch of candidate
+value tables against a relation, constraint by constraint (a choice of ell
+tuples of the relation) in lexicographic order, checking blocks of
+constraints at once and dropping dead candidates as it goes; it is the
+vectorised form of the early-abort scalar checks `preserves` and
+`commutes`.  Ternary centralisers are not swept directly:
+candidates are assembled from diagonal-compatible triples of binary
+centraliser members (their three identification minors) extended on the
+tuples with pairwise distinct entries, and commutation is then decided by an
+exact per-pattern counting test (see `_ternary_pattern_mask`).
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .core import (CapExceeded, Domain, Operation, Relation, args_to_index,
-                   sparse_op)
+                   graph_of, sparse_op)
 
 DEFAULT_BUDGET = 250_000_000
+_BLOCK_ENTRIES = 1 << 18    # values gathered per vectorised block
 
 
 @dataclass
@@ -35,18 +39,21 @@ class OperationSet:
     """Operations over one domain, grouped by arity, canonically sorted.
 
     Tables are held as numpy uint8 arrays (one row per operation, rows
-    sorted lexicographically, no duplicates); Operation objects are
-    materialised on demand.
+    sorted lexicographically, no duplicates), so domains have at most 256
+    elements; Operation objects are materialised on demand.
     """
 
     def __init__(self, domain: Domain, tables_by_arity: dict[int, np.ndarray]):
+        if domain.k > 256:
+            raise ValueError(f"operation sets hold uint8 tables: domain size {domain.k} "
+                             "exceeds 256")
         self.domain = domain
         self._tables: dict[int, np.ndarray] = {}
         for arity, arr in sorted(tables_by_arity.items()):
-            arr = np.asarray(arr, dtype=np.uint8).reshape(-1, domain.k ** arity)
-            if np.any(arr >= domain.k):
+            arr = np.asarray(arr).reshape(-1, domain.k ** arity)
+            if arr.size and (arr.min() < 0 or arr.max() >= domain.k):
                 raise ValueError("table entry out of range for the domain")
-            self._tables[arity] = np.unique(arr, axis=0)
+            self._tables[arity] = _unique_rows(arr)
 
     @classmethod
     def from_operations(cls, domain: Domain, ops) -> "OperationSet":
@@ -55,7 +62,7 @@ class OperationSet:
             if op.domain != domain:
                 raise ValueError("all operations must share the domain")
             grouped.setdefault(op.arity, []).append(op.table)
-        return cls(domain, {a: np.array(ts, dtype=np.uint8) for a, ts in grouped.items()})
+        return cls(domain, grouped)
 
     def arities(self) -> tuple[int, ...]:
         return tuple(self._tables)
@@ -69,20 +76,17 @@ class OperationSet:
         return sum(len(t) for t in self._tables.values())
 
     def members(self, arity: int | None = None):
+        """The operations in (arity, table) order."""
         arities = [arity] if arity is not None else list(self._tables)
         for a in arities:
             for row in self.tables(a):
                 yield Operation(self.domain, a, tuple(int(v) for v in row))
 
-    @cached_property
-    def _byte_sets(self) -> dict[int, frozenset]:
-        return {a: frozenset(row.tobytes() for row in arr)
-                for a, arr in self._tables.items()}
-
     def __contains__(self, op: Operation) -> bool:
         if op.domain != self.domain or op.arity not in self._tables:
             return False
-        return bytes(op.table) in self._byte_sets[op.arity]
+        row = np.asarray(op.table, dtype=np.uint8)
+        return bool((self._tables[op.arity] == row).all(axis=1).any())
 
     def __len__(self):
         return self.count()
@@ -98,6 +102,18 @@ class OperationSet:
     def __repr__(self):
         parts = ", ".join(f"{a}-ary: {len(t)}" for a, t in self._tables.items())
         return f"OperationSet(k={self.domain.k}, {parts or 'empty'})"
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a uint8 table array, in lexicographic order.
+
+    Rows are sorted as byte strings, which for uint8 is the lexicographic
+    order of their values; np.unique(axis=0) gives the same result but
+    builds one structured field per column, which is slow for wide rows.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    width = rows.shape[1]
+    return np.unique(rows.view(f"V{width}").ravel()).view(np.uint8).reshape(-1, width)
 
 
 def preserves(op: Operation, rel: Relation) -> bool:
@@ -193,78 +209,27 @@ def family_op(family: str, params, domain: Domain) -> Operation:
 
 def all_tables(domain: Domain, arity: int) -> np.ndarray:
     """All k^(k^arity) value tables, one per row, in lexicographic order."""
-    k = domain.k
-    width = k ** arity
-    count = k ** width
+    width = domain.k ** arity
+    return _digit_matrix(domain.k ** width, width, domain.k, np.uint8)
+
+
+def _digit_matrix(count: int, width: int, k: int, dtype=np.int64) -> np.ndarray:
+    """Rows 0..count-1 written as width base-k digits, most significant first."""
     idx = np.arange(count, dtype=np.int64)
-    out = np.empty((count, width), dtype=np.uint8)
+    out = np.empty((count, width), dtype=dtype)
     for pos in range(width):
         out[:, width - 1 - pos] = (idx // (k ** pos)) % k
     return out
 
 
-def _digit_matrix(count: int, width: int, k: int) -> np.ndarray:
-    idx = np.arange(count, dtype=np.int64)
-    out = np.empty((count, width), dtype=np.int64)
-    for pos in range(width):
-        out[:, width - 1 - pos] = (idx // (k ** pos)) % k
-    return out
+def preserve_mask(tables: np.ndarray, rel: Relation, ell: int) -> np.ndarray:
+    """Boolean mask over candidate ell-ary tables that preserve rel.
 
-
-def _matrix_maps(member: Operation, ell: int):
-    """Per-matrix gather maps for the commutation sweep.
-
-    Returns (lhs_col, col_idx): for matrix t, a commuting candidate g must
-    satisfy g.table[lhs_col[t]] == f.table[sum_j g.table[col_idx[t, j]] * k^...].
+    Each constraint is a choice of ell tuples of rel; they are checked in
+    lexicographic order, as many at once as keep the gathered block near
+    _BLOCK_ENTRIES values.  Dead candidates are dropped once the values
+    gathered since the last drop outnumber the live table entries.
     """
-    k = member.domain.k
-    n = member.arity
-    count = k ** (ell * n)
-    mats = _digit_matrix(count, ell * n, k).reshape(count, ell, n)
-    pow_n = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    pow_ell = k ** np.arange(ell - 1, -1, -1, dtype=np.int64)
-    member_np = np.asarray(member.table, dtype=np.int64)
-    row_vals = member_np[mats @ pow_n]          # (count, ell)
-    lhs_col = row_vals @ pow_ell                # (count,)
-    col_idx = mats.transpose(0, 2, 1) @ pow_ell  # (count, n)
-    return lhs_col, col_idx
-
-
-def commute_mask(tables: np.ndarray, member: Operation, ell: int,
-                 compress_every: int = 256) -> np.ndarray:
-    """Boolean mask over candidate ell-ary tables that commute with member."""
-    k = member.domain.k
-    n = member.arity
-    member_np = np.asarray(member.table, dtype=np.uint8)
-    lhs_col, col_idx = _matrix_maps(member, ell)
-    total = len(tables)
-    alive_idx = np.arange(total, dtype=np.int64)
-    live = tables
-    ok = np.ones(total, dtype=bool)
-    pending = 0
-    for t in range(len(lhs_col)):
-        rhs_idx = live[:, col_idx[t, 0]].astype(np.int64)
-        for j in range(1, n):
-            rhs_idx *= k
-            rhs_idx += live[:, col_idx[t, j]]
-        ok &= member_np[rhs_idx] == live[:, lhs_col[t]]
-        pending += 1
-        if pending >= compress_every:
-            alive_idx = alive_idx[ok]
-            live = tables[alive_idx]
-            ok = np.ones(len(alive_idx), dtype=bool)
-            pending = 0
-            if not len(alive_idx):
-                break
-    alive_idx = alive_idx[ok]
-    mask = np.zeros(total, dtype=bool)
-    mask[alive_idx] = True
-    return mask
-
-
-def preserve_mask(tables: np.ndarray, rel: Relation, ell: int,
-                  compress_every: int = 256) -> np.ndarray:
-    """Boolean mask over candidate ell-ary tables that preserve rel."""
     k = rel.domain.k
     m = rel.arity
     s = len(rel.tuples)
@@ -286,14 +251,18 @@ def preserve_mask(tables: np.ndarray, rel: Relation, ell: int,
     live = tables
     ok = np.ones(total, dtype=bool)
     pending = 0
-    for t in range(len(arg_idx)):
-        res_enc = live[:, arg_idx[t, 0]].astype(np.int64)
+    t = 0
+    while t < len(arg_idx):
+        step = max(1, _BLOCK_ENTRIES // (max(len(live), 1) * m))
+        vals = live[:, arg_idx[t:t + step]]             # (live, constraints, m)
+        res_enc = vals[:, :, 0].astype(np.int64)
         for i in range(1, m):
             res_enc *= k
-            res_enc += live[:, arg_idx[t, i]]
-        ok &= in_rel[res_enc]
-        pending += 1
-        if pending >= compress_every:
+            res_enc += vals[:, :, i]
+        ok &= in_rel[res_enc].all(axis=1)
+        t += step
+        pending += step
+        if pending * m >= tables.shape[1]:
             alive_idx = alive_idx[ok]
             live = tables[alive_idx]
             ok = np.ones(len(alive_idx), dtype=bool)
@@ -395,9 +364,9 @@ def _ternary_pattern_mask(tables: np.ndarray, member: Operation,
 # enumeration drivers
 
 
-def _chunked(arr: np.ndarray, parts: int):
-    bounds = np.linspace(0, len(arr), parts + 1, dtype=np.int64)
-    return [arr[bounds[i]:bounds[i + 1]] for i in range(parts) if bounds[i] < bounds[i + 1]]
+def _clamp_threads(threads: int) -> int:
+    """The worker count actually used: threads clamped to [1, os.cpu_count()]."""
+    return max(1, min(threads, os.cpu_count() or 1))
 
 
 def _run_chunks(worker, chunks, threads: int):
@@ -407,8 +376,8 @@ def _run_chunks(worker, chunks, threads: int):
         return list(pool.map(worker, chunks))
 
 
-def _sweep_enumeration(domain: Domain, arity: int, members_or_rels, kind: str,
-                       budget: int, threads: int) -> np.ndarray:
+def _sweep_enumeration(domain: Domain, arity: int, relations, budget: int,
+                       threads: int) -> np.ndarray:
     count = domain.k ** (domain.k ** arity)
     if count > budget:
         raise CapExceeded(
@@ -417,17 +386,13 @@ def _sweep_enumeration(domain: Domain, arity: int, members_or_rels, kind: str,
 
     def worker(chunk: np.ndarray) -> np.ndarray:
         live = chunk
-        for obj in members_or_rels:
+        for rel in relations:
             if not len(live):
                 break
-            if kind == "commute":
-                live = live[commute_mask(live, obj, arity)]
-            else:
-                live = live[preserve_mask(live, obj, arity)]
+            live = live[preserve_mask(live, rel, arity)]
         return live
 
-    parts = _run_chunks(worker, _chunked(tables, max(threads, 1)), threads)
-    return np.vstack(parts) if parts else tables[:0]
+    return np.vstack(_run_chunks(worker, np.array_split(tables, threads), threads))
 
 
 def _ternary_centraliser(fs: OperationSet, budget: int, threads: int,
@@ -458,8 +423,10 @@ def _ternary_centraliser(fs: OperationSet, budget: int, threads: int,
     idx1 = np.array([args_to_index((a, a, b), k) for a, b in pairs])
     idx2 = np.array([args_to_index((a, b, a), k) for a, b in pairs])
     idx3 = np.array([args_to_index((b, a, a), k) for a, b in pairs])
-    ext = _digit_matrix(ext_count, len(free_cells), k).astype(np.uint8)
-    members = sorted(fs.members(), key=lambda op: (op.arity, op.table))
+    ext = _digit_matrix(ext_count, len(free_cells), k, np.uint8)
+    members = list(fs.members())
+    # graphs for the sweep fallback; None beyond its k^(3 * arity) constraint cap
+    graphs = [graph_of(f) if k ** (3 * f.arity) <= 2_000_000 else None for f in members]
 
     jobs = []
     triple_block = max(1, 200_000 // ext_count)
@@ -479,15 +446,15 @@ def _ternary_centraliser(fs: OperationSet, budget: int, threads: int,
         cands = np.repeat(base, ext_count, axis=0)
         cands[:, free_cells] = np.tile(ext, (nblock, 1))
         live = cands
-        for f in members:
+        for f, graph in zip(members, graphs):
             if not len(live):
                 break
             mask = _ternary_pattern_mask(live, f)
             if mask is None:
-                if k ** (3 * f.arity) > 2_000_000:
+                if graph is None:
                     raise CapExceeded(
                         "ternary verification against this member is out of budget")
-                mask = commute_mask(live, f, 3)
+                mask = preserve_mask(live, graph, 3)
             live = live[mask]
         return live
 
@@ -499,17 +466,19 @@ def enumerate_centraliser(fs: OperationSet, arity: int, budget: int = DEFAULT_BU
                           threads: int = 1, return_stats: bool = False):
     """All operations of the given arity commuting with every member of fs.
 
-    Arity 1 and 2 sweep every candidate table directly; arity 3 goes through
-    the binary slice via identification minors.  Higher arities are rejected.
+    Arity 1 and 2 sweep every candidate table against the graph of each
+    member; arity 3 goes through the binary slice via identification minors.
+    Higher arities are rejected.  threads is clamped to [1, os.cpu_count()].
     """
     if arity not in (1, 2, 3):
         raise ValueError("centraliser enumeration supports arities 1..3 only")
     domain = fs.domain
-    members = sorted(fs.members(), key=lambda op: (op.arity, op.table))
+    threads = _clamp_threads(threads)
     stats = EnumerationStats(candidates=0, survivors=0)
     if arity <= 2:
         stats.candidates = domain.k ** (domain.k ** arity)
-        rows = _sweep_enumeration(domain, arity, members, "commute", budget, threads)
+        graphs = [graph_of(f) for f in fs.members()]
+        rows = _sweep_enumeration(domain, arity, graphs, budget, threads)
     else:
         rows = _ternary_centraliser(fs, budget, threads, stats)
     result = OperationSet(domain, {arity: rows})
@@ -521,7 +490,10 @@ def enumerate_centraliser(fs: OperationSet, arity: int, budget: int = DEFAULT_BU
 
 def enumerate_polymorphisms(relations, arity: int, budget: int = DEFAULT_BUDGET,
                             threads: int = 1) -> OperationSet:
-    """All arity-ary operations preserving every relation in the list."""
+    """All arity-ary operations preserving every relation in the list.
+
+    threads is clamped to [1, os.cpu_count()].
+    """
     relations = list(relations)
     if not relations:
         raise ValueError("need at least one relation")
@@ -529,5 +501,5 @@ def enumerate_polymorphisms(relations, arity: int, budget: int = DEFAULT_BUDGET,
     for rel in relations:
         if rel.domain != domain:
             raise ValueError("all relations must share the domain")
-    rows = _sweep_enumeration(domain, arity, relations, "preserve", budget, threads)
+    rows = _sweep_enumeration(domain, arity, relations, budget, _clamp_threads(threads))
     return OperationSet(domain, {arity: rows})

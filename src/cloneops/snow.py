@@ -74,6 +74,9 @@ def snow_t(k: int, entry_cap: int = T_TABLE_CAP) -> Operation:
 
 def snow_f(k: int) -> Operation:
     _check_k(k)
+    if k ** (k - 1) > T_TABLE_CAP:
+        raise CapExceeded(
+            f"table of the {k - 1}-ary function over k={k} has {k ** (k - 1)} entries")
     return sparse_op(Domain(k), k - 1, {up_tuple(k): 1, down_tuple(k): 1})
 
 
@@ -307,13 +310,13 @@ def verify_separation(k: int, mode: str = "full", samples: int = 100_000,
         raise ValueError(f"unknown mode {mode!r}")
     inst = snow_instance(k)
     report = SeparationReport(k=k, mode=mode, params={"seed": seed, "samples": samples})
-    graph_f = graph_of(inst.f_op)
 
     if mode == "full":
         if k > FULL_EVAL_MAX_K:
             raise CapExceeded(
                 f"full evaluation is capped at k <= {FULL_EVAL_MAX_K}; "
                 "use witness mode for larger domains")
+        graph_f = graph_of(inst.f_op)
         formula = snow_pp_formula(k)
         defined = eval_formula(formula, {"T": graph_of(inst.t_op)})
         if defined == graph_f:

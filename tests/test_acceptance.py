@@ -210,7 +210,7 @@ def test_criterion_12_structural_invariants(d3, t3, t3_set, binary_centraliser):
     with _Timer(12, "symmetry, graph equivalence, projections, conservativity,"
                     " implications", 120):
         from cloneops import Operation
-        from cloneops.commutation import commute_mask
+        from cloneops.commutation import preserve_mask
         # commutation symmetry, exhaustively for all unary pairs
         unaries = [Operation(d3, 1, t) for t in product(range(3), repeat=3)]
         for f in unaries:
@@ -219,7 +219,7 @@ def test_criterion_12_structural_invariants(d3, t3, t3_set, binary_centraliser):
         # and exhaustively for every unary against every binary table
         binaries = all_tables(d3, 2)
         for u in unaries:
-            forward = commute_mask(binaries, u, 2)
+            forward = preserve_mask(binaries, graph_of(u), 2)
             backward = [commutes(u, Operation(d3, 2, tuple(int(v) for v in row)))
                         for row in binaries]
             assert list(forward) == backward

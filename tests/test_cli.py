@@ -128,3 +128,17 @@ def test_console_script_version():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.startswith("cloneops ")
+
+
+def test_domain_beyond_uint8_exit_code(tmp_path, capsys):
+    ops = tmp_path / "big.ops"
+    ops.write_text("op g\ndomain 300\narity 1\ntable 256" + " 0" * 299 + "\n")
+    assert run(["centraliser", "--ops", str(ops), "--arity", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["snow", "verify-snow"])
+def test_oversize_separating_function_exit_code(command, capsys):
+    # f at k=11 would have 11^10 table entries; the size check comes first
+    assert run([command, "--k", "11"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")

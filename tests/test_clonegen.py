@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cloneops.clonegen as clonegen
 from cloneops import (CapExceeded, Domain, Operation, OperationSet,
@@ -79,6 +80,14 @@ def test_spike_agrees_with_generic_worklist(d3, t3_set, monkeypatch):
     assert spike == generic
 
 
+def test_spike_generator_composing_to_zero(d3):
+    # u(u(x)) is constant zero, but no variable identification of u is
+    u = Operation(d3, 1, (0, 0, 1))
+    frag = clone_fragment(OperationSet.from_operations(d3, [u]), 1)
+    assert frag == OperationSet.from_operations(
+        d3, [make_projection(d3, 1, 1), u, make_constant(d3, 1, 0)])
+
+
 def test_generic_path_on_non_spike_generator():
     d2 = Domain(2)
     maximum = Operation(d2, 2, (0, 1, 1, 1))
@@ -126,3 +135,63 @@ def test_closure_is_a_fixpoint(d3, t3_set):
 def test_closure_empty_seed_rejected(d3, t3_set):
     with pytest.raises(ValueError):
         subuniverse_closure(set(), t3_set)
+
+
+@st.composite
+def _zero_absorbing_generators(draw):
+    """1 to 3 {0,1}-valued generators of arity 1..3, zero on every argument with a 0."""
+    k = draw(st.sampled_from([2, 3]))
+    d = Domain(k)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(1, 3))
+        table = tuple(0 if 0 in args else draw(st.integers(0, 1))
+                      for args in product(range(k), repeat=arity))
+        gens.append(Operation(d, arity, table))
+    return OperationSet.from_operations(d, gens), draw(st.integers(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_zero_absorbing_generators())
+def test_spike_agrees_with_closure_loop(case):
+    gens, n = case
+    assert clonegen._spike_applicable(list(gens.members()))
+    spike = clone_fragment(gens, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clonegen, "_spike_applicable", lambda gens: False)
+        generic = clone_fragment(gens, n)
+    assert spike == generic
+
+
+def _naive_closure(seed, ops):
+    """Reference: apply every operation to every combination until nothing is new."""
+    closed = set(seed)
+    m = len(next(iter(seed)))
+    while True:
+        fresh = {tuple(op(*(t[i] for t in combo)) for i in range(m))
+                 for op in ops for combo in product(closed, repeat=op.arity)}
+        if fresh <= closed:
+            return closed
+        closed |= fresh
+
+
+@st.composite
+def _closure_cases(draw):
+    k = draw(st.sampled_from([2, 3]))
+    d = Domain(k)
+    ops = []
+    for _ in range(draw(st.integers(1, 2))):
+        arity = draw(st.integers(1, 2))
+        ops.append(Operation(d, arity, tuple(draw(st.lists(
+            st.integers(0, k - 1), min_size=k ** arity, max_size=k ** arity)))))
+    m = draw(st.integers(1, 3))
+    seed = draw(st.sets(st.tuples(*[st.integers(0, k - 1)] * m), min_size=1, max_size=3))
+    return seed, OperationSet.from_operations(d, ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closure_cases())
+def test_closure_agrees_with_naive_fixpoint(case):
+    seed, ops = case
+    closure = subuniverse_closure(seed, ops)
+    assert set(closure.tuples) == _naive_closure(seed, list(ops.members()))

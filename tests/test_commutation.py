@@ -1,14 +1,16 @@
+import os
 import random
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cloneops import (CapExceeded, Domain, Operation, OperationSet, commutes,
                       enumerate_centraliser, enumerate_polymorphisms,
                       family_op, full_relation, graph_of, make_projection,
-                      preserves, relation, sparse_op)
-from cloneops.commutation import commute_mask, _ternary_pattern_mask
+                      preserves, relation, snow_t, sparse_op)
+from cloneops.commutation import preserve_mask, _ternary_pattern_mask
 
 
 def unary(d, *values):
@@ -179,7 +181,7 @@ def test_arity_cap_and_budget(t3_set):
 def test_commute_mask_matches_scalar(d3, t3):
     rng = np.random.default_rng(5)
     tables = rng.integers(0, 3, size=(40, 9), dtype=np.uint8)
-    mask = commute_mask(tables, t3, 2)
+    mask = preserve_mask(tables, graph_of(t3), 2)
     for row, ok in zip(tables, mask):
         g = Operation(d3, 2, tuple(int(v) for v in row))
         assert commutes(g, t3) == bool(ok)
@@ -192,7 +194,7 @@ def test_ternary_pattern_matches_sweep(d3, t3):
                     dtype=np.uint8)
     tables = np.vstack([tables, proj])
     fast = _ternary_pattern_mask(tables, t3)
-    slow = commute_mask(tables, t3, 3)
+    slow = preserve_mask(tables, graph_of(t3), 3)
     assert np.array_equal(fast, slow)
     assert fast[-3:].all()  # the projections commute
 
@@ -206,3 +208,72 @@ def test_threads_give_identical_results(t3_set):
 def test_operation_set_rejects_mixed_domains(d3, t3):
     with pytest.raises(ValueError):
         OperationSet.from_operations(d3, [t3, make_projection(Domain(2), 1, 1)])
+
+
+def test_operation_set_rejects_domains_beyond_uint8():
+    with pytest.raises(ValueError):
+        OperationSet(Domain(300), {1: np.array([[256] + [0] * 299])})
+
+
+def test_operation_set_range_check_precedes_the_cast(d3):
+    # 256 would wrap to the valid entry 0 in uint8
+    with pytest.raises(ValueError):
+        OperationSet(d3, {1: np.array([[256, 0, 0]])})
+    with pytest.raises(ValueError):
+        OperationSet(d3, {1: np.array([[-1, 0, 0]])})
+
+
+class _SerialPool:
+    """Stand-in for ThreadPoolExecutor: records max_workers, starts no thread."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        _SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_threads_clamped_to_cpu_count(monkeypatch, t3_set, binary_centraliser):
+    import cloneops.commutation as commutation
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(commutation, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    assert enumerate_centraliser(t3_set, 2, threads=64) == binary_centraliser
+    polys = enumerate_polymorphisms([graph_of(snow_t(3))], 2, threads=64)
+    assert polys == binary_centraliser
+    d2 = Domain(2)
+    maximum = OperationSet.from_operations(d2, [Operation(d2, 2, (0, 1, 1, 1))])
+    assert enumerate_centraliser(maximum, 3, threads=64) == \
+        enumerate_centraliser(maximum, 3, threads=1)
+    assert _SerialPool.sizes and set(_SerialPool.sizes) == {2}
+
+
+@st.composite
+def _member_and_candidates(draw):
+    k = draw(st.sampled_from([2, 3]))
+    d = Domain(k)
+    arity = draw(st.integers(1, 2))
+    ell = draw(st.integers(1, 3))
+    f = Operation(d, arity, tuple(draw(st.lists(
+        st.integers(0, k - 1), min_size=k ** arity, max_size=k ** arity))))
+    width = k ** ell
+    rows = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=width, max_size=width),
+                         min_size=1, max_size=12))
+    return d, f, ell, np.array(rows, dtype=np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_member_and_candidates())
+def test_graph_mask_agrees_with_scalar_commutes(case):
+    d, f, ell, tables = case
+    mask = preserve_mask(tables, graph_of(f), ell)
+    for row, ok in zip(tables, mask):
+        g = Operation(d, ell, tuple(int(v) for v in row))
+        assert commutes(g, f) == bool(ok)

@@ -148,3 +148,8 @@ def test_verify_full_rejected_beyond_cap():
 def test_verify_mode_validation():
     with pytest.raises(ValueError):
         verify_separation(3, "exhaustive")
+
+
+def test_snow_f_size_checked_before_allocating():
+    with pytest.raises(CapExceeded):
+        snow_f(11)                      # 11^10 table entries
