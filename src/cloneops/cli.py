@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .core import CapExceeded, graph_of
@@ -17,14 +18,20 @@ from .ppformula import RelationEnv, emit_smt, emit_text, eval_formula, parse_for
 from .snow import snow_f, snow_pp_formula, snow_t, verify_separation
 from .synthesis import dedup_rows, synthesize_ppdef, validation_details
 from .textio import (FormatError, emit_operations, emit_relations,
-                     parse_operations, parse_relations, parse_tuple_lists)
+                     operation_set_blocks, parse_operations, parse_relations,
+                     parse_tuple_lists)
 
 
-def _write(path: str | None, text: str):
+def _write(path: str | None, text: str | Iterable[str]):
+    """Write text, or each string of an iterable in turn, to path or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            for chunk in chunks:
+                out.write(chunk)
 
 
 def _load_operation_set(path: str) -> OperationSet:
@@ -77,8 +84,7 @@ def cmd_centraliser(args) -> int:
     fs = _load_operation_set(args.ops)
     result = enumerate_centraliser(fs, args.arity, budget=args.budget,
                                    threads=args.threads)
-    named = [(f"g{i}", op) for i, op in enumerate(result.members(args.arity))]
-    _write(args.out, emit_operations(named, count_comment=True))
+    _write(args.out, operation_set_blocks(result, args.arity))
     print(f"{result.count(args.arity)} operations of arity {args.arity} "
           f"commute with all {len(fs)} given operations", file=sys.stderr)
     return 0
@@ -87,8 +93,7 @@ def cmd_centraliser(args) -> int:
 def cmd_clone(args) -> int:
     gens = _load_operation_set(args.ops)
     fragment = clone_fragment(gens, args.arity, cap=args.cap)
-    named = [(f"g{i}", op) for i, op in enumerate(fragment.members(args.arity))]
-    _write(args.out, emit_operations(named, count_comment=True))
+    _write(args.out, operation_set_blocks(fragment, args.arity))
     return 0
 
 

@@ -7,7 +7,9 @@ runs it on value tables in A^(k^n), seeded with the n projections: the
 n-ary part of the clone generated by F is the subuniverse of A^(k^n) that
 the projections generate under F.  Each round applies every operation only
 to the argument combinations that involve a row found in the round before,
-as numpy gathers over blocks of combinations.
+as numpy gathers over blocks of combinations.  A round is sized before it
+starts, and one that would gather more than CLOSURE_WORK_CAP table entries
+raises CapExceeded.
 
 For zero-absorbing {0,1}-valued generators (any argument 0 forces value 0)
 clone_fragment has a fast path: besides the variable identifications of the
@@ -30,6 +32,7 @@ from .commutation import _BLOCK_ENTRIES, OperationSet, _digit_matrix, _unique_ro
 
 FRAGMENT_CAP = 1_000_000
 IDENTIFICATION_MAP_CAP = 10_000_000
+CLOSURE_WORK_CAP = 10 ** 9      # table entries gathered in one closure round
 
 
 def _fresh_combos(known: int, start: int, arity: int, block: int):
@@ -52,7 +55,8 @@ def _close(seed: np.ndarray, ops: OperationSet, cap: int | None = None) -> np.nd
     """Rows of the least superset of seed closed under componentwise ops.
 
     seed is a (rows, m) uint8 array.  Raises CapExceeded once more than cap
-    rows are known.
+    rows are known, or before a round that would gather more than
+    CLOSURE_WORK_CAP entries.
     """
     k = ops.domain.k
     rows = _unique_rows(seed)
@@ -61,6 +65,11 @@ def _close(seed: np.ndarray, ops: OperationSet, cap: int | None = None) -> np.nd
     start = 0
     while start < len(rows):
         known = len(rows)
+        work = sum((known ** a - start ** a) * len(ops.tables(a)) * m
+                   for a in ops.arities())
+        if work > CLOSURE_WORK_CAP:
+            raise CapExceeded(f"a closure round would gather {work} entries, "
+                              f"over the work cap of {CLOSURE_WORK_CAP}")
         fresh: list[bytes] = []
         for arity in ops.arities():
             tables = ops.tables(arity)

@@ -102,6 +102,7 @@ class _Engine:
         self.values: list[int | None] = [None] * len(names)
         self.atoms = []
         occurrences: dict[int, set[int]] = {}
+        functional_maps: dict[str, dict | None] = {}
         for rel_name, vars_ in formula.atoms:
             if rel_name not in env:
                 raise ValueError(f"missing relation '{rel_name}' in the environment")
@@ -113,7 +114,9 @@ class _Engine:
             var_idx = tuple(self.index[v] for v in vars_)
             aid = len(self.atoms)
             distinct = set(var_idx)
-            functional = _functional_map(rel)
+            if rel_name not in functional_maps:
+                functional_maps[rel_name] = _functional_map(rel)
+            functional = functional_maps[rel_name]
             # the output variable can only be forced when it appears nowhere else
             forceable = (functional is not None and len(var_idx) > 1
                          and var_idx[-1] not in var_idx[:-1])

@@ -17,10 +17,24 @@ Relation blocks:
     end
 
 Out-of-range values are rejected with an error naming line and column.
+
+All tables and tuple lines are written by one vectorised row formatter,
+format_rows.  emit_operations writes a list of Operation objects;
+operation_set_blocks writes one arity of an OperationSet straight from its
+sorted uint8 table, in blocks of rows, without building an Operation per
+member or the whole file as one string.
 """
 from __future__ import annotations
 
+from itertools import groupby
+from typing import Iterator
+
+import numpy as np
+
 from .core import Domain, Operation, Relation
+
+# Table entries formatted per block of operation_set_blocks.
+EMIT_BLOCK_ENTRIES = 1 << 21
 
 
 class FormatError(ValueError):
@@ -135,27 +149,72 @@ def parse_tuple_lists(text: str) -> list[tuple[str, Domain, list[tuple[int, ...]
     return out
 
 
+def _value_text(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII text of 0..k-1 and a space (spaced) or a newline (ended), 0-padded."""
+    width = len(str(k - 1)) + 1
+    spaced = np.zeros((k, width), dtype=np.uint8)
+    for v in range(k):
+        text = str(v).encode("ascii")
+        spaced[v, :len(text) + 1] = np.frombuffer(text + b" ", dtype=np.uint8)
+    ended = spaced.copy()
+    ended[ended == ord(" ")] = ord("\n")
+    return spaced, ended
+
+
+def format_rows(rows, k: int) -> list[str]:
+    """' '.join(map(str, row)) for each row of an integer array over range(k).
+
+    Each entry is looked up as its padded text, the last one of a row
+    with a newline in place of the separating space; dropping the padding
+    leaves the rows' text as one ASCII buffer.
+    """
+    rows = np.asarray(rows)
+    if rows.shape[0] == 0:
+        return []
+    spaced, ended = _value_text(k)
+    chars = spaced[rows]
+    chars[:, -1] = ended[rows[:, -1]]
+    chars = chars.ravel()
+    return chars[chars != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _operation_blocks(names, k: int, arity: int, table_texts) -> str:
+    middle = f"\ndomain {k}\narity {arity}\ntable "
+    return "".join([f"op {name}{middle}{text}\n" for name, text in zip(names, table_texts)])
+
+
+def operation_set_blocks(ops, arity: int) -> Iterator[str]:
+    """The text emit_operations gives for ops' members of one arity, in blocks.
+
+    Yields the '# count N' line, then the operations g0, g1, ... in table
+    order, formatted straight from ops.tables(arity), at most
+    EMIT_BLOCK_ENTRIES table entries per block.
+    """
+    tables = ops.tables(arity)
+    k = ops.domain.k
+    yield f"# count {len(tables)}\n"
+    step = max(1, EMIT_BLOCK_ENTRIES // tables.shape[1])
+    for lo in range(0, len(tables), step):
+        texts = format_rows(tables[lo:lo + step], k)
+        names = (f"g{i}" for i in range(lo, lo + len(texts)))
+        yield _operation_blocks(names, k, arity, texts)
+
+
 def emit_operations(named_ops, count_comment: bool = False) -> str:
     named_ops = list(named_ops)
-    lines = []
-    if count_comment:
-        lines.append(f"# count {len(named_ops)}")
-    for name, op in named_ops:
-        lines.append(f"op {name}")
-        lines.append(f"domain {op.domain.k}")
-        lines.append(f"arity {op.arity}")
-        lines.append("table " + " ".join(map(str, op.table)))
-    return "\n".join(lines) + "\n"
+    parts = [f"# count {len(named_ops)}\n"] if count_comment else []
+    for (k, arity), group in groupby(named_ops,
+                                     key=lambda pair: (pair[1].domain.k, pair[1].arity)):
+        names, group_ops = zip(*group)
+        texts = format_rows([op.table for op in group_ops], k)
+        parts.append(_operation_blocks(names, k, arity, texts))
+    return "".join(parts) or "\n"
 
 
 def emit_relations(named_rels) -> str:
-    lines = []
+    parts = []
     for name, rel in named_rels:
-        lines.append(f"rel {name}")
-        lines.append(f"domain {rel.domain.k}")
-        lines.append(f"arity {rel.arity}")
-        lines.append("tuples")
-        for t in rel.tuples:
-            lines.append(" ".join(map(str, t)))
-        lines.append("end")
-    return "\n".join(lines) + "\n"
+        parts.append(f"rel {name}\ndomain {rel.domain.k}\narity {rel.arity}\ntuples\n")
+        parts.extend(text + "\n" for text in format_rows(rel.tuples, rel.domain.k))
+        parts.append("end\n")
+    return "".join(parts) or "\n"

@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
-from cloneops import parse_formula, parse_operations, parse_relations
+import cloneops.clonegen as clonegen
+from cloneops import (Domain, Operation, emit_operations, parse_formula,
+                      parse_operations, parse_relations)
 from cloneops.cli import run
 
 
@@ -107,6 +109,28 @@ def test_ppdef_validation_failure(snow_files, tmp_path):
                 "--gen", str(gen), "--validate", str(snow_files["gf"]),
                 "--out", str(tmp_path / "phi.pp")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command, count", [("centraliser", 65), ("clone", 5)])
+def test_stdout_matches_out_file(snow_files, tmp_path, capsys, command, count):
+    argv = [command, "--ops", str(snow_files["t"]), "--arity", "2"]
+    out = tmp_path / "out.ops"
+    assert run(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+    assert out.read_text().startswith(f"# count {count}\n")
+
+
+def test_clone_work_cap_exit_code(tmp_path, capsys, monkeypatch):
+    d2 = Domain(2)
+    ops = tmp_path / "max.ops"
+    ops.write_text(emit_operations([("max", Operation(d2, 2, (0, 1, 1, 1)))]))
+    monkeypatch.setattr(clonegen, "CLOSURE_WORK_CAP", 15)
+    assert run(["clone", "--ops", str(ops), "--arity", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "work cap" in captured.err
 
 
 def test_parse_error_exit_code(tmp_path):

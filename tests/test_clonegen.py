@@ -97,6 +97,27 @@ def test_generic_path_on_non_spike_generator():
     assert maximum in frag
 
 
+def test_closure_work_cap_raises_before_gathering(monkeypatch):
+    d2 = Domain(2)
+    maximum = OperationSet.from_operations(d2, [Operation(d2, 2, (0, 1, 1, 1))])
+    calls = []
+    fresh_combos = clonegen._fresh_combos
+    monkeypatch.setattr(clonegen, "_fresh_combos",
+                        lambda *a: calls.append(a) or fresh_combos(*a))
+    # round 1 gathers 2^2 combinations x 1 operation x 4 entries = 16,
+    # round 2 (3 rows, 1 new) gathers (3^2 - 2^2) x 4 = 20
+    monkeypatch.setattr(clonegen, "CLOSURE_WORK_CAP", 15)
+    with pytest.raises(CapExceeded, match="work cap"):
+        clone_fragment(maximum, 2)
+    assert calls == []
+    monkeypatch.setattr(clonegen, "CLOSURE_WORK_CAP", 19)
+    with pytest.raises(CapExceeded, match="work cap"):
+        clone_fragment(maximum, 2)
+    assert calls
+    monkeypatch.setattr(clonegen, "CLOSURE_WORK_CAP", 20)
+    assert clone_fragment(maximum, 2).count(2) == 3
+
+
 def test_fragment_cap(t3_set):
     with pytest.raises(CapExceeded):
         clone_fragment(t3_set, 2, cap=3)

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import cloneops.ppformula as ppformula
 from cloneops import (Domain, PPFormula, RelationEnv, emit_smt, emit_text,
                       eval_formula, formula_defines, full_relation, graph_of,
                       make_projection, parse_formula, relation, snow_f,
@@ -61,6 +62,17 @@ def test_snow_formula_defines_graph(t3, f3):
     assert eval_formula(phi, env) == graph_of(f3)
     assert formula_defines(phi, env, graph_of(f3))
     assert not formula_defines(phi, env, graph_of(make_projection(Domain(3), 2, 1)))
+
+
+def test_functional_map_built_once_per_relation(t3, f3, monkeypatch):
+    built = []
+    functional_map = ppformula._functional_map
+    monkeypatch.setattr(ppformula, "_functional_map",
+                        lambda rel: built.append(rel) or functional_map(rel))
+    phi = snow_pp_formula(3)
+    assert len(phi.atoms) == 5
+    assert eval_formula(phi, {"T": graph_of(t3)}) == graph_of(f3)
+    assert len(built) == 1
 
 
 def test_eval_matches_brute_force():

@@ -1,9 +1,15 @@
-import pytest
+from unittest import mock
 
-from cloneops import (Domain, FormatError, emit_operations, emit_relations,
-                      full_relation, graph_of, make_projection,
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cloneops.textio as textio
+from cloneops import (Domain, FormatError, OperationSet, emit_operations,
+                      emit_relations, full_relation, graph_of, make_projection,
                       parse_operations, parse_relations, parse_tuple_lists,
                       relation, snow_t)
+from cloneops.textio import format_rows, operation_set_blocks
 
 
 def test_operation_round_trip(t3):
@@ -76,3 +82,41 @@ def test_empty_relation_keeps_declared_arity(d3):
     empty = relation(d3, 4, [])
     [(name, parsed)] = parse_relations(emit_relations([("none", empty)]))
     assert parsed.arity == 4 and parsed.tuples == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_format_rows_matches_join(k, width, n, seed):
+    rows = np.random.default_rng(seed).integers(0, k, size=(n, width))
+    rows[0, -1] = k - 1
+    assert format_rows(rows, k) == [" ".join(map(str, row)) for row in rows.tolist()]
+
+
+@st.composite
+def _operation_sets(draw):
+    k = draw(st.sampled_from([2, 3, 10, 11, 256]))
+    arity = draw(st.integers(1, 2))
+    n = draw(st.sampled_from([1, 2, 5, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = OperationSet(Domain(k), {arity: rng.integers(0, k, size=(n, k ** arity))})
+    width = k ** arity
+    # one block, a row per block, and blocks of two rows plus a partial one
+    block = draw(st.sampled_from([textio.EMIT_BLOCK_ENTRIES, 1, 2 * width + 1]))
+    return ops, arity, block
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operation_sets())
+def test_operation_set_blocks_match_emit_operations(case):
+    ops, arity, block = case
+    with mock.patch.object(textio, "EMIT_BLOCK_ENTRIES", block):
+        blocks = list(operation_set_blocks(ops, arity))
+    named = [(f"g{i}", op) for i, op in enumerate(ops.members(arity))]
+    assert "".join(blocks) == emit_operations(named, count_comment=True)
+    rows_per_block = max(1, block // ops.tables(arity).shape[1])
+    assert len(blocks) == 1 + -(-ops.count(arity) // rows_per_block)
+
+
+def test_operation_set_blocks_of_empty_slice(d3):
+    empty = OperationSet(d3, {})
+    assert "".join(operation_set_blocks(empty, 2)) == emit_operations([], count_comment=True)
