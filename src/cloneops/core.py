@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, groupby, product
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -81,15 +82,20 @@ class Relation:
         if self.arity < 1:
             raise ValueError(f"arity must be positive, got {self.arity}")
         k = self.domain.k
-        seen = set()
-        for t in self.tuples:
-            if len(t) != self.arity:
-                raise ValueError(f"tuple {t} has length {len(t)}, expected {self.arity}")
-            for v in t:
-                if not 0 <= v < k:
-                    raise ValueError(f"tuple entry {v} out of range 0..{k - 1}")
-            seen.add(tuple(int(v) for v in t))
-        object.__setattr__(self, "tuples", tuple(sorted(seen)))
+        rows = list(map(tuple, self.tuples))
+        if set(map(len, rows)) - {self.arity}:
+            t = next(t for t in rows if len(t) != self.arity)
+            raise ValueError(f"tuple {t} has length {len(t)}, expected {self.arity}")
+        for v in set(chain.from_iterable(rows)):
+            if not 0 <= v < k:
+                raise ValueError(f"tuple entry {v} out of range 0..{k - 1}")
+        # types of every entry, not of the distinct values: numpy.int64(1) and
+        # True hash like 1 and would hide behind it in a set of values
+        if set(map(type, chain.from_iterable(rows))) - {int}:
+            rows = [tuple(map(int, t)) for t in rows]
+        # sort, then drop adjacent repeats: no hash table of rows, and rows
+        # that arrive sorted (graph_of, product order) sort in a linear pass
+        object.__setattr__(self, "tuples", tuple(map(itemgetter(0), groupby(sorted(rows)))))
 
     @cached_property
     def _set(self) -> frozenset:

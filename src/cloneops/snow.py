@@ -8,6 +8,14 @@ formula whose free variables are the anti-diagonal of an n-by-n variable
 square plus the value variable; this module builds the formula, the square
 index machinery behind it, and a verification report (full evaluation for
 small k, witness construction plus randomised completeness sampling beyond).
+
+Witness mode never assembles a square.  The three atoms over the square read
+it directly or through a permutation of its cells, so each is 1 on exactly
+two fixed squares: p1, p2 or their pullbacks.  A sample (drawn off-diagonal
+cells, x on the anti-diagonal) is decided by comparing its cells with the
+patterns whose anti-diagonal is x, usually none.  The draws are the same as
+when every sampled square was assembled and T evaluated on it, so a seed
+gives the same samples and the same verdicts.
 """
 from __future__ import annotations
 
@@ -23,6 +31,7 @@ from .clonegen import clone_fragment, fragment_contains
 from .ppformula import PPFormula, eval_formula
 
 T_TABLE_CAP = 10_000_000
+WITNESS_SAMPLE_CAP = 1_000_000_000
 FULL_EVAL_MAX_K = 4
 FRAGMENT_MAX_MAPS = 10_000_000
 
@@ -214,12 +223,57 @@ class SeparationReport:
         return "\n".join(lines) + "\n"
 
 
-def _rule_values(k: int, squares: np.ndarray) -> np.ndarray:
-    """Vectorised T rule on a batch of flat squares."""
-    n = k - 1
-    p1 = np.array(square_p1(k), dtype=squares.dtype)
-    p2 = np.array(square_p2(k), dtype=squares.dtype)
-    return ((squares == p1).all(axis=1) | (squares == p2).all(axis=1)).astype(np.uint8)
+def _off_diagonal(plan: ArrowPlan) -> tuple[int, ...]:
+    """Flat positions of the square cells off the anti-diagonal, ascending."""
+    anti = set(plan.anti)
+    return tuple(p for p in range(plan.n * plan.n) if p not in anti)
+
+
+def _atom_patterns(inst: SnowInstance) -> tuple[dict, dict, dict]:
+    """The squares s on which the atoms T(s), T(s[a3]) and T(s[a5]) are 1.
+
+    T is 1 exactly on p1 and p2.  The atom orders a3 and a5 are permutations
+    of the cells, so s[a] equals p exactly when s equals the pullback q with
+    q[a] = p: each atom is 1 on two fixed squares.  A pattern is stored under
+    its anti-diagonal as the uint8 row of its off-diagonal cells, so a square
+    holding x on the anti-diagonal can only match the patterns under x.
+    """
+    plan = inst.arrows
+    size = inst.n * inst.n
+    others = _off_diagonal(plan)
+    tables = []
+    for order in (range(size), _atom3_positions(plan), _atom5_positions(plan)):
+        table: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for p in (inst.p1, inst.p2):
+            q = [0] * size
+            for i, pos in enumerate(order):
+                q[pos] = p[i]
+            table.setdefault(tuple(q[pos] for pos in plan.anti), []).append(
+                np.array([q[pos] for pos in others], dtype=np.uint8))
+        tables.append(table)
+    return tuple(tables)
+
+
+def _count_satisfying(inst: SnowInstance, patterns, x: tuple[int, ...], y: int,
+                      cells: np.ndarray) -> int:
+    """How many rows of cells (off-diagonal values, x on the anti-diagonal)
+    complete (x, y) to a satisfying assignment.
+
+    The comparison values u and v are fixed by the atoms over the repeated
+    anti-diagonal, so the square alone decides the formula.  An atom with no
+    pattern under x is 0 on every row, and its test is a single bool.
+    """
+    n = inst.n
+    squares = (inst.p1, inst.p2)
+    sat = True
+    for table, value in zip(patterns, (y, x * n in squares, x[::-1] * n in squares)):
+        hit = False
+        for row in table.get(x, ()):
+            hit = hit | (cells == row).all(axis=1)
+        sat = sat & (hit == value)
+    if isinstance(sat, np.ndarray):
+        return int(np.count_nonzero(sat))
+    return len(cells) if sat else 0
 
 
 def _witness_soundness(k: int, inst: SnowInstance) -> CheckResult:
@@ -229,68 +283,52 @@ def _witness_soundness(k: int, inst: SnowInstance) -> CheckResult:
     argument tuple x the square holding x on the anti-diagonal and 0
     elsewhere witnesses (x, 0).
     """
-    n = inst.n
-    plan = inst.arrows
-    a3 = np.array(_atom3_positions(plan))
-    a5 = np.array(_atom5_positions(plan))
-    anti = np.array(plan.anti)
-    xs = np.array(list(product(range(k), repeat=n)), dtype=np.uint8)
-    squares = np.zeros((len(xs), n * n), dtype=np.uint8)
-    squares[:, anti] = xs
-    is_up = (xs == np.array(inst.up, dtype=np.uint8)).all(axis=1)
-    is_down = (xs == np.array(inst.down, dtype=np.uint8)).all(axis=1)
-    squares[is_up] = np.array(inst.p1, dtype=np.uint8)
-    squares[is_down] = np.array(inst.p2, dtype=np.uint8)
-    expected_y = np.where(is_up | is_down, 1, 0).astype(np.uint8)
-
-    u0 = _rule_values(k, np.tile(xs, (1, n)))
-    v0 = _rule_values(k, np.tile(xs[:, ::-1], (1, n)))
-    ok = (_rule_values(k, squares) == expected_y)
-    ok &= _rule_values(k, squares[:, a3]) == u0
-    ok &= _rule_values(k, squares[:, a5]) == v0
-    bad = int((~ok).sum())
+    patterns = _atom_patterns(inst)
+    others = _off_diagonal(inst.arrows)
+    zero = np.zeros((1, len(others)), dtype=np.uint8)
+    witnesses = {inst.up: inst.p1, inst.down: inst.p2}
+    graph_size = k ** inst.n
+    bad = 0
+    for x in product(range(k), repeat=inst.n):
+        square = witnesses.get(x)
+        if square is None:
+            y, cells = 0, zero
+        else:
+            y, cells = 1, np.array([[square[p] for p in others]], dtype=np.uint8)
+        bad += _count_satisfying(inst, patterns, x, y, cells) == 0
     if bad:
         return CheckResult("soundness-witnesses", "FAIL",
-                           f"{bad} of {len(xs)} graph tuples have no witness")
+                           f"{bad} of {graph_size} graph tuples have no witness")
     return CheckResult("soundness-witnesses", "PASS",
-                       f"all {len(xs)} graph tuples witnessed")
+                       f"all {graph_size} graph tuples witnessed")
 
 
 def _witness_completeness(k: int, inst: SnowInstance, samples: int,
                           seed: int) -> CheckResult:
     """Randomised search for free tuples outside graph(f) satisfying the formula.
 
-    Cells off the anti-diagonal are sampled uniformly; the two comparison
-    variables are determined by their defining atoms, so each sample decides
-    satisfiability of the sampled square exactly.
+    For each refuted (x, y), in order, the cells off the anti-diagonal are
+    drawn uniformly as one (samples, n^2 - n) uint8 block.  No square is
+    assembled: each atom is decided by matching the drawn cells against the
+    atom's patterns (p1, p2 or their pullbacks through the atom order) whose
+    anti-diagonal is x, usually none.  The two comparison variables are
+    determined by their defining atoms, so each sample decides satisfiability
+    of the sampled square exactly.
     """
-    n = inst.n
-    plan = inst.arrows
-    a3 = np.array(_atom3_positions(plan))
-    a5 = np.array(_atom5_positions(plan))
-    anti = np.array(plan.anti)
-    others = np.array([p for p in range(n * n) if p not in set(plan.anti)])
+    patterns = _atom_patterns(inst)
+    width = len(_off_diagonal(inst.arrows))
     rng = np.random.default_rng(seed)
     graph_members = {inst.up: 1, inst.down: 1}
     violations = 0
     tuples_checked = 0
-    for x in product(range(k), repeat=n):
+    for x in product(range(k), repeat=inst.n):
         fx = graph_members.get(x, 0)
         for y in range(k):
             if y == fx:
                 continue  # in graph(f): nothing to refute
             tuples_checked += 1
-            xv = np.array(x, dtype=np.uint8)
-            u0 = int(_rule_values(k, np.tile(xv, n)[None, :])[0])
-            v0 = int(_rule_values(k, np.tile(xv[::-1], n)[None, :])[0])
-            squares = np.zeros((samples, n * n), dtype=np.uint8)
-            squares[:, anti] = xv
-            squares[:, others] = rng.integers(0, k, size=(samples, len(others)),
-                                              dtype=np.uint8)
-            sat = _rule_values(k, squares) == y
-            sat &= _rule_values(k, squares[:, a3]) == u0
-            sat &= _rule_values(k, squares[:, a5]) == v0
-            violations += int(sat.sum())
+            cells = rng.integers(0, k, size=(samples, width), dtype=np.uint8)
+            violations += _count_satisfying(inst, patterns, x, y, cells)
     if violations:
         return CheckResult("completeness-sampling", "FAIL",
                            f"{violations} satisfying samples outside the graph")
@@ -304,10 +342,22 @@ def verify_separation(k: int, mode: str = "full", samples: int = 100_000,
 
     Full mode evaluates the formula exhaustively (k <= 4); witness mode checks
     the explicit witness squares and samples the completeness direction.
+    Witness mode needs samples >= 1 (ValueError otherwise) and raises
+    CapExceeded, before any work, when the k^(k-1)*(k-1)*samples samples
+    exceed WITNESS_SAMPLE_CAP.
     """
     _check_k(k)
     if mode not in ("full", "witness"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "witness":
+        if samples < 1:
+            raise ValueError(f"witness mode needs at least 1 sample per tuple, got {samples}")
+        # each argument tuple x is paired with the k-1 values other than f(x)
+        total = k ** (k - 1) * (k - 1) * samples
+        if total > WITNESS_SAMPLE_CAP:
+            raise CapExceeded(
+                f"witness sampling of {k ** (k - 1) * (k - 1)} refuted tuples x {samples} "
+                f"samples = {total} exceeds {WITNESS_SAMPLE_CAP}")
     inst = snow_instance(k)
     report = SeparationReport(k=k, mode=mode, params={"seed": seed, "samples": samples})
 

@@ -166,3 +166,20 @@ def test_oversize_separating_function_exit_code(command, capsys):
     # f at k=11 would have 11^10 table entries; the size check comes first
     assert run([command, "--k", "11"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_witness_sample_count_exit_code(samples, capsys):
+    assert run(["verify-snow", "--k", "3", "--mode", "witness",
+                "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_witness_sample_cap_exit_code(capsys):
+    # k=7: 705,894 refuted tuples x 100,000 default samples
+    assert run(["verify-snow", "--k", "7", "--mode", "witness"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""

@@ -1,7 +1,9 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cloneops import (Domain, KernelView, Operation, Relation, compose,
                       evaluate, fix_of, graph_of, image_of, is_projection,
@@ -177,6 +179,51 @@ def test_validation_errors(d3):
         relation(d3, 2, [(0, 3)])
     with pytest.raises(ValueError):
         relation(d3, 2, [(0,)])
+
+
+def _reference_rows(k, arity, tuples):
+    """The row-by-row validation: ValueError, or the sorted distinct int rows."""
+    seen = set()
+    for t in tuples:
+        if len(t) != arity:
+            return ValueError
+        for v in t:
+            if not 0 <= v < k:
+                return ValueError
+        seen.add(tuple(int(v) for v in t))
+    return tuple(sorted(seen))
+
+
+def _typed(kind, v):
+    """v as a numpy or bool entry where that type can hold it, else as int."""
+    if kind is np.int64 or kind is np.uint8 and v >= 0 or kind is bool and v in (0, 1):
+        return kind(v)
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.data())
+def test_relation_validation_matches_row_by_row(k, arity, data):
+    entry = st.tuples(st.sampled_from([int, np.int64, np.uint8, bool]),
+                      st.integers(-1, k))
+    rows = data.draw(st.lists(st.lists(entry, min_size=arity - 1, max_size=arity + 1),
+                              max_size=12))
+    typed = tuple(tuple(_typed(kind, v) for kind, v in row) for row in rows)
+    expected = _reference_rows(k, arity, typed)
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            Relation(Domain(k), arity, typed)
+    else:
+        rel = Relation(Domain(k), arity, typed)
+        assert rel.tuples == expected
+        assert all(type(v) is int for t in rel.tuples for v in t)
+
+
+def test_relation_entries_become_int_behind_equal_values(d3):
+    # np.int64(0) and True compare and hash like 0 and 1, seen first as ints
+    r = relation(d3, 2, [(0, 1), (1, np.int64(0)), (True, 2)])
+    assert r.tuples == ((0, 1), (1, 0), (1, 2))
+    assert all(type(v) is int for t in r.tuples for v in t)
 
 
 def test_is_projection(d3, t3):

@@ -1,8 +1,12 @@
+import dataclasses
 import random
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import cloneops.snow as snow
 from cloneops import (CapExceeded, Domain, arrow_plan, commutes, evaluate,
                       graph_of, snow_f, snow_instance, snow_pp_formula,
                       snow_t, snow_t_value, verify_separation)
@@ -153,3 +157,120 @@ def test_verify_mode_validation():
 def test_snow_f_size_checked_before_allocating():
     with pytest.raises(CapExceeded):
         snow_f(11)                      # 11^10 table entries
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_witness_needs_a_sample_before_any_work(samples, monkeypatch):
+    def no_instance(k):
+        raise AssertionError("the instance was built before the sample check")
+    monkeypatch.setattr(snow, "snow_instance", no_instance)
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        verify_separation(3, "witness", samples=samples)
+
+
+def test_witness_sample_cap_raises_before_any_draw(monkeypatch):
+    def no_draws(seed=None):
+        raise AssertionError("samples were drawn before the cap check")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(snow, "snow_instance", no_draws)
+    with pytest.raises(CapExceeded):
+        verify_separation(7, "witness")     # 705,894 refuted tuples x 100,000
+    with pytest.raises(CapExceeded):
+        verify_separation(5, "witness", samples=snow.WITNESS_SAMPLE_CAP // 2500 + 1)
+    # acceptance criterion 7 and the k=5 demo stay under the cap
+    assert 5 ** 4 * 4 * 100_000 <= snow.WITNESS_SAMPLE_CAP
+
+
+def _formula_positions(k):
+    """Flat square positions of the anti-diagonal and of atoms 1, 3 and 5,
+    read off the cell names x<i><j> of the formula."""
+    n = k - 1
+    names = [f"x{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    formula = snow_pp_formula(k)
+    anti = [names.index(v) for v in formula.free_vars[:-1]]
+    orders = [[names.index(v) for v in formula.atoms[a][1][:-1]] for a in (0, 2, 4)]
+    return anti, orders
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_atom_patterns_are_the_pullbacks_of_the_ones_of_t(k):
+    inst = snow_instance(k)
+    n = k - 1
+    anti, orders = _formula_positions(k)
+    others = [p for p in range(n * n) if p not in anti]
+    for table, order in zip(snow._atom_patterns(inst), orders):
+        read = []
+        for x, rows in table.items():
+            for row in rows:
+                square = [0] * (n * n)
+                for pos, value in zip(anti + others, x + tuple(row.tolist())):
+                    square[pos] = value
+                read.append(tuple(square[p] for p in order))
+        assert sorted(read) == sorted([inst.p1, inst.p2])
+
+
+def _reference_violations(k, inst, samples, seed):
+    """Satisfying samples outside the claimed graph, with every square assembled.
+
+    T is evaluated on each assembled square and on its re-orderings for
+    atoms 3 and 5; the draws are made in the same order as the witness check
+    makes them.
+    """
+    n = k - 1
+    anti, (_, a3, a5) = _formula_positions(k)
+    others = [p for p in range(n * n) if p not in anti]
+    ones = np.array([inst.p1, inst.p2], dtype=np.uint8)
+
+    def rule(squares):
+        return (squares[:, None, :] == ones).all(axis=2).any(axis=1).astype(np.uint8)
+
+    rng = np.random.default_rng(seed)
+    claimed = {inst.up: 1, inst.down: 1}
+    violations = 0
+    for x in product(range(k), repeat=n):
+        for y in range(k):
+            if y == claimed.get(x, 0):
+                continue
+            xv = np.array(x, dtype=np.uint8)
+            u0 = rule(np.tile(xv, n)[None, :])[0]
+            v0 = rule(np.tile(xv[::-1], n)[None, :])[0]
+            squares = np.zeros((samples, n * n), dtype=np.uint8)
+            squares[:, anti] = xv
+            squares[:, others] = rng.integers(0, k, size=(samples, len(others)),
+                                              dtype=np.uint8)
+            sat = (rule(squares) == y) & (rule(squares[:, a3]) == u0)
+            sat &= rule(squares[:, a5]) == v0
+            violations += int(sat.sum())
+    return violations
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from([3, 4]), claim=st.integers(0, 4 ** 3 - 1),
+       samples=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+@example(k=3, claim=0, samples=30, seed=0)
+@example(k=4, claim=0, samples=40, seed=1)
+@example(k=3, claim=8, samples=40, seed=0)
+@example(k=4, claim=59, samples=20_000, seed=2)
+def test_witness_checks_match_the_assembled_squares(k, claim, samples, seed):
+    # f claimed to be 1 on `up`, drawn from all argument tuples.  Claim 0 is
+    # the all-zero tuple, for which every sample refuting (0..0, 0) satisfies
+    # the formula; claims 8 (k=3) and 59 (k=4) are (2, 2) and (3, 2, 3), the
+    # anti-diagonal of a pullback pattern, which some samples then match.
+    # The real up tuple loses its witness whenever the claim moves it.
+    n = k - 1
+    real = snow_instance(k)
+    up = tuple(int(d) for d in np.unravel_index(claim % k ** n, (k,) * n))
+    inst = dataclasses.replace(real, up=up)
+    expected = _reference_violations(k, inst, samples, seed)
+    result = snow._witness_completeness(k, inst, samples, seed)
+    if up == real.up:
+        assert expected == 0
+    if not any(up):
+        assert expected >= samples      # no pattern has a 0 cell
+    if expected:
+        assert result.status == "FAIL"
+        assert result.detail == f"{expected} satisfying samples outside the graph"
+    else:
+        assert result.status == "PASS"
+    soundness = snow._witness_soundness(k, inst)
+    assert soundness.status == ("PASS" if up == real.up else "FAIL")
