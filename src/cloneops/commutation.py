@@ -53,7 +53,7 @@ class OperationSet:
             arr = np.asarray(arr).reshape(-1, domain.k ** arity)
             if arr.size and (arr.min() < 0 or arr.max() >= domain.k):
                 raise ValueError("table entry out of range for the domain")
-            self._tables[arity] = _unique_rows(arr)
+            self._tables[arity] = _unique_rows(arr.astype(np.uint8, copy=False))
 
     @classmethod
     def from_operations(cls, domain: Domain, ops) -> "OperationSet":
@@ -104,16 +104,21 @@ class OperationSet:
         return f"OperationSet(k={self.domain.k}, {parts or 'empty'})"
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array as one byte string (a 1-d void array)."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+
+
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a uint8 table array, in lexicographic order.
+    """The distinct rows of a 2-d unsigned integer array, in byte order.
 
     Rows are sorted as byte strings, which for uint8 is the lexicographic
     order of their values; np.unique(axis=0) gives the same result but
     builds one structured field per column, which is slow for wide rows.
+    Wider dtypes are kept, in an order that depends on the byte order.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    width = rows.shape[1]
-    return np.unique(rows.view(f"V{width}").ravel()).view(np.uint8).reshape(-1, width)
+    return np.unique(_row_keys(rows)).view(rows.dtype).reshape(-1, rows.shape[1])
 
 
 def preserves(op: Operation, rel: Relation) -> bool:
@@ -290,8 +295,7 @@ def _pin_cells(k: int):
     return cells
 
 
-def _ternary_pattern_mask(tables: np.ndarray, member: Operation,
-                          max_ones: int = 3) -> np.ndarray | None:
+def _ternary_pattern_mask(tables: np.ndarray, member: Operation) -> np.ndarray | None:
     """Exact commutation mask of ternary candidates against a {0,1}-valued member.
 
     A 3-by-r matrix is determined by its r columns (elements of A^3); its
@@ -300,7 +304,8 @@ def _ternary_pattern_mask(tables: np.ndarray, member: Operation,
     g-values form a member-preimage-of-1 tuple has pattern v and g(v)=1, or
     no such matrix has pattern v and g(v)=0.  Both counts are polynomial in
     the per-cell value statistics of g, so the test is exact and needs no
-    matrix sweep.  Returns None when the member does not qualify.
+    matrix sweep.  Returns None when the member is not {0,1}-valued or is 1
+    at more than three points.
     """
     k = member.domain.k
     r = member.arity
@@ -309,7 +314,7 @@ def _ternary_pattern_mask(tables: np.ndarray, member: Operation,
         return None
     ones = [args for args, v in zip(product(range(k), repeat=r), member.table) if v == 1]
     mu = len(ones)
-    if mu > max_ones:
+    if mu > 3:
         return None
     total = len(tables)
     if mu == 0:

@@ -14,6 +14,9 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 
+TABLE_ENTRY_CAP = 10_000_000
+
+
 class CapExceeded(RuntimeError):
     """A configurable resource cap (candidate budget, fragment size, ...) was hit."""
 
@@ -139,8 +142,15 @@ def make_constant(domain: Domain, arity: int, value: int) -> Operation:
 
 
 def sparse_op(domain: Domain, arity: int, values: Mapping[Sequence[int], int]) -> Operation:
-    """Operation that is zero everywhere except at the explicitly listed points."""
+    """Operation that is zero everywhere except at the explicitly listed points.
+
+    Raises CapExceeded, before the table is built, when it would have more
+    than TABLE_ENTRY_CAP entries.
+    """
     k = domain.k
+    if k ** arity > TABLE_ENTRY_CAP:
+        raise CapExceeded(f"table of the {arity}-ary operation over k={k} has "
+                          f"{k ** arity} entries, over the cap of {TABLE_ENTRY_CAP}")
     table = [0] * k ** arity
     for point, value in values.items():
         if len(point) != arity:

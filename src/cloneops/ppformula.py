@@ -5,19 +5,31 @@ quantified variables; its semantics is the projection of the satisfying set
 to the free variables, optionally expanded through a coordinate duplication
 map (for defined relations with repeated coordinates).
 
-Evaluation is a backtracking search per free-variable assignment.  Atoms are
-checked as soon as all their variables are bound; for functional relations
-(graphs) an atom whose argument positions are bound forces the value of its
-output variable.  Free variables that occur in no atom range over the whole
-domain.
+A formula is a conjunctive query, evaluated by joining the atoms' relations
+and projecting.  A table of partial assignments, one row per assignment
+(uint8 entries for k <= 256, wider ones beyond), is extended one variable at
+a time: first the free variables that occur in some atom, then the
+existential ones in order of first appearance.  After each extension the
+rows are filtered by every atom whose variables are now all bound, by
+looking up the atom's columns, as byte strings, in the sorted rows of its
+relation.  Existential columns that no remaining atom mentions are then
+dropped and repeated rows removed.  Free variables that occur in no atom
+range over the whole domain.  A table that would exceed EVAL_TABLE_BYTES
+raises CapExceeded before it is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Mapping
 
-from .core import Domain, Relation
+import numpy as np
+
+from .commutation import _row_keys, _unique_rows
+from .core import CapExceeded, Domain, Relation
+
+EVAL_TABLE_BYTES = 1 << 26
+FILTER_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,129 +104,85 @@ def _functional_map(rel: Relation) -> dict | None:
     return seen
 
 
-class _Engine:
-    def __init__(self, formula: PPFormula, env: RelationEnv):
-        if env.domain != formula.domain:
-            raise ValueError("formula and environment domains differ")
-        self.k = formula.domain.k
-        names = list(formula.free_vars) + list(formula.exist_vars)
-        self.index = {v: i for i, v in enumerate(names)}
-        self.values: list[int | None] = [None] * len(names)
-        self.atoms = []
-        occurrences: dict[int, set[int]] = {}
-        functional_maps: dict[str, dict | None] = {}
-        for rel_name, vars_ in formula.atoms:
-            if rel_name not in env:
-                raise ValueError(f"missing relation '{rel_name}' in the environment")
-            rel = env[rel_name]
-            if rel.arity != len(vars_):
-                raise ValueError(
-                    f"atom over '{rel_name}' has {len(vars_)} variables, "
-                    f"relation arity is {rel.arity}")
-            var_idx = tuple(self.index[v] for v in vars_)
-            aid = len(self.atoms)
-            distinct = set(var_idx)
-            if rel_name not in functional_maps:
-                functional_maps[rel_name] = _functional_map(rel)
-            functional = functional_maps[rel_name]
-            # the output variable can only be forced when it appears nowhere else
-            forceable = (functional is not None and len(var_idx) > 1
-                         and var_idx[-1] not in var_idx[:-1])
-            self.atoms.append({
-                "members": rel._set, "vars": var_idx, "distinct": distinct,
-                "unbound": len(distinct), "functional": functional if forceable else None,
-            })
-            for v in distinct:
-                occurrences.setdefault(v, set()).add(aid)
-        self.occ = {v: sorted(a) for v, a in occurrences.items()}
-        self.trail: list[int] = []
-        ordered = []
-        for _, vars_ in formula.atoms:
-            for v in vars_:
-                i = self.index[v]
-                if i not in ordered:
-                    ordered.append(i)
-        n_free = len(formula.free_vars)
-        self.search_vars = [i for i in ordered if i >= n_free]
+def _relation_keys(rel: Relation, dtype) -> np.ndarray:
+    """The tuples of rel as sorted byte-string keys, for searchsorted lookups."""
+    rows = np.fromiter(chain.from_iterable(rel.tuples), dtype, len(rel) * rel.arity)
+    return _row_keys(_unique_rows(rows.reshape(len(rel), rel.arity)))
 
-    def _assign(self, var: int, val: int) -> bool:
-        """Assign var (and anything it forces); False on conflict.
 
-        On conflict the decrement loop for the current variable still runs to
-        completion, so that _undo's symmetric increments stay consistent.
-        """
-        queue = [(var, val)]
-        while queue:
-            v, value = queue.pop()
-            if self.values[v] is not None:
-                if self.values[v] != value:
-                    return False
-                continue
-            self.values[v] = value
-            self.trail.append(v)
-            conflict = False
-            for aid in self.occ.get(v, ()):
-                atom = self.atoms[aid]
-                atom["unbound"] -= 1
-                if conflict:
-                    continue
-                if atom["unbound"] == 0:
-                    if tuple(self.values[i] for i in atom["vars"]) not in atom["members"]:
-                        conflict = True
-                elif atom["unbound"] == 1 and atom["functional"] is not None:
-                    out_var = atom["vars"][-1]
-                    if self.values[out_var] is None:
-                        prefix = tuple(self.values[i] for i in atom["vars"][:-1])
-                        forced = atom["functional"].get(prefix)
-                        if forced is None:
-                            conflict = True
-                        else:
-                            queue.append((out_var, forced))
-            if conflict:
-                return False
-        return True
+def _holds(keys: np.ndarray, table: np.ndarray, cols: list[int]) -> np.ndarray:
+    """Mask of the table rows whose entries in cols form a key.
 
-    def _undo(self, mark: int):
-        while len(self.trail) > mark:
-            v = self.trail.pop()
-            self.values[v] = None
-            for aid in self.occ.get(v, ()):
-                self.atoms[aid]["unbound"] += 1
-
-    def _search(self, pos: int) -> bool:
-        while pos < len(self.search_vars) and self.values[self.search_vars[pos]] is not None:
-            pos += 1
-        if pos == len(self.search_vars):
-            return True
-        var = self.search_vars[pos]
-        for val in range(self.k):
-            mark = len(self.trail)
-            if self._assign(var, val) and self._search(pos + 1):
-                return True
-            self._undo(mark)
-        return False
-
-    def satisfiable_with(self, free_assignment: list[tuple[int, int]]) -> bool:
-        mark = len(self.trail)
-        ok = all(self._assign(v, val) for v, val in free_assignment)
-        result = ok and self._search(0)
-        self._undo(mark)
-        return result
+    Rows are looked up in blocks, so the temporaries stay small next to the
+    table.
+    """
+    mask = np.zeros(len(table), dtype=bool)
+    if len(keys):
+        for start in range(0, len(table), FILTER_BLOCK_ROWS):
+            probe = _row_keys(table[start:start + FILTER_BLOCK_ROWS, cols])
+            pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+            mask[start:start + len(probe)] = keys[pos] == probe
+    return mask
 
 
 def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) -> Relation:
-    """The relation defined by the formula: projection of the satisfying set."""
+    """The relation defined by the formula: projection of the satisfying set.
+
+    Raises CapExceeded, before the table is extended, when the extended
+    table of partial assignments would exceed EVAL_TABLE_BYTES.
+    """
     if not isinstance(env, RelationEnv):
         env = RelationEnv(env)
-    engine = _Engine(formula, env)
+    if env.domain != formula.domain:
+        raise ValueError("formula and environment domains differ")
     k = formula.domain.k
+    dtype = np.min_scalar_type(k - 1)
+    keys: dict[str, np.ndarray] = {}
+    pending = []
+    for rel_name, vars_ in formula.atoms:
+        if rel_name not in env:
+            raise ValueError(f"missing relation '{rel_name}' in the environment")
+        rel = env[rel_name]
+        if rel.arity != len(vars_):
+            raise ValueError(
+                f"atom over '{rel_name}' has {len(vars_)} variables, "
+                f"relation arity is {rel.arity}")
+        if rel_name not in keys:
+            keys[rel_name] = _relation_keys(rel, dtype)
+        pending.append((keys[rel_name], vars_))
     unconstrained = set(formula.unconstrained_free)
     constrained = [v for v in formula.free_vars if v not in unconstrained]
-    con_idx = [engine.index[v] for v in constrained]
-    sat_partials = []
-    for combo in product(range(k), repeat=len(constrained)):
-        if engine.satisfiable_with(list(zip(con_idx, combo))):
-            sat_partials.append(dict(zip(constrained, combo)))
+    order = list(dict.fromkeys(
+        constrained + [v for _, vars_ in formula.atoms for v in vars_]))
+    # one row per partial assignment of the variables in cols
+    table = np.zeros((1, 0), dtype=dtype)
+    cols: list[str] = []
+    for var in order:
+        count, width = table.shape
+        size = count * k * (width + 1) * table.itemsize
+        if size > EVAL_TABLE_BYTES:
+            raise CapExceeded(f"a table of {count * k} partial assignments to "
+                              f"{width + 1} variables takes {size} bytes, "
+                              f"over the cap of {EVAL_TABLE_BYTES}")
+        grown = np.empty((count, k, width + 1), dtype=dtype)
+        grown[:, :, :width] = table[:, None, :]
+        grown[:, :, width] = np.arange(k, dtype=dtype)
+        table = grown.reshape(count * k, width + 1)
+        cols.append(var)
+        index = {v: i for i, v in enumerate(cols)}
+        waiting = []
+        for atom_keys, vars_ in pending:
+            if all(v in index for v in vars_):
+                table = table[_holds(atom_keys, table, [index[v] for v in vars_])]
+            else:
+                waiting.append((atom_keys, vars_))
+        pending = waiting
+        needed = set(constrained).union(*(vars_ for _, vars_ in pending))
+        keep = [i for i, v in enumerate(cols) if v in needed]
+        if len(keep) < len(cols):
+            cols = [cols[i] for i in keep]
+            table = _unique_rows(table[:, keep]) if keep else table[:1, :0]
+    sat_partials = [dict(zip(cols, row)) for row in table.tolist()]
     free_pos_unconstrained = [i for i, v in enumerate(formula.free_vars) if v in unconstrained]
     rows = []
     for partial in sat_partials:

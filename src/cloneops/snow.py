@@ -20,6 +20,7 @@ gives the same samples and the same verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -30,7 +31,6 @@ from .commutation import OperationSet
 from .clonegen import clone_fragment, fragment_contains
 from .ppformula import PPFormula, eval_formula
 
-T_TABLE_CAP = 10_000_000
 WITNESS_SAMPLE_CAP = 1_000_000_000
 FULL_EVAL_MAX_K = 4
 FRAGMENT_MAX_MAPS = 10_000_000
@@ -51,12 +51,14 @@ def down_tuple(k: int) -> tuple[int, ...]:
     return tuple(range(k - 1, 0, -1))
 
 
+@cache
 def square_p1(k: int) -> tuple[int, ...]:
     """Row i constant with value i, fed row-wise."""
     n = k - 1
     return tuple(i for i in range(1, n + 1) for _ in range(n))
 
 
+@cache
 def square_p2(k: int) -> tuple[int, ...]:
     """Every row equal to (1..n)."""
     n = k - 1
@@ -72,20 +74,14 @@ def snow_t_value(k: int, args) -> int:
     return 1 if args in (square_p1(k), square_p2(k)) else 0
 
 
-def snow_t(k: int, entry_cap: int = T_TABLE_CAP) -> Operation:
+def snow_t(k: int) -> Operation:
     _check_k(k)
     n = k - 1
-    if k ** (n * n) > entry_cap:
-        raise CapExceeded(
-            f"table of the {n * n}-ary operation over k={k} has {k ** (n * n)} entries")
     return sparse_op(Domain(k), n * n, {square_p1(k): 1, square_p2(k): 1})
 
 
 def snow_f(k: int) -> Operation:
     _check_k(k)
-    if k ** (k - 1) > T_TABLE_CAP:
-        raise CapExceeded(
-            f"table of the {k - 1}-ary function over k={k} has {k ** (k - 1)} entries")
     return sparse_op(Domain(k), k - 1, {up_tuple(k): 1, down_tuple(k): 1})
 
 
@@ -134,11 +130,11 @@ class SnowInstance:
         return snow_t_value(self.domain.k, args)
 
 
-def snow_instance(k: int, entry_cap: int = T_TABLE_CAP) -> SnowInstance:
+def snow_instance(k: int) -> SnowInstance:
     _check_k(k)
     n = k - 1
     try:
-        t_op = snow_t(k, entry_cap)
+        t_op = snow_t(k)
     except CapExceeded:
         t_op = None
     return SnowInstance(
@@ -165,8 +161,8 @@ def _atom5_positions(plan: ArrowPlan) -> tuple[int, ...]:
     return seq
 
 
-def snow_pp_formula(k: int, relation_name: str = "T") -> PPFormula:
-    """The five-atom definition of graph(f) from graph(T).
+def snow_pp_formula(k: int) -> PPFormula:
+    """The five-atom definition of graph(f) from graph(T), over relation "T".
 
     Free variables: the n anti-diagonal square cells and the value y.
     Existential: the remaining square cells plus the two comparison values.
@@ -182,11 +178,11 @@ def snow_pp_formula(k: int, relation_name: str = "T") -> PPFormula:
     exist = tuple(cells[p] for p in range(n * n) if p not in anti_set) + ("u", "v")
     square_vars = tuple(cells)
     atoms = (
-        (relation_name, square_vars + ("y",)),
-        (relation_name, tuple(cells[p] for p in plan.anti) * n + ("u",)),
-        (relation_name, tuple(cells[p] for p in _atom3_positions(plan)) + ("u",)),
-        (relation_name, tuple(cells[p] for p in plan.anti_reversed) * n + ("v",)),
-        (relation_name, tuple(cells[p] for p in _atom5_positions(plan)) + ("v",)),
+        ("T", square_vars + ("y",)),
+        ("T", tuple(cells[p] for p in plan.anti) * n + ("u",)),
+        ("T", tuple(cells[p] for p in _atom3_positions(plan)) + ("u",)),
+        ("T", tuple(cells[p] for p in plan.anti_reversed) * n + ("v",)),
+        ("T", tuple(cells[p] for p in _atom5_positions(plan)) + ("v",)),
     )
     return PPFormula(Domain(k), free, exist, atoms)
 
@@ -337,7 +333,7 @@ def _witness_completeness(k: int, inst: SnowInstance, samples: int,
 
 
 def verify_separation(k: int, mode: str = "full", samples: int = 100_000,
-                      seed: int = 0, fragment_cap: int = 1_000_000) -> SeparationReport:
+                      seed: int = 0) -> SeparationReport:
     """Check that the formula defines graph(f) and that f is outside the fragment.
 
     Full mode evaluates the formula exhaustively (k <= 4); witness mode checks
@@ -386,7 +382,7 @@ def verify_separation(k: int, mode: str = "full", samples: int = 100_000,
     n = inst.n
     if inst.t_op is not None and n ** (n * n) <= FRAGMENT_MAX_MAPS:
         fragment = clone_fragment(
-            OperationSet.from_operations(inst.domain, [inst.t_op]), n, cap=fragment_cap)
+            OperationSet.from_operations(inst.domain, [inst.t_op]), n)
         if fragment_contains(fragment, inst.f_op):
             report.checks.append(CheckResult(
                 "separation", "FAIL", "separating function lies in the fragment"))

@@ -4,8 +4,8 @@ import sys
 import pytest
 
 import cloneops.clonegen as clonegen
-from cloneops import (Domain, Operation, emit_operations, parse_formula,
-                      parse_operations, parse_relations)
+from cloneops import (Domain, Operation, emit_operations, emit_relations,
+                      parse_formula, parse_operations, parse_relations, relation)
 from cloneops.cli import run
 
 
@@ -183,3 +183,19 @@ def test_witness_sample_cap_exit_code(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+def test_eval_formula_cap_exit_code(tmp_path, capsys):
+    # one 25-ary atom at k=3: the table of partial assignments outgrows the
+    # size cap long before the atom can be checked
+    names = " ".join(f"x{i}" for i in range(25))
+    phi = tmp_path / "wide.pp"
+    phi.write_text(f"domain 3\nfreevars x0\nexists {names[3:]}\natom R {names}\n")
+    rel = tmp_path / "wide.rel"
+    rel.write_text(emit_relations([("R", relation(Domain(3), 25, [(0,) * 25]))]))
+    out = tmp_path / "out.rel"
+    assert run(["eval-formula", "--formula", str(phi), "--relations", str(rel),
+                "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "over the cap" in captured.err
+    assert not out.exists()

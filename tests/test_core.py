@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cloneops import (Domain, KernelView, Operation, Relation, compose,
-                      evaluate, fix_of, graph_of, image_of, is_projection,
-                      kernel_of, make_constant, make_projection, minor,
-                      relation, sparse_op)
+from cloneops import (CapExceeded, Domain, KernelView, Operation, Relation,
+                      compose, evaluate, fix_of, graph_of, image_of,
+                      is_projection, kernel_of, make_constant, make_projection,
+                      minor, relation, sparse_op)
 
 
 def random_op(rng, k, arity):
@@ -35,6 +35,13 @@ def test_constants():
     assert make_constant(Domain(2), 3, 1).table == (1,) * 8
     with pytest.raises(ValueError):
         make_constant(Domain(3), 1, 3)
+
+
+def test_sparse_op_size_checked_before_allocating():
+    # 10^12 entries: building the list first would end in a MemoryError
+    with pytest.raises(CapExceeded, match="over the cap"):
+        sparse_op(Domain(10), 12, {})
+    assert sparse_op(Domain(10), 2, {(1, 2): 3}).table[12] == 3
 
 
 def test_evaluate_t3(t3):

@@ -1,13 +1,15 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cloneops.ppformula as ppformula
-from cloneops import (Domain, PPFormula, RelationEnv, emit_smt, emit_text,
-                      eval_formula, formula_defines, full_relation, graph_of,
-                      make_projection, parse_formula, relation, snow_f,
-                      snow_pp_formula, snow_t)
+from cloneops import (CapExceeded, Domain, PPFormula, RelationEnv, emit_smt,
+                      emit_text, eval_formula, formula_defines, full_relation,
+                      graph_of, make_projection, parse_formula, relation,
+                      snow_f, snow_pp_formula, snow_t)
 
 
 def brute_eval(formula, env):
@@ -64,15 +66,87 @@ def test_snow_formula_defines_graph(t3, f3):
     assert not formula_defines(phi, env, graph_of(make_projection(Domain(3), 2, 1)))
 
 
-def test_functional_map_built_once_per_relation(t3, f3, monkeypatch):
+def test_relation_keys_built_once_per_relation(t3, f3, monkeypatch):
     built = []
-    functional_map = ppformula._functional_map
-    monkeypatch.setattr(ppformula, "_functional_map",
-                        lambda rel: built.append(rel) or functional_map(rel))
+    relation_keys = ppformula._relation_keys
+    monkeypatch.setattr(ppformula, "_relation_keys",
+                        lambda rel, dtype: built.append(rel) or relation_keys(rel, dtype))
     phi = snow_pp_formula(3)
     assert len(phi.atoms) == 5
     assert eval_formula(phi, {"T": graph_of(t3)}) == graph_of(f3)
     assert len(built) == 1
+
+
+@st.composite
+def pp_instances(draw):
+    """Random formulas at k = 2, 3: repeated variables in one atom, empty
+    relations, zero atoms, alpha maps and unconstrained free variables."""
+    k = draw(st.sampled_from([2, 3]))
+    dom = Domain(k)
+    names = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    nfree = draw(st.integers(1, len(names)))
+    # the variables that atoms may use; free ones left out are unconstrained
+    used = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    env = {}
+    atoms = []
+    for a in range(draw(st.integers(0, 4))):
+        ar = draw(st.integers(1, 3))
+        points = list(product(range(k), repeat=ar))
+        tuples = draw(st.lists(st.sampled_from(points), max_size=len(points)))
+        env[f"R{a}"] = relation(dom, ar, tuples)
+        atoms.append((f"R{a}", tuple(draw(st.lists(st.sampled_from(used),
+                                                   min_size=ar, max_size=ar)))))
+    if not env:
+        env["D"] = full_relation(dom, 1)
+    alpha = draw(st.none() | st.lists(st.integers(1, nfree), min_size=1, max_size=4))
+    formula = PPFormula(dom, tuple(names[:nfree]), tuple(names[nfree:]), tuple(atoms),
+                        None if alpha is None else tuple(alpha))
+    return formula, env
+
+
+@settings(max_examples=300, deadline=None)
+@given(pp_instances())
+def test_eval_matches_brute_force_property(instance):
+    formula, env = instance
+    assert set(eval_formula(formula, env).tuples) == brute_eval(formula, env)
+
+
+def test_eval_after_every_column_is_dropped():
+    # v1 is projected away before v2 is added, leaving no column at all
+    d3 = Domain(3)
+    phi = PPFormula(d3, ("v0",), ("v1", "v2"),
+                    (("R0", ("v1", "v1")), ("R1", ("v2",))))
+    env = {"R0": relation(d3, 2, [(1, 1)]), "R1": relation(d3, 1, [(0,)])}
+    assert set(eval_formula(phi, env).tuples) == brute_eval(phi, env) == {
+        (0,), (1,), (2,)}
+
+
+def test_eval_beyond_uint8_domain():
+    dom = Domain(300)
+    succ = relation(dom, 2, [(x, (x + 1) % 300) for x in range(300)])
+    inverse = PPFormula(dom, ("a", "b"), (), (("S", ("b", "a")),))
+    got = eval_formula(inverse, {"S": succ})
+    assert got.tuples == tuple(sorted(((x + 1) % 300, x) for x in range(300)))
+    assert set(got.tuples) == brute_eval(inverse, {"S": succ})
+    fixed = PPFormula(dom, ("a", "b"), (), (("S", ("a", "a")),))
+    assert eval_formula(fixed, {"S": succ}).tuples == ()
+
+
+def test_eval_cap_raises_before_allocating():
+    d3 = Domain(3)
+    names = tuple(f"x{i}" for i in range(25))
+    phi = PPFormula(d3, names[:1], names[1:], (("R", names),))
+    env = {"R": relation(d3, 25, [(0,) * 25])}
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="over the cap"):
+            eval_formula(phi, env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the largest table made fits the cap; the next one, 3 * 15/14 times
+    # larger, is never allocated
+    assert peak < 2 * ppformula.EVAL_TABLE_BYTES
 
 
 def test_eval_matches_brute_force():

@@ -38,6 +38,13 @@ def test_snow_t_domain_errors():
         snow_t(5)  # 5^16 table entries
 
 
+def test_squares_built_once_per_k():
+    for k in (3, 4, 5):
+        assert snow.square_p1(k) is snow.square_p1(k)
+        assert snow.square_p2(k) is snow.square_p2(k)
+        assert snow_instance(k).p1 is snow.square_p1(k)
+
+
 def test_rule_preimage_and_kill_properties():
     rng = random.Random(11)
     for k in (3, 4, 5, 6):
