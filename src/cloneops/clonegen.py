@@ -27,7 +27,7 @@ from math import prod
 
 import numpy as np
 
-from .core import CapExceeded, Domain, Operation, Relation
+from .core import CapExceeded, Domain, Operation, Relation, check_table_entries
 from .commutation import _BLOCK_ENTRIES, OperationSet, _digit_matrix, _unique_rows
 
 FRAGMENT_CAP = 1_000_000
@@ -95,6 +95,7 @@ def _close(seed: np.ndarray, ops: OperationSet, cap: int | None = None) -> np.nd
 
 def _projection_rows(k: int, arity: int) -> np.ndarray:
     """The value tables of the arity-ary projections, one per row."""
+    check_table_entries(k ** arity * arity, f"the table of the {arity}-ary projections over k={k}")
     return _digit_matrix(k ** arity, arity, k, np.uint8).T
 
 
@@ -118,6 +119,9 @@ def _identification_tables(gen: Operation, arity: int) -> np.ndarray | None:
     """
     k = gen.domain.k
     a = gen.arity
+    check_table_entries(arity ** a * (a + k ** arity),
+                        f"the table of the {arity ** a} identifications of a {a}-ary "
+                        f"generator into arity {arity}")
     args = _digit_matrix(k ** arity, arity, k)            # (k^n, n)
     gen_np = np.asarray(gen.table, dtype=np.uint8)
     pow_k = k ** np.arange(a - 1, -1, -1, dtype=np.int64)

@@ -6,23 +6,32 @@ value tables against a relation, constraint by constraint (a choice of ell
 tuples of the relation) in lexicographic order, checking blocks of
 constraints at once and dropping dead candidates as it goes; it is the
 vectorised form of the early-abort scalar checks `preserves` and
-`commutes`.  Ternary centralisers are not swept directly:
-candidates are assembled from diagonal-compatible triples of binary
-centraliser members (their three identification minors) extended on the
-tuples with pairwise distinct entries, and commutation is then decided by an
-exact per-pattern counting test (see `_ternary_pattern_mask`).
+`commutes`.
+
+Ternary centralisers are not swept over all tables.  Every candidate is one
+diagonal-compatible triple of binary centraliser members (its three
+identification minors fix the k^3 - k(k-1)(k-2) base cells) together with
+one filling of the pairwise-distinct free cells.  The candidates are kept
+in that factored form, a `_Grid` of triples by fillings, and each member is
+decided on the grid by the exact test `_ternary_test` picks for it: cell by
+cell for unary members, by pattern counting for {0,1}-valued members with
+at most three ones, and by sweeping its graph over the assembled survivors
+otherwise.  Only the survivors are assembled into tables.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
+from math import prod
 
 import numpy as np
 
-from .core import (CapExceeded, Domain, Operation, Relation, args_to_index,
-                   graph_of, sparse_op)
+from .core import (CapExceeded, Domain, Operation, Relation,
+                   args_to_index, check_table_entries, graph_of, index_to_args,
+                   sparse_op)
 
 DEFAULT_BUDGET = 250_000_000
 _BLOCK_ENTRIES = 1 << 18    # values gathered per vectorised block
@@ -233,7 +242,9 @@ def preserve_mask(tables: np.ndarray, rel: Relation, ell: int) -> np.ndarray:
     Each constraint is a choice of ell tuples of rel; they are checked in
     lexicographic order, as many at once as keep the gathered block near
     _BLOCK_ENTRIES values.  Dead candidates are dropped once the values
-    gathered since the last drop outnumber the live table entries.
+    gathered since the last drop outnumber the live table entries.  Raises
+    CapExceeded, before the constraints are built, when their index tables
+    would exceed TABLE_ENTRY_CAP entries.
     """
     k = rel.domain.k
     m = rel.arity
@@ -241,6 +252,8 @@ def preserve_mask(tables: np.ndarray, rel: Relation, ell: int) -> np.ndarray:
     total = len(tables)
     if s == 0:
         return np.ones(total, dtype=bool)
+    check_table_entries(s ** ell * max(ell, m), f"the index of the {s ** ell} choices of "
+                        f"{ell} tuples from a {s}-tuple relation")
     tup = np.array(rel.tuples, dtype=np.int64)          # (s, m)
     choices = _digit_matrix(s ** ell, ell, s)           # selection index per slot
     # componentwise argument index: for coordinate i, sum_j r_j[i] * k^(ell-1-j)
@@ -281,7 +294,110 @@ def preserve_mask(tables: np.ndarray, rel: Relation, ell: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact ternary commutation test by pattern counting
+# exact ternary commutation tests on the factored candidate grid
+
+
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """Ternary candidate tables in factored form.
+
+    Candidate (t, e) is the table base[t] with each free cell c (a key of
+    slot) overwritten by ext[e, slot[c]].  While dense, the live candidates
+    are every pair in ti x ei, laid out as a (len(ti), len(ei)) grid over
+    which per-triple and per-extension values broadcast; once a filter cuts
+    across both axes the grid turns sparse, the live candidates are the
+    pairs zip(ti, ei), and values are gathered per pair.  Either way the
+    candidates stay in row-major (t, e) order.  A flat batch of tables is
+    the grid with an empty extension.
+    """
+    base: np.ndarray        # (triples, k^3) tables; their free cells are ignored
+    ext: np.ndarray         # (extensions, free cells) fillings of the free cells
+    slot: dict
+    ti: np.ndarray
+    ei: np.ndarray
+    dense: bool = True
+
+    @classmethod
+    def of(cls, base: np.ndarray, ext: np.ndarray | None = None, free_cells=()) -> "_Grid":
+        if ext is None:
+            ext = np.zeros((1, 0), dtype=base.dtype)
+        return cls(base, ext, {c: j for j, c in enumerate(free_cells)},
+                   np.arange(len(base)), np.arange(len(ext)))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (len(self.ti), len(self.ei)) if self.dense else (len(self.ti),)
+
+    def __len__(self):
+        return len(self.ti) * len(self.ei) if self.dense else len(self.ti)
+
+    def per_triple(self, values: np.ndarray) -> np.ndarray:
+        """values, one per base row, for the live candidates (broadcastable)."""
+        return values[self.ti][:, None] if self.dense else values[self.ti]
+
+    def per_ext(self, values: np.ndarray) -> np.ndarray:
+        """values, one per extension row, for the live candidates (broadcastable)."""
+        return values[self.ei][None, :] if self.dense else values[self.ei]
+
+    def column(self, cell: int) -> np.ndarray:
+        """The value g(cell) of each live candidate g (broadcastable)."""
+        j = self.slot.get(cell)
+        if j is None:
+            return self.per_triple(self.base[:, cell])
+        return self.per_ext(self.ext[:, j])
+
+    def keep(self, mask, carried: dict | None = None) -> "_Grid":
+        """The grid of the live candidates under mask.
+
+        mask broadcasts to self.shape or is flat in candidate order.  A mask
+        that depends on the triple or the extension only keeps a dense grid
+        dense.  The arrays in carried, aligned with this grid, are cut to the
+        survivors in place.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        carried = {} if carried is None else carried
+        if self.dense:
+            if mask.ndim == 1:
+                mask = mask.reshape(self.shape)
+            elif mask.ndim == 0:
+                if mask:
+                    return self
+                mask = np.zeros((len(self.ti), 1), dtype=bool)
+            if mask.shape[1] == 1:
+                rows = mask[:, 0]
+                for key, arr in carried.items():
+                    if arr.shape[0] == len(rows):
+                        carried[key] = arr[rows]
+                return replace(self, ti=self.ti[rows])
+            if mask.shape[0] == 1:
+                cols = mask[0]
+                for key, arr in carried.items():
+                    if arr.shape[1] == len(cols):
+                        carried[key] = arr[:, cols]
+                return replace(self, ei=self.ei[cols])
+        full = np.broadcast_to(mask, self.shape)
+        for key, arr in carried.items():
+            carried[key] = np.broadcast_to(arr, self.shape)[full]
+        if self.dense:
+            rows, cols = np.nonzero(full)
+            return replace(self, ti=self.ti[rows], ei=self.ei[cols], dense=False)
+        return replace(self, ti=self.ti[full], ei=self.ei[full])
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (base row, extension row) of each live candidate, in order."""
+        if not self.dense:
+            return self.ti, self.ei
+        return (np.broadcast_to(self.ti[:, None], self.shape).ravel(),
+                np.broadcast_to(self.ei[None, :], self.shape).ravel())
+
+    def tables(self) -> np.ndarray:
+        """The live candidates as value tables, one per row."""
+        ti, ei = self.pairs()
+        out = self.base[ti]
+        if self.slot:
+            out[:, list(self.slot)] = self.ext[ei]
+        return out
+
 
 def _pin_cells(k: int):
     """cells[(row_mask, pins)] = indices of triples c in A^3 with c[i] == pin per row."""
@@ -295,74 +411,159 @@ def _pin_cells(k: int):
     return cells
 
 
-def _ternary_pattern_mask(tables: np.ndarray, member: Operation) -> np.ndarray | None:
-    """Exact commutation mask of ternary candidates against a {0,1}-valued member.
+def _count_dtype(k: int, r: int):
+    """The integer dtype that holds the pattern counts of an r-ary member exactly.
 
-    A 3-by-r matrix is determined by its r columns (elements of A^3); its
-    rows map through the member to a pattern v in {0,1}^3.  A candidate g
-    commutes iff for every pattern v, either every matrix whose columns'
-    g-values form a member-preimage-of-1 tuple has pattern v and g(v)=1, or
-    no such matrix has pattern v and g(v)=0.  Both counts are polynomial in
-    the per-cell value statistics of g, so the test is exact and needs no
-    matrix sweep.  Returns None when the member is not {0,1}-valued or is 1
-    at more than three points.
+    Every product of cell counts and every super-pattern count counts a set
+    of 3-by-r matrices over k elements, so it is at most k^(3r); the signed
+    Moebius sums stay within 8 k^(3r).  int32 holds them all below 2^31.
+    int64 is exact while k^(3r) < 2^63: super-pattern counts never wrap,
+    and the Moebius sums are exact modulo 2^64 with their true values in
+    range.  Beyond that raises CapExceeded.
+    """
+    bound = k ** (3 * r)
+    if 8 * bound < 2 ** 31:
+        return np.int32
+    if bound < 2 ** 63:
+        return np.int64
+    raise CapExceeded(f"pattern counts of a {r}-ary member over k={k} reach {bound}, "
+                      "beyond int64")
+
+
+def _product(factors: list[np.ndarray]) -> np.ndarray:
+    """The product of arrays, multiplying those of one shape before broadcasting."""
+    by_shape: dict[tuple[int, ...], np.ndarray] = {}
+    for f in factors:
+        by_shape[f.shape] = by_shape[f.shape] * f if f.shape in by_shape else f
+    parts = sorted(by_shape.values(), key=np.size)
+    out = parts[0]
+    for part in parts[1:]:
+        out = out * part
+    return out
+
+
+def _unary_filter(grid: _Grid, member: Operation) -> _Grid:
+    """Candidates g with g(f(c0), f(c1), f(c2)) = f(g(c)) for all cells c, f = member.
+
+    Each equation compares two columns, each per triple or per extension.
+    Equations within one axis are tested first, so the grid stays dense
+    until only the mixed ones are left.
     """
     k = member.domain.k
-    r = member.arity
-    values = set(member.table)
-    if not values <= {0, 1}:
-        return None
-    ones = [args for args, v in zip(product(range(k), repeat=r), member.table) if v == 1]
-    mu = len(ones)
-    if mu > 3:
-        return None
-    total = len(tables)
-    if mu == 0:
-        return tables[:, 0] == 0  # g(0,0,0) must be 0, nothing else is reachable
-    cells = _pin_cells(k)
-    cnt_cache: dict[tuple[int, int, tuple[int, ...]], np.ndarray] = {}
+    ft = np.asarray(member.table, dtype=np.uint8)
+    by_axes: dict[tuple[bool, bool], list[tuple[int, int]]] = {}
+    for cell, c in enumerate(product(range(k), repeat=3)):
+        image = args_to_index([member.table[x] for x in c], k)
+        by_axes.setdefault((cell in grid.slot, image in grid.slot), []).append((cell, image))
+    for axes in sorted(by_axes, key=lambda axes: axes[0] != axes[1]):
+        ok = True
+        for cell, image in by_axes[axes]:
+            ok = ok & (grid.column(image) == ft[grid.column(cell)])
+        grid = grid.keep(ok)
+    return grid
 
-    def cnt(a: int, mask: int, pins: tuple[int, ...]) -> np.ndarray:
-        key = (a, mask, pins)
-        if key not in cnt_cache:
-            cols = cells.get((mask, pins), [])
-            if not cols:
-                cnt_cache[key] = np.zeros(total, dtype=np.int64)
+
+def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, dtype,
+                     pin_cells) -> _Grid:
+    """Candidates commuting with the member that is 1 exactly on ones.
+
+    A 3-by-r matrix is determined by its r columns (cells of A^3); its rows
+    map through the member to a pattern v in {0,1}^3.  A candidate g
+    commutes iff for every pattern v, either every matrix with pattern v
+    has its columns' g-values in ones and g(v) = 1, or none has and
+    g(v) = 0.  The number n_v of matrices with pattern v whose g-values lie
+    in ones follows by Moebius inversion from the super-pattern counts
+    n_super[mask] (rows in mask map to 1, the others anywhere), each a sum
+    of products of per-cell counts #{c pinned on the rows of mask : g(c) =
+    a}.  On the grid a per-cell count is a per-triple count over the base
+    cells plus a per-extension count over the free cells, broadcast.
+    Patterns are tested cheapest first (7; 3, 5, 6; 1, 2, 4; 0: each needs
+    the super-pattern counts of its supersets), and the survivors, with the
+    counts computed so far, are compressed after each.
+    """
+    r, mu = len(ones[0]), len(ones)
+    base, ext, slot = grid.base, grid.ext, grid.slot
+    sides: dict[tuple, tuple] = {}          # per-triple and per-extension counts
+    live: dict[tuple, np.ndarray] = {}      # their sums for the live candidates
+
+    def count(key) -> np.ndarray:
+        if key not in live:
+            if key not in sides:
+                a, mask, pins = key
+                cells = pin_cells[mask, pins]
+                fixed = [c for c in cells if c not in slot]
+                free = [slot[c] for c in cells if c in slot]
+                sides[key] = (
+                    (base[:, fixed] == a).sum(axis=1, dtype=dtype) if fixed else None,
+                    (ext[:, free] == a).sum(axis=1, dtype=dtype) if free else None)
+            b, e = sides[key]
+            if e is None:
+                live[key] = grid.per_triple(b)
+            elif b is None:
+                live[key] = grid.per_ext(e)
             else:
-                cnt_cache[key] = (tables[:, cols] == a).sum(axis=1, dtype=np.int64)
-        return cnt_cache[key]
+                live[key] = grid.per_triple(b) + grid.per_ext(e)
+        return live[key]
 
-    n_super = {}
-    for mask in range(8):
+    def n_super(mask: int) -> np.ndarray:
         rows = [i for i in range(3) if mask >> i & 1]
-        acc = np.zeros(total, dtype=np.int64)
+        acc = 0
         for w in ones:
-            for choice in product(range(mu), repeat=len(rows)):
-                term = None
-                for j in range(r):
-                    pins = tuple(ones[choice[p]][j] for p in range(len(rows)))
-                    c = cnt(w[j], mask, pins)
-                    term = c.copy() if term is None else term * c
-                acc += term
-        n_super[mask] = acc
+            for choice in product(ones, repeat=len(rows)):
+                acc = acc + _product([count((w[j], mask, tuple(o[j] for o in choice)))
+                                      for j in range(r)])
+        return acc
 
-    non_magic_rows = k ** r - mu
-    ok = np.ones(total, dtype=bool)
-    for vmask in range(8):
-        magic = np.zeros(total, dtype=np.int64)
+    total = [prod(mu if v >> i & 1 else k ** r - mu for i in range(3)) for v in range(8)]
+    corner = [args_to_index([v >> i & 1 for i in range(3)], k) for v in range(8)]
+    # mu <= 3 < k^r, so every pattern has matrices to count
+    patterns = (7, 3, 5, 6, 1, 2, 4, 0)
+    # the right-hand side is {0,1}-valued, so g(v) must be as well
+    ok = True
+    for v in patterns:
+        ok = ok & (grid.column(corner[v]) <= 1)
+    grid = grid.keep(ok)
+    supers: dict[int, np.ndarray] = {}
+    for v in patterns:
+        if not len(grid):
+            break
+        n_v = 0
         for mask in range(8):
-            if mask & vmask == vmask:
-                sign = -1 if (bin(mask ^ vmask).count("1") % 2) else 1
-                magic = magic + sign * n_super[mask]
-        bits = [(vmask >> i) & 1 for i in range(3)]
-        total_v = 1
-        for b in bits:
-            total_v *= mu if b else non_magic_rows
-        if total_v == 0:
-            continue
-        gv = tables[:, bits[0] * k * k + bits[1] * k + bits[2]]
-        ok &= np.where(gv == 1, magic == total_v, (gv == 0) & (magic == 0))
-    return ok
+            if mask & v == v:
+                if mask not in supers:
+                    supers[mask] = n_super(mask)
+                odd = bin(mask ^ v).count("1") % 2
+                n_v = n_v - supers[mask] if odd else n_v + supers[mask]
+        grid = grid.keep(n_v == grid.column(corner[v]).astype(dtype) * total[v], supers)
+        live.clear()
+    return grid
+
+
+def _ternary_test(member: Operation):
+    """(name, filter): the test of ternary candidates for commutation with member.
+
+    filter maps a _Grid to the sub-grid of its candidates that commute with
+    member.  Unary members are decided cell by cell ("unary"), {0,1}-valued
+    ones that are 1 at most three times by exact pattern counting
+    ("counting"), and any other member by sweeping its graph over the
+    assembled candidates ("sweep").  Raises CapExceeded, before any
+    candidate is looked at, when the counts would not fit int64.
+    """
+    k, r, table = member.domain.k, member.arity, member.table
+    if r == 1:
+        return "unary", partial(_unary_filter, member=member)
+    mu = table.count(1)
+    if mu <= 3 and table.count(0) + mu == len(table):
+        if mu == 0:     # g(0,0,0) must be 0, nothing else is reachable
+            return "counting", lambda grid: grid.keep(grid.column(0) == 0)
+        dtype = _count_dtype(k, r)
+        ones, at = [], -1
+        for _ in range(mu):
+            at = table.index(1, at + 1)
+            ones.append(index_to_args(at, k, r))
+        return "counting", partial(_counting_filter, ones=ones, k=k, dtype=dtype,
+                                   pin_cells=_pin_cells(k))
+    return "sweep", lambda grid: grid.keep(preserve_mask(grid.tables(), graph_of(member), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -389,21 +590,33 @@ def _sweep_enumeration(domain: Domain, arity: int, relations, budget: int,
             f"{count} candidate tables of arity {arity} exceed the budget of {budget}")
     tables = all_tables(domain, arity)
 
-    def worker(chunk: np.ndarray) -> np.ndarray:
-        live = chunk
+    def worker(chunk: np.ndarray):
+        live, flow = chunk, []
         for rel in relations:
-            if not len(live):
-                break
-            live = live[preserve_mask(live, rel, arity)]
-        return live
+            before = len(live)
+            if before:
+                live = live[preserve_mask(live, rel, arity)]
+            flow.append((before, len(live)))
+        return live, flow
 
-    return np.vstack(_run_chunks(worker, np.array_split(tables, threads), threads))
+    parts = _run_chunks(worker, np.array_split(tables, threads), threads)
+    return np.vstack([rows for rows, _ in parts]), [flow for _, flow in parts]
+
+
+def _filter_details(members, names, flows) -> list[dict]:
+    """Candidates in and out of each member's filter, summed over the jobs."""
+    return [{"member": i, "arity": f.arity, "test": name,
+             "in": sum(flow[i][0] for flow in flows),
+             "out": sum(flow[i][1] for flow in flows)}
+            for i, (f, name) in enumerate(zip(members, names))]
 
 
 def _ternary_centraliser(fs: OperationSet, budget: int, threads: int,
                          stats: EnumerationStats) -> np.ndarray:
     domain = fs.domain
     k = domain.k
+    members = list(fs.members())
+    tests = [_ternary_test(f) for f in members]
     binary = enumerate_centraliser(fs, 2, budget=budget, threads=threads)
     btab = binary.tables(2)
     stats.details["binary_slice"] = len(btab)
@@ -429,9 +642,6 @@ def _ternary_centraliser(fs: OperationSet, budget: int, threads: int,
     idx2 = np.array([args_to_index((a, b, a), k) for a, b in pairs])
     idx3 = np.array([args_to_index((b, a, a), k) for a, b in pairs])
     ext = _digit_matrix(ext_count, len(free_cells), k, np.uint8)
-    members = list(fs.members())
-    # graphs for the sweep fallback; None beyond its k^(3 * arity) constraint cap
-    graphs = [graph_of(f) if k ** (3 * f.arity) <= 2_000_000 else None for f in members]
 
     jobs = []
     triple_block = max(1, 200_000 // ext_count)
@@ -441,30 +651,27 @@ def _ternary_centraliser(fs: OperationSet, budget: int, threads: int,
         for start in range(0, len(tri), triple_block):
             jobs.append((gidx, tri[start:start + triple_block]))
 
-    def worker(job) -> np.ndarray:
+    def worker(job):
         gidx, tri = job
-        nblock = len(tri)
-        base = np.zeros((nblock, k ** 3), dtype=np.uint8)
+        base = np.zeros((len(tri), k ** 3), dtype=np.uint8)
         base[:, idx1] = btab[gidx[tri[:, 0]]]
         base[:, idx2] = btab[gidx[tri[:, 1]]]
         base[:, idx3] = btab[gidx[tri[:, 2]]]
-        cands = np.repeat(base, ext_count, axis=0)
-        cands[:, free_cells] = np.tile(ext, (nblock, 1))
-        live = cands
-        for f, graph in zip(members, graphs):
-            if not len(live):
-                break
-            mask = _ternary_pattern_mask(live, f)
-            if mask is None:
-                if graph is None:
-                    raise CapExceeded(
-                        "ternary verification against this member is out of budget")
-                mask = preserve_mask(live, graph, 3)
-            live = live[mask]
-        return live
+        grid = _Grid.of(base, ext, free_cells)
+        flow = []
+        for _, test in tests:
+            before = len(grid)
+            if before:
+                grid = test(grid)
+            flow.append((before, len(grid)))
+        return grid.tables(), flow
 
     parts = _run_chunks(worker, jobs, threads)
-    return np.vstack(parts) if parts else np.zeros((0, k ** 3), dtype=np.uint8)
+    stats.details["filters"] = _filter_details(
+        members, [name for name, _ in tests], [flow for _, flow in parts])
+    if not parts:
+        return np.zeros((0, k ** 3), dtype=np.uint8)
+    return np.vstack([rows for rows, _ in parts])
 
 
 def enumerate_centraliser(fs: OperationSet, arity: int, budget: int = DEFAULT_BUDGET,
@@ -482,8 +689,10 @@ def enumerate_centraliser(fs: OperationSet, arity: int, budget: int = DEFAULT_BU
     stats = EnumerationStats(candidates=0, survivors=0)
     if arity <= 2:
         stats.candidates = domain.k ** (domain.k ** arity)
-        graphs = [graph_of(f) for f in fs.members()]
-        rows = _sweep_enumeration(domain, arity, graphs, budget, threads)
+        members = list(fs.members())
+        rows, flows = _sweep_enumeration(domain, arity, [graph_of(f) for f in members],
+                                         budget, threads)
+        stats.details["filters"] = _filter_details(members, ["sweep"] * len(members), flows)
     else:
         rows = _ternary_centraliser(fs, budget, threads, stats)
     result = OperationSet(domain, {arity: rows})
@@ -506,5 +715,5 @@ def enumerate_polymorphisms(relations, arity: int, budget: int = DEFAULT_BUDGET,
     for rel in relations:
         if rel.domain != domain:
             raise ValueError("all relations must share the domain")
-    rows = _sweep_enumeration(domain, arity, relations, budget, _clamp_threads(threads))
+    rows, _ = _sweep_enumeration(domain, arity, relations, budget, _clamp_threads(threads))
     return OperationSet(domain, {arity: rows})

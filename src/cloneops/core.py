@@ -21,6 +21,12 @@ class CapExceeded(RuntimeError):
     """A configurable resource cap (candidate budget, fragment size, ...) was hit."""
 
 
+def check_table_entries(entries: int, what: str) -> None:
+    """Raise CapExceeded when an array of that many entries would exceed TABLE_ENTRY_CAP."""
+    if entries > TABLE_ENTRY_CAP:
+        raise CapExceeded(f"{what} has {entries} entries, over the cap of {TABLE_ENTRY_CAP}")
+
+
 @dataclass(frozen=True)
 class Domain:
     k: int
@@ -131,6 +137,8 @@ def make_projection(domain: Domain, arity: int, index: int) -> Operation:
     """The index-th projection of the given arity; index is 1-based."""
     if not 1 <= index <= arity:
         raise ValueError(f"projection index {index} out of range 1..{arity}")
+    check_table_entries(domain.k ** arity,
+                        f"table of the {arity}-ary projection over k={domain.k}")
     table = [args[index - 1] for args in product(domain.elements, repeat=arity)]
     return Operation(domain, arity, tuple(table))
 
@@ -138,6 +146,8 @@ def make_projection(domain: Domain, arity: int, index: int) -> Operation:
 def make_constant(domain: Domain, arity: int, value: int) -> Operation:
     if not 0 <= value < domain.k:
         raise ValueError(f"constant value {value} out of range 0..{domain.k - 1}")
+    check_table_entries(domain.k ** arity,
+                        f"table of the {arity}-ary constant over k={domain.k}")
     return Operation(domain, arity, (value,) * domain.k ** arity)
 
 
@@ -148,9 +158,7 @@ def sparse_op(domain: Domain, arity: int, values: Mapping[Sequence[int], int]) -
     than TABLE_ENTRY_CAP entries.
     """
     k = domain.k
-    if k ** arity > TABLE_ENTRY_CAP:
-        raise CapExceeded(f"table of the {arity}-ary operation over k={k} has "
-                          f"{k ** arity} entries, over the cap of {TABLE_ENTRY_CAP}")
+    check_table_entries(k ** arity, f"table of the {arity}-ary operation over k={k}")
     table = [0] * k ** arity
     for point, value in values.items():
         if len(point) != arity:

@@ -5,7 +5,8 @@ import pytest
 
 import cloneops.clonegen as clonegen
 from cloneops import (Domain, Operation, emit_operations, emit_relations,
-                      parse_formula, parse_operations, parse_relations, relation)
+                      parse_formula, parse_operations, parse_relations, relation,
+                      sparse_op)
 from cloneops.cli import run
 
 
@@ -195,6 +196,26 @@ def test_eval_formula_cap_exit_code(tmp_path, capsys):
     rel.write_text(emit_relations([("R", relation(Domain(3), 25, [(0,) * 25]))]))
     out = tmp_path / "out.rel"
     assert run(["eval-formula", "--formula", str(phi), "--relations", str(rel),
+                "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "over the cap" in captured.err
+    assert not out.exists()
+
+
+def test_centraliser_constraint_cap_exit_code(tmp_path, capsys):
+    # a 9-ary member at k=3: the binary sweep would index (3^9)^2 constraints
+    ops = tmp_path / "wide.ops"
+    ops.write_text(emit_operations([("g", sparse_op(Domain(3), 9, {(2,) * 9: 1}))]))
+    assert run(["centraliser", "--ops", str(ops), "--arity", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "over the cap" in captured.err
+    assert captured.out == ""
+
+
+def test_clone_projection_cap_exit_code(snow_files, capsys):
+    # 3^20 x 20 projection table entries
+    out = snow_files["t"].parent / "frag.ops"
+    assert run(["clone", "--ops", str(snow_files["t"]), "--arity", "20",
                 "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "over the cap" in captured.err

@@ -123,6 +123,12 @@ def test_fragment_cap(t3_set):
         clone_fragment(t3_set, 2, cap=3)
 
 
+def test_identification_tables_checked_before_allocating(t3_set):
+    # the 3^12 x 12 projection rows fit; 12^4 identifications x 3^12 entries do not
+    with pytest.raises(CapExceeded, match="identifications.*over the cap"):
+        clone_fragment(t3_set, 12)
+
+
 def test_closure_generating_set(d3, t3_set, f3):
     c1 = enumerate_centraliser(t3_set, 1)
     c2 = enumerate_centraliser(t3_set, 2)

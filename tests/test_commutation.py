@@ -10,11 +10,26 @@ from cloneops import (CapExceeded, Domain, Operation, OperationSet, commutes,
                       enumerate_centraliser, enumerate_polymorphisms,
                       family_op, full_relation, graph_of, make_projection,
                       preserves, relation, snow_t, sparse_op)
-from cloneops.commutation import preserve_mask, _ternary_pattern_mask
+from cloneops.commutation import (_Grid, _count_dtype, _digit_matrix, _ternary_test,
+                                  preserve_mask)
 
 
 def unary(d, *values):
     return Operation(d, 1, tuple(values))
+
+
+def _survivors(grid):
+    """Boolean mask of the grid's live candidates over all its (triple, extension) pairs."""
+    ti, ei = grid.pairs()
+    mask = np.zeros(len(grid.base) * len(grid.ext), dtype=bool)
+    mask[ti * len(grid.ext) + ei] = True
+    return mask
+
+
+def _pattern_mask(tables, member):
+    """Mask of the candidate tables that the ternary test of member keeps."""
+    _, test = _ternary_test(member)
+    return _survivors(test(_Grid.of(tables)))
 
 
 def expected_binary_catalog(d3):
@@ -193,7 +208,7 @@ def test_ternary_pattern_matches_sweep(d3, t3):
     proj = np.array([[t[i] for t in product(range(3), repeat=3)] for i in range(3)],
                     dtype=np.uint8)
     tables = np.vstack([tables, proj])
-    fast = _ternary_pattern_mask(tables, t3)
+    fast = _pattern_mask(tables, t3)
     slow = preserve_mask(tables, graph_of(t3), 3)
     assert np.array_equal(fast, slow)
     assert fast[-3:].all()  # the projections commute
@@ -277,3 +292,83 @@ def test_graph_mask_agrees_with_scalar_commutes(case):
     for row, ok in zip(tables, mask):
         g = Operation(d, ell, tuple(int(v) for v in row))
         assert commutes(g, f) == bool(ok)
+
+
+def test_count_dtype_follows_the_exact_bound():
+    # 8 * 3^15 < 2^31 <= 8 * 3^18; 3^39 < 2^63 <= 3^42
+    assert _count_dtype(3, 5) == np.int32
+    assert _count_dtype(3, 6) == np.int64
+    assert _count_dtype(3, 13) == np.int64
+    with pytest.raises(CapExceeded):
+        _count_dtype(3, 14)
+
+
+def test_counting_beyond_int64_is_refused_up_front(d3):
+    member = sparse_op(d3, 14, {(2,) * 14: 1})
+    with pytest.raises(CapExceeded, match="beyond int64"):
+        _ternary_test(member)
+
+
+def test_ternary_filter_counts_for_t_and_u(d3):
+    fs = OperationSet.from_operations(d3, [snow_t(3), family_op("u", (2, 1), d3)])
+    result, stats = enumerate_centraliser(fs, 3, return_stats=True)
+    assert stats.candidates == 5_977_800
+    assert stats.survivors == result.count(3) == 524_291
+    flow = [(f["arity"], f["test"], f["in"], f["out"]) for f in stats.details["filters"]]
+    assert flow == [(1, "unary", 5_977_800, 524_413), (4, "counting", 524_413, 524_291)]
+
+
+def test_sweep_filter_counts(t3_set):
+    _, stats = enumerate_centraliser(t3_set, 2, return_stats=True)
+    assert stats.details["filters"] == [
+        {"member": 0, "arity": 4, "test": "sweep", "in": 3 ** 9, "out": 65}]
+
+
+@st.composite
+def _member(draw, k, arities):
+    """A member of the given arities: unary, {0,1}-valued with 0-3 ones, or any table."""
+    d = Domain(k)
+    arity = draw(st.sampled_from(arities))
+    size = k ** arity
+    kind = draw(st.sampled_from(["sparse", "any"]))
+    if arity == 1 or kind == "any":
+        table = draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+    else:
+        ones = draw(st.sets(st.integers(0, size - 1), max_size=min(3, size)))
+        table = [int(i in ones) for i in range(size)]
+    return Operation(d, arity, tuple(table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_member(2, [1, 2, 3]), min_size=1, max_size=3))
+def test_ternary_centraliser_matches_polymorphisms_k2(members):
+    fs = OperationSet.from_operations(Domain(2), members)
+    expected = enumerate_polymorphisms([graph_of(f) for f in fs.members()], 3)
+    assert enumerate_centraliser(fs, 3) == expected
+
+
+_FREE_K3 = [i for i, t in enumerate(product(range(3), repeat=3)) if len(set(t)) == 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(_member(3, [1, 2, 3]), st.just(snow_t(3))), min_size=1, max_size=2),
+       st.integers(0, 2 ** 32 - 1))
+def test_grid_filters_match_sweep_k3(members, seed):
+    rng = np.random.default_rng(seed)
+    cells = np.array(list(product(range(3), repeat=3)), dtype=np.uint8)
+    # projections and constants commute with many members; perturbed copies
+    # and random tables mostly do not
+    near = np.vstack([cells.T, np.repeat(np.arange(3, dtype=np.uint8)[:, None], 27, axis=1)])
+    perturbed = near[rng.integers(0, len(near), 4)].copy()
+    perturbed[np.arange(4), rng.integers(0, 27, 4)] = rng.integers(0, 3, 4)
+    base = np.vstack([near, perturbed, rng.integers(0, 3, (3, 27), dtype=np.uint8)])
+    fillings = _digit_matrix(3 ** 6, 6, 3, np.uint8)
+    ext = np.vstack([base[:, _FREE_K3], fillings[rng.choice(3 ** 6, 10, replace=False)]])
+    grid = _Grid.of(base, ext, _FREE_K3)
+    tables = grid.tables()
+    expected = np.ones(len(tables), dtype=bool)
+    for f in members:
+        grid = _ternary_test(f)[1](grid)
+        expected &= preserve_mask(tables, graph_of(f), 3)
+        assert np.array_equal(_survivors(grid), expected)
+    assert expected.any()   # the projections survive

@@ -44,6 +44,13 @@ def test_sparse_op_size_checked_before_allocating():
     assert sparse_op(Domain(10), 2, {(1, 2): 3}).table[12] == 3
 
 
+def test_projection_and_constant_sizes_checked_before_allocating():
+    with pytest.raises(CapExceeded, match="over the cap"):
+        make_projection(Domain(10), 12, 1)
+    with pytest.raises(CapExceeded, match="over the cap"):
+        make_constant(Domain(10), 12, 0)
+
+
 def test_evaluate_t3(t3):
     assert evaluate(t3, (1, 1, 2, 2)) == 1
     assert evaluate(t3, (1, 2, 1, 2)) == 1
