@@ -27,8 +27,9 @@ from math import prod
 
 import numpy as np
 
-from .core import CapExceeded, Domain, Operation, Relation, check_table_entries
-from .commutation import _BLOCK_ENTRIES, OperationSet, _digit_matrix, _unique_rows
+from .core import (_BLOCK_ENTRIES, CapExceeded, Domain, Operation, Relation,
+                   _digit_matrix, _unique_rows, check_table_entries)
+from .commutation import OperationSet
 
 FRAGMENT_CAP = 1_000_000
 IDENTIFICATION_MAP_CAP = 10_000_000
@@ -179,17 +180,8 @@ def fragment_contains(fragment: OperationSet, op: Operation) -> bool:
 
 def subuniverse_closure(seed, ops: OperationSet) -> Relation:
     """Least superset of seed closed under componentwise application of ops."""
-    seed = [tuple(t) for t in seed]
+    seed = list(seed)
     if not seed:
         raise ValueError("seed must be nonempty")
-    m = len(seed[0])
-    if m < 1 or any(len(t) != m for t in seed):
-        raise ValueError("seed tuples must all have the same positive arity")
-    domain = ops.domain
-    k = domain.k
-    for t in seed:
-        for v in t:
-            if not 0 <= v < k:
-                raise ValueError(f"seed entry {v} out of range 0..{k - 1}")
-    rows = _close(np.array(seed, dtype=np.uint8), ops)
-    return Relation(domain, m, tuple(map(tuple, rows.tolist())))
+    start = Relation(ops.domain, len(seed[0]), seed)
+    return Relation(ops.domain, start.arity, _close(start.rows, ops))

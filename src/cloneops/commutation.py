@@ -17,6 +17,9 @@ decided on the grid by the exact test `_ternary_test` picks for it: cell by
 cell for unary members, by pattern counting for {0,1}-valued members with
 at most three ones, and by sweeping its graph over the assembled survivors
 otherwise.  Only the survivors are assembled into tables.
+
+Candidate and member tables are uint8 rows in the encoding of `core`, whose
+row helpers (`_unique_rows`, `_digit_matrix`) this module shares.
 """
 from __future__ import annotations
 
@@ -29,12 +32,11 @@ from math import prod
 
 import numpy as np
 
-from .core import (CapExceeded, Domain, Operation, Relation,
-                   args_to_index, check_table_entries, graph_of, index_to_args,
-                   sparse_op)
+from .core import (_BLOCK_ENTRIES, CapExceeded, Domain, Operation, Relation,
+                   _digit_matrix, _table_rows, _unique_rows, args_to_index,
+                   check_table_entries, graph_of, index_to_args, sparse_op)
 
 DEFAULT_BUDGET = 250_000_000
-_BLOCK_ENTRIES = 1 << 18    # values gathered per vectorised block
 
 
 @dataclass
@@ -57,12 +59,8 @@ class OperationSet:
             raise ValueError(f"operation sets hold uint8 tables: domain size {domain.k} "
                              "exceeds 256")
         self.domain = domain
-        self._tables: dict[int, np.ndarray] = {}
-        for arity, arr in sorted(tables_by_arity.items()):
-            arr = np.asarray(arr).reshape(-1, domain.k ** arity)
-            if arr.size and (arr.min() < 0 or arr.max() >= domain.k):
-                raise ValueError("table entry out of range for the domain")
-            self._tables[arity] = _unique_rows(arr.astype(np.uint8, copy=False))
+        self._tables = {arity: _table_rows(arr, domain.k, domain.k ** arity)
+                        for arity, arr in sorted(tables_by_arity.items())}
 
     @classmethod
     def from_operations(cls, domain: Domain, ops) -> "OperationSet":
@@ -111,23 +109,6 @@ class OperationSet:
     def __repr__(self):
         parts = ", ".join(f"{a}-ary: {len(t)}" for a, t in self._tables.items())
         return f"OperationSet(k={self.domain.k}, {parts or 'empty'})"
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-d array as one byte string (a 1-d void array)."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-d unsigned integer array, in byte order.
-
-    Rows are sorted as byte strings, which for uint8 is the lexicographic
-    order of their values; np.unique(axis=0) gives the same result but
-    builds one structured field per column, which is slow for wide rows.
-    Wider dtypes are kept, in an order that depends on the byte order.
-    """
-    return np.unique(_row_keys(rows)).view(rows.dtype).reshape(-1, rows.shape[1])
 
 
 def preserves(op: Operation, rel: Relation) -> bool:
@@ -227,15 +208,6 @@ def all_tables(domain: Domain, arity: int) -> np.ndarray:
     return _digit_matrix(domain.k ** width, width, domain.k, np.uint8)
 
 
-def _digit_matrix(count: int, width: int, k: int, dtype=np.int64) -> np.ndarray:
-    """Rows 0..count-1 written as width base-k digits, most significant first."""
-    idx = np.arange(count, dtype=np.int64)
-    out = np.empty((count, width), dtype=dtype)
-    for pos in range(width):
-        out[:, width - 1 - pos] = (idx // (k ** pos)) % k
-    return out
-
-
 def preserve_mask(tables: np.ndarray, rel: Relation, ell: int) -> np.ndarray:
     """Boolean mask over candidate ell-ary tables that preserve rel.
 
@@ -248,13 +220,13 @@ def preserve_mask(tables: np.ndarray, rel: Relation, ell: int) -> np.ndarray:
     """
     k = rel.domain.k
     m = rel.arity
-    s = len(rel.tuples)
+    s = len(rel)
     total = len(tables)
     if s == 0:
         return np.ones(total, dtype=bool)
     check_table_entries(s ** ell * max(ell, m), f"the index of the {s ** ell} choices of "
                         f"{ell} tuples from a {s}-tuple relation")
-    tup = np.array(rel.tuples, dtype=np.int64)          # (s, m)
+    tup = rel.rows.astype(np.int64)                     # (s, m)
     choices = _digit_matrix(s ** ell, ell, s)           # selection index per slot
     # componentwise argument index: for coordinate i, sum_j r_j[i] * k^(ell-1-j)
     arg_idx = np.zeros((s ** ell, m), dtype=np.int64)

@@ -4,17 +4,24 @@ Operations are stored as flat value tables over the domain {0..k-1}.
 The table index of an argument tuple (x1..xn) is sum(x_i * k^(n-i)),
 i.e. lexicographic with the first argument most significant.  All file
 formats and enumeration orders in this package use that convention.
+
+Rows (a relation's tuples, an operation set's tables, a formula's partial
+assignments) are held as 2-d numpy arrays, distinct and sorted by
+`_unique_rows` as byte strings (`_row_keys`).  Entries have the type
+`_row_dtype(k)`: uint8 for k <= 256, else the narrowest big-endian unsigned
+integer, so byte order is lexicographic value order for every k.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, product
-from operator import itemgetter
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
 
 TABLE_ENTRY_CAP = 10_000_000
+_BLOCK_ENTRIES = 1 << 18    # values gathered per vectorised block
 
 
 class CapExceeded(RuntimeError):
@@ -25,6 +32,61 @@ def check_table_entries(entries: int, what: str) -> None:
     """Raise CapExceeded when an array of that many entries would exceed TABLE_ENTRY_CAP."""
     if entries > TABLE_ENTRY_CAP:
         raise CapExceeded(f"{what} has {entries} entries, over the cap of {TABLE_ENTRY_CAP}")
+
+
+def _row_dtype(k: int) -> np.dtype:
+    """The entry type of rows over range(k): uint8 for k <= 256, else big-endian."""
+    return np.dtype(np.min_scalar_type(k - 1)).newbyteorder(">")
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array as one byte string (a 1-d void array)."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array of a row dtype, in lexicographic order.
+
+    np.unique(axis=0) gives the same result but builds one structured field
+    per column, which is slow for wide rows.
+    """
+    return np.unique(_row_keys(rows)).view(rows.dtype).reshape(-1, rows.shape[1])
+
+
+def _digit_matrix(count: int, width: int, k: int, dtype=np.int64) -> np.ndarray:
+    """Rows 0..count-1 written as width base-k digits, most significant first."""
+    idx = np.arange(count, dtype=np.int64)
+    out = np.empty((count, width), dtype=dtype)
+    for pos in range(width):
+        out[:, width - 1 - pos] = (idx // (k ** pos)) % k
+    return out
+
+
+def _table_rows(data, k: int, width: int) -> np.ndarray:
+    """The distinct rows of data, sorted, as a 2-d array of _row_dtype(k).
+
+    data is a 2-d array or an iterable of rows.  Raises ValueError for a row
+    that is not width entries long, an entry that is not an integer (bools
+    and numpy integers are) or one outside 0..k-1.
+    """
+    data = data if isinstance(data, np.ndarray) else list(data)
+    try:
+        arr = np.asarray(data)
+    except ValueError:
+        raise ValueError(f"rows differ in length, expected {width} entries each") from None
+    if arr.shape == (0,):
+        arr = arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"rows must have {width} entries each, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "biu":
+        # numpy turns uint64 next to signed integers into floats: judge each entry
+        arr = np.array(data, dtype=object)
+        if not all(isinstance(v, (int, np.integer, np.bool_)) for v in arr.flat):
+            raise ValueError("entries must be integers (bools and numpy integers are)")
+    if arr.size and not 0 <= arr.min() <= arr.max() < k:
+        raise ValueError(f"entries must lie in 0..{k - 1}, got {arr.min()}..{arr.max()}")
+    return _unique_rows(arr.astype(_row_dtype(k), copy=False))
 
 
 @dataclass(frozen=True)
@@ -81,30 +143,21 @@ class Operation:
         return f"Operation(k={self.domain.k}, arity={self.arity}, table={t})"
 
 
-@dataclass(frozen=True)
 class Relation:
-    domain: Domain
-    arity: int
-    tuples: tuple[tuple[int, ...], ...]
+    """A finitary relation: rows holds its tuples, distinct and sorted, as a
+    read-only 2-d array of _row_dtype(k); tuples gives them as int tuples."""
 
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"arity must be positive, got {self.arity}")
-        k = self.domain.k
-        rows = list(map(tuple, self.tuples))
-        if set(map(len, rows)) - {self.arity}:
-            t = next(t for t in rows if len(t) != self.arity)
-            raise ValueError(f"tuple {t} has length {len(t)}, expected {self.arity}")
-        for v in set(chain.from_iterable(rows)):
-            if not 0 <= v < k:
-                raise ValueError(f"tuple entry {v} out of range 0..{k - 1}")
-        # types of every entry, not of the distinct values: numpy.int64(1) and
-        # True hash like 1 and would hide behind it in a set of values
-        if set(map(type, chain.from_iterable(rows))) - {int}:
-            rows = [tuple(map(int, t)) for t in rows]
-        # sort, then drop adjacent repeats: no hash table of rows, and rows
-        # that arrive sorted (graph_of, product order) sort in a linear pass
-        object.__setattr__(self, "tuples", tuple(map(itemgetter(0), groupby(sorted(rows)))))
+    def __init__(self, domain: Domain, arity: int, tuples):
+        if arity < 1:
+            raise ValueError(f"arity must be positive, got {arity}")
+        self.domain = domain
+        self.arity = arity
+        self.rows = _table_rows(tuples, domain.k, arity)
+        self.rows.flags.writeable = False
+
+    @cached_property
+    def tuples(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.rows.tolist()))
 
     @cached_property
     def _set(self) -> frozenset:
@@ -114,10 +167,19 @@ class Relation:
         return tuple(t) in self._set
 
     def __len__(self):
-        return len(self.tuples)
+        return len(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return (self.domain == other.domain and self.arity == other.arity
+                and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self):
+        return hash((self.domain, self.arity, self.rows.tobytes()))
 
     def __repr__(self):
-        ts = list(self.tuples) if len(self.tuples) <= 16 else f"<{len(self.tuples)} tuples>"
+        ts = list(self.tuples) if len(self) <= 16 else f"<{len(self)} tuples>"
         return f"Relation(k={self.domain.k}, arity={self.arity}, tuples={ts})"
 
 
@@ -126,7 +188,7 @@ def relation(domain: Domain, arity: int, tuples: Iterable[Sequence[int]]) -> Rel
 
 
 def full_relation(domain: Domain, arity: int) -> Relation:
-    return Relation(domain, arity, tuple(product(domain.elements, repeat=arity)))
+    return Relation(domain, arity, _digit_matrix(domain.k ** arity, arity, domain.k))
 
 
 def equality_relation(domain: Domain) -> Relation:
@@ -231,10 +293,10 @@ def minor(op: Operation, var_map: Sequence[int], target_arity: int | None = None
 
 def graph_of(op: Operation) -> Relation:
     """The (n+1)-ary relation {(x, op(x))}."""
-    k = op.domain.k
-    rows = tuple(args + (v,)
-                 for args, v in zip(product(op.domain.elements, repeat=op.arity), op.table))
-    return Relation(op.domain, op.arity + 1, rows)
+    k, n = op.domain.k, op.arity
+    dtype = _row_dtype(k)
+    rows = np.column_stack([_digit_matrix(k ** n, n, k, dtype), np.array(op.table, dtype)])
+    return Relation(op.domain, n + 1, rows)
 
 
 def image_of(op: Operation) -> Relation:

@@ -7,26 +7,25 @@ map (for defined relations with repeated coordinates).
 
 A formula is a conjunctive query, evaluated by joining the atoms' relations
 and projecting.  A table of partial assignments, one row per assignment
-(uint8 entries for k <= 256, wider ones beyond), is extended one variable at
-a time: first the free variables that occur in some atom, then the
-existential ones in order of first appearance.  After each extension the
-rows are filtered by every atom whose variables are now all bound, by
-looking up the atom's columns, as byte strings, in the sorted rows of its
-relation.  Existential columns that no remaining atom mentions are then
-dropped and repeated rows removed.  Free variables that occur in no atom
-range over the whole domain.  A table that would exceed EVAL_TABLE_BYTES
-raises CapExceeded before it is built.
+(rows in the encoding of `core`, the same as the relations' rows), is
+extended one variable at a time: first the free variables that occur in
+some atom, then the existential ones in order of first appearance, last the
+free variables that occur in no atom, which range over the whole domain.
+After each extension the rows are filtered by every atom whose variables
+are now all bound, by looking up the atom's columns, as byte strings, in
+the sorted rows of its relation.  Existential columns that no remaining
+atom mentions are then dropped and repeated rows removed.  Any table that
+would exceed EVAL_TABLE_BYTES, including the extensions by unconstrained
+free variables, raises CapExceeded before it is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .commutation import _row_keys, _unique_rows
-from .core import CapExceeded, Domain, Relation
+from .core import CapExceeded, Domain, Relation, _row_dtype, _row_keys, _unique_rows
 
 EVAL_TABLE_BYTES = 1 << 26
 FILTER_BLOCK_ROWS = 1 << 16
@@ -93,23 +92,6 @@ class RelationEnv(Mapping):
         return len(self._rels)
 
 
-def _functional_map(rel: Relation) -> dict | None:
-    """prefix -> last value when rel is the graph of a function, else None."""
-    seen = {}
-    for t in rel.tuples:
-        prefix = t[:-1]
-        if prefix in seen:
-            return None
-        seen[prefix] = t[-1]
-    return seen
-
-
-def _relation_keys(rel: Relation, dtype) -> np.ndarray:
-    """The tuples of rel as sorted byte-string keys, for searchsorted lookups."""
-    rows = np.fromiter(chain.from_iterable(rel.tuples), dtype, len(rel) * rel.arity)
-    return _row_keys(_unique_rows(rows.reshape(len(rel), rel.arity)))
-
-
 def _holds(keys: np.ndarray, table: np.ndarray, cols: list[int]) -> np.ndarray:
     """Mask of the table rows whose entries in cols form a key.
 
@@ -136,8 +118,8 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
     if env.domain != formula.domain:
         raise ValueError("formula and environment domains differ")
     k = formula.domain.k
-    dtype = np.min_scalar_type(k - 1)
-    keys: dict[str, np.ndarray] = {}
+    dtype = _row_dtype(k)
+    keys = {name: _row_keys(rel.rows) for name, rel in env.items()}
     pending = []
     for rel_name, vars_ in formula.atoms:
         if rel_name not in env:
@@ -147,13 +129,11 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
             raise ValueError(
                 f"atom over '{rel_name}' has {len(vars_)} variables, "
                 f"relation arity is {rel.arity}")
-        if rel_name not in keys:
-            keys[rel_name] = _relation_keys(rel, dtype)
         pending.append((keys[rel_name], vars_))
-    unconstrained = set(formula.unconstrained_free)
-    constrained = [v for v in formula.free_vars if v not in unconstrained]
-    order = list(dict.fromkeys(
-        constrained + [v for _, vars_ in formula.atoms for v in vars_]))
+    used = dict.fromkeys(v for _, vars_ in formula.atoms for v in vars_)
+    # free variables in some atom, then existential ones, then the other free ones
+    order = dict.fromkeys([v for v in formula.free_vars if v in used] + list(used)
+                          + list(formula.free_vars))
     # one row per partial assignment of the variables in cols
     table = np.zeros((1, 0), dtype=dtype)
     cols: list[str] = []
@@ -177,23 +157,14 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
             else:
                 waiting.append((atom_keys, vars_))
         pending = waiting
-        needed = set(constrained).union(*(vars_ for _, vars_ in pending))
+        needed = set(formula.free_vars).union(*(vars_ for _, vars_ in pending))
         keep = [i for i, v in enumerate(cols) if v in needed]
         if len(keep) < len(cols):
             cols = [cols[i] for i in keep]
             table = _unique_rows(table[:, keep]) if keep else table[:1, :0]
-    sat_partials = [dict(zip(cols, row)) for row in table.tolist()]
-    free_pos_unconstrained = [i for i, v in enumerate(formula.free_vars) if v in unconstrained]
-    rows = []
-    for partial in sat_partials:
-        for fill in product(range(k), repeat=len(free_pos_unconstrained)):
-            row = [partial.get(v, 0) for v in formula.free_vars]
-            for pos, val in zip(free_pos_unconstrained, fill):
-                row[pos] = val
-            if formula.alpha is not None:
-                row = [row[a - 1] for a in formula.alpha]
-            rows.append(tuple(row))
-    return Relation(formula.domain, formula.output_arity, tuple(rows))
+    alpha = formula.alpha or range(1, len(formula.free_vars) + 1)
+    columns = [cols.index(formula.free_vars[a - 1]) for a in alpha]
+    return Relation(formula.domain, formula.output_arity, table[:, columns])
 
 
 def formula_defines(formula: PPFormula, env, goal: Relation) -> bool:
@@ -271,16 +242,16 @@ def _smt_membership(name: str, rel: Relation) -> list[str]:
     k = rel.domain.k
     name = _smt_symbol(name)
     args = [f"a{i}" for i in range(1, rel.arity + 1)]
-    functional = _functional_map(rel) if rel.arity > 1 else None
     lines = []
-    if functional is not None and len(functional) == k ** (rel.arity - 1):
+    # the graph of a total function: k^(m-1) rows with distinct prefixes
+    if rel.arity > 1 and len({t[:-1] for t in rel.tuples}) == len(rel) == k ** (rel.arity - 1):
         params = " ".join(f"({a} Int)" for a in args[:-1])
         body = "0"
-        for prefix in sorted(functional, reverse=True):
-            if functional[prefix] == 0:
+        for *prefix, value in reversed(rel.tuples):
+            if value == 0:
                 continue  # covered by the default branch
             cond = " ".join(f"(= {a} {v})" for a, v in zip(args, prefix))
-            body = f"(ite (and {cond}) {functional[prefix]} {body})"
+            body = f"(ite (and {cond}) {value} {body})"
         lines.append(f"(define-fun val_{name} ({params}) Int {body})")
         params_all = " ".join(f"({a} Int)" for a in args)
         call = " ".join(args[:-1])

@@ -44,17 +44,12 @@ class GeneratingSystem:
 
 def dedup_rows(gamma0_raw, domain: Domain) -> GeneratingSystem:
     """Build the transversal of distinct matrix rows, in order of first appearance."""
-    gamma0 = [tuple(t) for t in gamma0_raw]
+    # duplicate generators carry no information
+    gamma0 = list(dict.fromkeys(tuple(t) for t in gamma0_raw))
     if not gamma0:
         raise ValueError("the generating system must be nonempty")
-    gamma0 = list(dict.fromkeys(gamma0))  # duplicate generators carry no information
     m0 = len(gamma0[0])
-    if any(len(t) != m0 for t in gamma0):
-        raise ValueError("generating tuples must all have the same arity")
-    for t in gamma0:
-        for v in t:
-            if not 0 <= v < domain.k:
-                raise ValueError(f"entry {v} out of range 0..{domain.k - 1}")
+    Relation(domain, m0, gamma0)    # checks the lengths and entries
     rows = tuple(tuple(t[j] for t in gamma0) for j in range(m0))
     iota: dict[tuple[int, ...], int] = {}
     alpha = []
@@ -87,7 +82,7 @@ def synthesize_ppdef(env: RelationEnv, gen: GeneratingSystem,
     if env.domain != gen.domain:
         raise ValueError("relations and generating system domains differ")
     n = gen.n
-    row_count = sum(len(rel.tuples) ** n * rel.arity for rel in env.values())
+    row_count = sum(len(rel) ** n * rel.arity for rel in env.values())
     if row_count > row_budget:
         raise CapExceeded(f"L = {row_count} rows exceed the budget of {row_budget}")
 

@@ -130,7 +130,7 @@ def parse_relations(text: str) -> list[tuple[str, Relation]]:
     while toks.peek() is not None:
         toks.expect("rel")
         name, dom, arity, rows = _parse_relation_block(toks)
-        out.append((name, Relation(dom, arity, tuple(rows))))
+        out.append((name, Relation(dom, arity, rows)))
     return out
 
 
@@ -215,6 +215,6 @@ def emit_relations(named_rels) -> str:
     parts = []
     for name, rel in named_rels:
         parts.append(f"rel {name}\ndomain {rel.domain.k}\narity {rel.arity}\ntuples\n")
-        parts.extend(text + "\n" for text in format_rows(rel.tuples, rel.domain.k))
+        parts.extend(text + "\n" for text in format_rows(rel.rows, rel.domain.k))
         parts.append("end\n")
     return "".join(parts) or "\n"

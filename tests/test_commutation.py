@@ -10,8 +10,8 @@ from cloneops import (CapExceeded, Domain, Operation, OperationSet, commutes,
                       enumerate_centraliser, enumerate_polymorphisms,
                       family_op, full_relation, graph_of, make_projection,
                       preserves, relation, snow_t, sparse_op)
-from cloneops.commutation import (_Grid, _count_dtype, _digit_matrix, _ternary_test,
-                                  preserve_mask)
+from cloneops.commutation import _Grid, _count_dtype, _ternary_test, preserve_mask
+from cloneops.core import _digit_matrix
 
 
 def unary(d, *values):

@@ -240,6 +240,19 @@ def test_relation_entries_become_int_behind_equal_values(d3):
     assert all(type(v) is int for t in r.tuples for v in t)
 
 
+@pytest.mark.parametrize("entry", [0.5, 1.9, np.float64(2.7), 1.0, "1", None])
+def test_relation_rejects_non_integer_entries(d3, entry):
+    with pytest.raises(ValueError):
+        relation(d3, 1, [(0,), (entry,)])
+    with pytest.raises(ValueError):
+        Relation(d3, 2, np.array([[0.0, 1.5]]))
+
+
+def test_relation_accepts_uint64_next_to_signed_entries(d3):
+    # numpy alone would promote this row to float64
+    assert relation(d3, 2, [(np.uint64(2), 0), (1, np.int64(1))]).tuples == ((1, 1), (2, 0))
+
+
 def test_is_projection(d3, t3):
     assert is_projection(make_projection(d3, 3, 2)) == 2
     assert is_projection(t3) is None

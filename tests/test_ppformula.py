@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,15 +67,16 @@ def test_snow_formula_defines_graph(t3, f3):
     assert not formula_defines(phi, env, graph_of(make_projection(Domain(3), 2, 1)))
 
 
-def test_relation_keys_built_once_per_relation(t3, f3, monkeypatch):
-    built = []
-    relation_keys = ppformula._relation_keys
-    monkeypatch.setattr(ppformula, "_relation_keys",
-                        lambda rel, dtype: built.append(rel) or relation_keys(rel, dtype))
+def test_relation_rows_are_not_resorted(t3, f3, monkeypatch):
+    sorted_tables = []
+    unique_rows = ppformula._unique_rows
+    monkeypatch.setattr(ppformula, "_unique_rows",
+                        lambda rows: sorted_tables.append(rows.copy()) or unique_rows(rows))
     phi = snow_pp_formula(3)
     assert len(phi.atoms) == 5
-    assert eval_formula(phi, {"T": graph_of(t3)}) == graph_of(f3)
-    assert len(built) == 1
+    graph_t = graph_of(t3)
+    assert eval_formula(phi, {"T": graph_t}) == graph_of(f3)
+    assert not any(np.array_equal(rows, graph_t.rows) for rows in sorted_tables)
 
 
 @st.composite
@@ -109,6 +111,13 @@ def pp_instances(draw):
 def test_eval_matches_brute_force_property(instance):
     formula, env = instance
     assert set(eval_formula(formula, env).tuples) == brute_eval(formula, env)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pp_instances())
+def test_formula_text_round_trip_property(instance):
+    formula, _ = instance
+    assert parse_formula(emit_text(formula)) == formula
 
 
 def test_eval_after_every_column_is_dropped():

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from cloneops import (CapExceeded, Domain, OperationSet, RelationEnv,
                       dedup_rows, emit_smt, emit_text, enumerate_polymorphisms,
@@ -121,6 +122,30 @@ def test_exactness_on_generated_invariants():
         rho0 = closure_oracle(env, gamma0)
         result = synthesize_ppdef(env, gen)
         assert validate_synthesis(result, env, rho0)
+
+
+@st.composite
+def _k3_instances(draw):
+    """Q: 1-2 relations of arity 1-2 over k=3; gamma0: 1-2 tuples of arity 1-3."""
+    d3 = Domain(3)
+    env = {}
+    for i in range(draw(st.integers(1, 2))):
+        points = list(product(range(3), repeat=draw(st.integers(1, 2))))
+        env[f"R{i}"] = relation(d3, len(points[0]), draw(st.lists(
+            st.sampled_from(points), max_size=len(points), unique=True)))
+    m0 = draw(st.integers(1, 3))
+    gamma0 = draw(st.lists(st.tuples(*[st.integers(0, 2)] * m0),
+                           min_size=1, max_size=2, unique=True))
+    return RelationEnv(env), gamma0
+
+
+@seed(2020)
+@settings(max_examples=100, deadline=None)
+@given(_k3_instances())
+def test_synthesis_matches_closure_oracle_k3(instance):
+    env, gamma0 = instance
+    result = synthesize_ppdef(env, dedup_rows(gamma0, Domain(3)))
+    assert validate_synthesis(result, env, closure_oracle(env, gamma0))
 
 
 def test_stats_law():

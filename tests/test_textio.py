@@ -120,3 +120,17 @@ def test_operation_set_blocks_match_emit_operations(case):
 def test_operation_set_blocks_of_empty_slice(d3):
     empty = OperationSet(d3, {})
     assert "".join(operation_set_blocks(empty, 2)) == emit_operations([], count_comment=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 10, 11, 255, 256, 257, 300]), st.integers(1, 3), st.data())
+def test_relation_text_round_trip(k, arity, data):
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * arity), max_size=12))
+    rel = relation(Domain(k), arity, rows)
+    text = emit_relations([("R", rel)])
+    assert parse_relations(text) == [("R", rel)]
+    lines = text.splitlines()
+    emitted = [tuple(map(int, line.split()))
+               for line in lines[lines.index("tuples") + 1:lines.index("end")]]
+    # lexicographic order of the values, whatever the width of the entries
+    assert emitted == sorted(set(rows))
