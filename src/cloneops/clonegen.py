@@ -17,17 +17,17 @@ generators only the constant zero can appear, because a composition
 involving a non-projection member vanishes outside the single point where
 that member is nonzero.  The fast path therefore applies when the
 identifications are all projections or include the constant zero.  It
-asserts the shape of its intermediate results and falls back to the closure
-loop if anything unexpected appears.
+works on the generators' uint8 tables, asserts the shape of its
+intermediate results and falls back to the closure loop if anything
+unexpected appears.
 """
 from __future__ import annotations
 
-from itertools import product
 from math import prod
 
 import numpy as np
 
-from .core import (_BLOCK_ENTRIES, CapExceeded, Domain, Operation, Relation,
+from .core import (_BLOCK_ENTRIES, CapExceeded, Operation, Relation,
                    _digit_matrix, _unique_rows, check_table_entries)
 from .commutation import OperationSet
 
@@ -100,37 +100,42 @@ def _projection_rows(k: int, arity: int) -> np.ndarray:
     return _digit_matrix(k ** arity, arity, k, np.uint8).T
 
 
-def _zero_absorbing(op: Operation) -> bool:
-    k = op.domain.k
-    for args, v in zip(product(range(k), repeat=op.arity), op.table):
-        if 0 in args and v != 0:
+def _spike_applicable(generators: OperationSet) -> bool:
+    """Whether every generator is {0,1}-valued and zero-absorbing.
+
+    A table is zero-absorbing iff all its ones lie in the block of argument
+    tuples with no zero entry.
+    """
+    k = generators.domain.k
+    for arity in generators.arities():
+        tables = generators.tables(arity)
+        if tables.max(initial=0) > 1:
+            return False
+        shaped = tables.reshape((len(tables),) + (k,) * arity)
+        nonzero_args = shaped[(slice(None),) + (slice(1, None),) * arity]
+        if np.count_nonzero(nonzero_args) != np.count_nonzero(tables):
             return False
     return True
 
 
-def _spike_applicable(generators: list[Operation]) -> bool:
-    return all(set(g.table) <= {0, 1} and _zero_absorbing(g) for g in generators)
-
-
-def _identification_tables(gen: Operation, arity: int) -> np.ndarray | None:
-    """Tables of gen composed with projections in every way; one row per map.
+def _identification_tables(table: np.ndarray, k: int, a: int,
+                           arity: int) -> np.ndarray | None:
+    """Tables of an a-ary generator composed with projections in every way;
+    one row per map.  table is the generator's uint8 value table.
 
     Returns None if some table is neither constant zero nor a single point
     mapped to 1 (the fast-path shape assumption fails).
     """
-    k = gen.domain.k
-    a = gen.arity
     check_table_entries(arity ** a * (a + k ** arity),
                         f"the table of the {arity ** a} identifications of a {a}-ary "
                         f"generator into arity {arity}")
     args = _digit_matrix(k ** arity, arity, k)            # (k^n, n)
-    gen_np = np.asarray(gen.table, dtype=np.uint8)
     pow_k = k ** np.arange(a - 1, -1, -1, dtype=np.int64)
     maps = _digit_matrix(arity ** a, a, arity)            # variable per argument slot
     out = np.empty((len(maps), k ** arity), dtype=np.uint8)
     for row, m in enumerate(maps):
         idx = args[:, m] @ pow_k
-        out[row] = gen_np[idx]
+        out[row] = table[idx]
     sums = out.sum(axis=1, dtype=np.int64)
     maxes = out.max(axis=1)
     if np.any((sums > 1) | (maxes > 1)):
@@ -138,17 +143,18 @@ def _identification_tables(gen: Operation, arity: int) -> np.ndarray | None:
     return _unique_rows(out)
 
 
-def _spike_fragment(domain: Domain, generators: list[Operation], arity: int,
-                    cap: int) -> OperationSet | None:
+def _spike_fragment(generators: OperationSet, arity: int, cap: int) -> OperationSet | None:
+    domain = generators.domain
     rows = [_projection_rows(domain.k, arity)]
-    for gen in generators:
-        if arity ** gen.arity > IDENTIFICATION_MAP_CAP:
-            raise CapExceeded(
-                f"{arity ** gen.arity} identification maps exceed the work cap")
-        tables = _identification_tables(gen, arity)
-        if tables is None:
-            return None
-        rows.append(tables)
+    for a in generators.arities():
+        for table in generators.tables(a):
+            if arity ** a > IDENTIFICATION_MAP_CAP:
+                raise CapExceeded(
+                    f"{arity ** a} identification maps exceed the work cap")
+            tables = _identification_tables(table, domain.k, a, arity)
+            if tables is None:
+                return None
+            rows.append(tables)
     merged = _unique_rows(np.vstack(rows))
     if len(merged) > arity and merged.any(axis=1).all():
         return None     # composition may still reach the constant zero
@@ -162,14 +168,12 @@ def clone_fragment(generators: OperationSet, arity: int,
     """The arity-ary part of the clone generated by the given operations."""
     if arity < 1:
         raise ValueError("fragment arity must be positive")
-    domain = generators.domain
-    gens = list(generators.members())
-    if _spike_applicable(gens):
-        result = _spike_fragment(domain, gens, arity, cap)
+    if _spike_applicable(generators):
+        result = _spike_fragment(generators, arity, cap)
         if result is not None:
             return result
-    rows = _close(_projection_rows(domain.k, arity), generators, cap)
-    return OperationSet(domain, {arity: rows})
+    rows = _close(_projection_rows(generators.domain.k, arity), generators, cap)
+    return OperationSet(generators.domain, {arity: rows})
 
 
 def fragment_contains(fragment: OperationSet, op: Operation) -> bool:

@@ -54,6 +54,29 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return np.unique(_row_keys(rows)).view(rows.dtype).reshape(-1, rows.shape[1])
 
 
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """Whether each row of a 2-d array is lexicographically below the next.
+
+    Adjacent rows are compared in blocks, column by column from the first;
+    a pair decided by one column is settled, so most unsorted input fails
+    on the first block's first columns.
+    """
+    step = max(_BLOCK_ENTRIES // max(rows.shape[1], 1), 1)
+    for start in range(0, len(rows) - 1, step):
+        block = rows[start:start + step + 1]
+        tied = np.ones(len(block) - 1, dtype=bool)
+        for col in block.T:
+            before, after = col[:-1], col[1:]
+            if (tied & (before > after)).any():
+                return False
+            tied &= before == after
+            if not tied.any():
+                break
+        if tied.any():
+            return False
+    return True
+
+
 def _digit_matrix(count: int, width: int, k: int, dtype=np.int64) -> np.ndarray:
     """Rows 0..count-1 written as width base-k digits, most significant first."""
     idx = np.arange(count, dtype=np.int64)
@@ -66,7 +89,8 @@ def _digit_matrix(count: int, width: int, k: int, dtype=np.int64) -> np.ndarray:
 def _table_rows(data, k: int, width: int) -> np.ndarray:
     """The distinct rows of data, sorted, as a 2-d array of _row_dtype(k).
 
-    data is a 2-d array or an iterable of rows.  Raises ValueError for a row
+    data is a 2-d array or an iterable of rows; rows that are already
+    strictly increasing are not sorted again.  Raises ValueError for a row
     that is not width entries long, an entry that is not an integer (bools
     and numpy integers are) or one outside 0..k-1.
     """
@@ -86,7 +110,8 @@ def _table_rows(data, k: int, width: int) -> np.ndarray:
             raise ValueError("entries must be integers (bools and numpy integers are)")
     if arr.size and not 0 <= arr.min() <= arr.max() < k:
         raise ValueError(f"entries must lie in 0..{k - 1}, got {arr.min()}..{arr.max()}")
-    return _unique_rows(arr.astype(_row_dtype(k), copy=False))
+    arr = arr.astype(_row_dtype(k), copy=False)
+    return arr if _strictly_increasing(arr) else _unique_rows(arr)
 
 
 @dataclass(frozen=True)

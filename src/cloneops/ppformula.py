@@ -8,15 +8,22 @@ map (for defined relations with repeated coordinates).
 A formula is a conjunctive query, evaluated by joining the atoms' relations
 and projecting.  A table of partial assignments, one row per assignment
 (rows in the encoding of `core`, the same as the relations' rows), is
-extended one variable at a time: first the free variables that occur in
-some atom, then the existential ones in order of first appearance, last the
-free variables that occur in no atom, which range over the whole domain.
-After each extension the rows are filtered by every atom whose variables
-are now all bound, by looking up the atom's columns, as byte strings, in
-the sorted rows of its relation.  Existential columns that no remaining
-atom mentions are then dropped and repeated rows removed.  Any table that
-would exceed EVAL_TABLE_BYTES, including the extensions by unconstrained
-free variables, raises CapExceeded before it is built.
+extended one variable at a time.  By default the free variables that occur
+in some atom come first, then the existential ones in order of first
+appearance, last the free variables that occur in no atom, which range over
+the whole domain.  But an atom with one unbound variable v, b bound
+positions and fewer than k^(b+1) rows pins v, fewer than k values per bound
+prefix on average, and v comes next (generic join one variable at a time:
+Ngo, Porat, Ré, Rudra, PODS 2012; Veldhuizen, ICDT 2014).  v is read off
+the atom's rows by looking up each row's bound prefix when that relation
+has fewer rows than the table times k; otherwise, as for every other
+variable, each row is extended by all k values.  After each extension the
+rows are filtered by every atom whose variables are now all bound, by
+looking up the atom's columns, as byte strings, in the sorted rows of its
+relation.  Existential columns that no remaining atom mentions are then
+dropped and repeated rows removed.  Any table that would exceed
+EVAL_TABLE_BYTES, including the extensions by unconstrained free variables,
+raises CapExceeded before it is built.
 """
 from __future__ import annotations
 
@@ -92,6 +99,16 @@ class RelationEnv(Mapping):
         return len(self._rels)
 
 
+def _check_table_size(count: int, width: int, itemsize: int) -> None:
+    """Raise CapExceeded when a table of count partial assignments to width
+    variables would exceed EVAL_TABLE_BYTES."""
+    size = count * width * itemsize
+    if size > EVAL_TABLE_BYTES:
+        raise CapExceeded(f"a table of {count} partial assignments to "
+                          f"{width} variables takes {size} bytes, "
+                          f"over the cap of {EVAL_TABLE_BYTES}")
+
+
 def _holds(keys: np.ndarray, table: np.ndarray, cols: list[int]) -> np.ndarray:
     """Mask of the table rows whose entries in cols form a key.
 
@@ -107,11 +124,73 @@ def _holds(keys: np.ndarray, table: np.ndarray, cols: list[int]) -> np.ndarray:
     return mask
 
 
+def _pin_bound(size: int, k: int) -> int:
+    """The fewest bound positions b with which an atom over size rows pins
+    its last unbound variable: size < k^(b+1)."""
+    bound, power = 0, k
+    while power <= size:
+        bound, power = bound + 1, power * k
+    return bound
+
+
+def _lookup_rows(rows: np.ndarray, vars_: tuple[str, ...], var: str) -> np.ndarray:
+    """The atom's relation rows reordered for looking up var: the positions
+    of the other variables first, var's first position last, sorted.
+
+    Rows whose entries differ at var's positions satisfy no assignment and
+    are left out, so the rows stay distinct.
+    """
+    at = [i for i, v in enumerate(vars_) if v == var]
+    if len(at) > 1:
+        rows = rows[(rows[:, at[1:]] == rows[:, at[:1]]).all(axis=1)]
+    order = [i for i, v in enumerate(vars_) if v != var] + at[:1]
+    if order != list(range(len(vars_))):
+        rows = rows[:, order]
+        rows = rows[np.argsort(_row_keys(rows))]
+    return rows
+
+
+def _extend_by_lookup(table: np.ndarray, probe: list[int], rows: np.ndarray) -> np.ndarray:
+    """Each table row followed by every last entry of the sorted rows that
+    start with the table row's entries in the probe columns.
+
+    Works in blocks, like _holds.  Raises CapExceeded before the extended
+    table is built when it would exceed EVAL_TABLE_BYTES.
+    """
+    count, width = table.shape
+    keys = _row_keys(rows)
+    # the rows starting with a prefix lie between (prefix, 0) and (prefix, max)
+    first = np.empty(count, dtype=np.int64)
+    ends = np.empty(count, dtype=np.int64)
+    for start in range(0, count, FILTER_BLOCK_ROWS):
+        block = slice(start, start + FILTER_BLOCK_ROWS)
+        bounds = np.empty((len(table[block]), len(probe) + 1), dtype=table.dtype)
+        bounds[:, :-1] = table[block, probe]
+        bounds[:, -1] = 0
+        first[block] = np.searchsorted(keys, _row_keys(bounds), "left")
+        bounds[:, -1] = np.iinfo(table.dtype).max
+        ends[block] = np.searchsorted(keys, _row_keys(bounds), "right")
+    ends -= first                   # the match count of each table row
+    np.cumsum(ends, out=ends)       # one past its last output row
+    total = int(ends[-1]) if count else 0
+    _check_table_size(total, width + 1, table.itemsize)
+    first[1:] -= ends[:-1]          # output row j of table row i reads rows[first[i] + j]
+    grown = np.empty((total, width + 1), dtype=table.dtype)
+    for start in range(0, total, FILTER_BLOCK_ROWS):
+        out = np.arange(start, min(start + FILTER_BLOCK_ROWS, total))
+        source = np.searchsorted(ends, out, "right")
+        grown[out[0]:out[-1] + 1, :width] = table[source]
+        grown[out[0]:out[-1] + 1, width] = rows[first[source] + out, -1]
+    return grown
+
+
 def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) -> Relation:
     """The relation defined by the formula: projection of the satisfying set.
 
-    Raises CapExceeded, before the table is extended, when the extended
-    table of partial assignments would exceed EVAL_TABLE_BYTES.
+    Of several pinned variables the one with the fewest values per bound
+    prefix comes next, ties in the default order.  Raises CapExceeded,
+    before the table is extended, when the extended table of partial
+    assignments would exceed EVAL_TABLE_BYTES.
     """
     if not isinstance(env, RelationEnv):
         env = RelationEnv(env)
@@ -120,6 +199,7 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
     k = formula.domain.k
     dtype = _row_dtype(k)
     keys = {name: _row_keys(rel.rows) for name, rel in env.items()}
+    pin_bound = {name: _pin_bound(len(rel), k) for name, rel in env.items()}
     pending = []
     for rel_name, vars_ in formula.atoms:
         if rel_name not in env:
@@ -129,39 +209,66 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
             raise ValueError(
                 f"atom over '{rel_name}' has {len(vars_)} variables, "
                 f"relation arity is {rel.arity}")
-        pending.append((keys[rel_name], vars_))
+        pending.append((rel, vars_, keys[rel_name], pin_bound[rel_name]))
     used = dict.fromkeys(v for _, vars_ in formula.atoms for v in vars_)
     # free variables in some atom, then existential ones, then the other free ones
-    order = dict.fromkeys([v for v in formula.free_vars if v in used] + list(used)
-                          + list(formula.free_vars))
+    order = list(dict.fromkeys([v for v in formula.free_vars if v in used] + list(used)
+                               + list(formula.free_vars)))
+    rank = {v: i for i, v in enumerate(order)}
     # one row per partial assignment of the variables in cols
     table = np.zeros((1, 0), dtype=dtype)
     cols: list[str] = []
-    for var in order:
-        count, width = table.shape
-        size = count * k * (width + 1) * table.itemsize
-        if size > EVAL_TABLE_BYTES:
-            raise CapExceeded(f"a table of {count * k} partial assignments to "
-                              f"{width + 1} variables takes {size} bytes, "
-                              f"over the cap of {EVAL_TABLE_BYTES}")
-        grown = np.empty((count, k, width + 1), dtype=dtype)
-        grown[:, :, :width] = table[:, None, :]
-        grown[:, :, width] = np.arange(k, dtype=dtype)
-        table = grown.reshape(count * k, width + 1)
-        cols.append(var)
+    added: set[str] = set()
+    looked_up = None        # the atom whose lookup added the last variable
+    while True:
         index = {v: i for i, v in enumerate(cols)}
         waiting = []
-        for atom_keys, vars_ in pending:
-            if all(v in index for v in vars_):
-                table = table[_holds(atom_keys, table, [index[v] for v in vars_])]
-            else:
-                waiting.append((atom_keys, vars_))
+        pin, pin_key = None, None
+        for atom in pending:
+            rel, vars_, atom_keys, min_bound = atom
+            missing = {v for v in vars_ if v not in index}
+            if not missing:
+                # a lookup only adds rows that satisfy its atom
+                if atom is not looked_up:
+                    table = table[_holds(atom_keys, table, [index[v] for v in vars_])]
+                continue
+            waiting.append(atom)
+            if len(missing) == 1:
+                var = next(iter(missing))
+                bound = len(vars_) - vars_.count(var)
+                if bound < min_bound:
+                    continue
+                key = (len(rel) / k ** bound, rank[var])
+                if pin is None or key < pin_key:
+                    pin, pin_key = (atom, var), key
         pending = waiting
-        needed = set(formula.free_vars).union(*(vars_ for _, vars_ in pending))
+        needed = set(formula.free_vars).union(*(atom[1] for atom in pending))
         keep = [i for i, v in enumerate(cols) if v in needed]
         if len(keep) < len(cols):
             cols = [cols[i] for i in keep]
             table = _unique_rows(table[:, keep]) if keep else table[:1, :0]
+            index = {v: i for i, v in enumerate(cols)}
+        if len(added) == len(order):
+            break
+        count, width = table.shape
+        looked_up = None
+        if pin is None:
+            var = next(v for v in order if v not in added)
+        else:
+            atom, var = pin
+            rel, vars_ = atom[:2]
+            if count * k > len(rel):
+                looked_up = atom
+                table = _extend_by_lookup(table, [index[v] for v in vars_ if v != var],
+                                          _lookup_rows(rel.rows, vars_, var))
+        if looked_up is None:
+            _check_table_size(count * k, width + 1, table.itemsize)
+            grown = np.empty((count, k, width + 1), dtype=dtype)
+            grown[:, :, :width] = table[:, None, :]
+            grown[:, :, width] = np.arange(k, dtype=dtype)
+            table = grown.reshape(count * k, width + 1)
+        cols.append(var)
+        added.add(var)
     alpha = formula.alpha or range(1, len(formula.free_vars) + 1)
     columns = [cols.index(formula.free_vars[a - 1]) for a in alpha]
     return Relation(formula.domain, formula.output_arity, table[:, columns])

@@ -88,6 +88,25 @@ def test_spike_generator_composing_to_zero(d3):
         d3, [make_projection(d3, 1, 1), u, make_constant(d3, 1, 0)])
 
 
+def test_spike_applicable_matches_definition():
+    # {0,1}-valued, and 0 wherever some argument is 0
+    rng = random.Random(7)
+    for _ in range(200):
+        k = rng.choice([2, 3])
+        d = Domain(k)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            arity = rng.randint(1, 3)
+            table = [0 if 0 in args and rng.random() < 0.9 else rng.choice([0, 1, 1, k - 1])
+                     for args in product(range(k), repeat=arity)]
+            gens.append(Operation(d, arity, tuple(table)))
+        expected = all(set(g.table) <= {0, 1}
+                       and all(v == 0 for args, v in zip(product(range(k), repeat=g.arity),
+                                                         g.table) if 0 in args)
+                       for g in gens)
+        assert clonegen._spike_applicable(OperationSet.from_operations(d, gens)) == expected
+
+
 def test_generic_path_on_non_spike_generator():
     d2 = Domain(2)
     maximum = Operation(d2, 2, (0, 1, 1, 1))
@@ -182,7 +201,7 @@ def _zero_absorbing_generators(draw):
 @given(_zero_absorbing_generators())
 def test_spike_agrees_with_closure_loop(case):
     gens, n = case
-    assert clonegen._spike_applicable(list(gens.members()))
+    assert clonegen._spike_applicable(gens)
     spike = clone_fragment(gens, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clonegen, "_spike_applicable", lambda gens: False)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cloneops.core as core
 from cloneops import (CapExceeded, Domain, KernelView, Operation, Relation,
                       compose, evaluate, fix_of, graph_of, image_of,
                       is_projection, kernel_of, make_constant, make_projection,
@@ -231,6 +232,26 @@ def test_relation_validation_matches_row_by_row(k, arity, data):
         rel = Relation(Domain(k), arity, typed)
         assert rel.tuples == expected
         assert all(type(v) is int for t in rel.tuples for v in t)
+
+
+@pytest.mark.parametrize("rows, ordered", [
+    ([[0, 1], [0, 2], [1, 0]], True),
+    ([[0, 1], [0, 1], [1, 0]], False),      # a repeated row
+    ([[0, 2], [0, 1], [1, 0]], False),      # out of order in the second column
+    ([[1, 0], [0, 2], [2, 2]], False),      # out of order in the first column
+    ([[2, 2]], True),
+    ([], True),
+])
+def test_strictly_increasing_rows_are_not_sorted_again(d3, rows, ordered, monkeypatch):
+    sorts = []
+    unique_rows = core._unique_rows
+    monkeypatch.setattr(core, "_unique_rows", lambda r: sorts.append(r) or unique_rows(r))
+    rel = Relation(d3, 2, np.array(rows, dtype=np.int64).reshape(-1, 2))
+    assert rel.tuples == _reference_rows(3, 2, [tuple(r) for r in rows])
+    assert bool(sorts) != ordered
+    # ordered rows are checked like any other
+    with pytest.raises(ValueError):
+        Relation(d3, 2, np.array(rows + [[2, 3]], dtype=np.int64))
 
 
 def test_relation_entries_become_int_behind_equal_values(d3):

@@ -4,13 +4,15 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cloneops.ppformula as ppformula
-from cloneops import (CapExceeded, Domain, PPFormula, RelationEnv, emit_smt,
-                      emit_text, eval_formula, formula_defines, full_relation,
-                      graph_of, make_projection, parse_formula, relation,
-                      snow_f, snow_pp_formula, snow_t)
+from cloneops import (CapExceeded, Domain, Operation, PPFormula, RelationEnv,
+                      emit_relations, emit_smt, emit_text, eval_formula,
+                      formula_defines, full_relation, graph_of, make_projection,
+                      parse_formula, parse_relations, relation, snow_f,
+                      snow_pp_formula, snow_t)
+from cloneops.cli import run
 
 
 def brute_eval(formula, env):
@@ -82,7 +84,8 @@ def test_relation_rows_are_not_resorted(t3, f3, monkeypatch):
 @st.composite
 def pp_instances(draw):
     """Random formulas at k = 2, 3: repeated variables in one atom, empty
-    relations, zero atoms, alpha maps and unconstrained free variables."""
+    relations, graphs of random operations, zero atoms, alpha maps and
+    unconstrained free variables."""
     k = draw(st.sampled_from([2, 3]))
     dom = Domain(k)
     names = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
@@ -92,10 +95,17 @@ def pp_instances(draw):
     env = {}
     atoms = []
     for a in range(draw(st.integers(0, 4))):
-        ar = draw(st.integers(1, 3))
-        points = list(product(range(k), repeat=ar))
-        tuples = draw(st.lists(st.sampled_from(points), max_size=len(points)))
-        env[f"R{a}"] = relation(dom, ar, tuples)
+        if draw(st.booleans()):
+            # the graph of a random operation: one value per argument tuple
+            n = draw(st.integers(1, 2))
+            table = draw(st.lists(st.integers(0, k - 1), min_size=k ** n, max_size=k ** n))
+            env[f"R{a}"] = graph_of(Operation(dom, n, tuple(table)))
+            ar = n + 1
+        else:
+            ar = draw(st.integers(1, 3))
+            points = list(product(range(k), repeat=ar))
+            tuples = draw(st.lists(st.sampled_from(points), max_size=len(points)))
+            env[f"R{a}"] = relation(dom, ar, tuples)
         atoms.append((f"R{a}", tuple(draw(st.lists(st.sampled_from(used),
                                                    min_size=ar, max_size=ar)))))
     if not env:
@@ -106,11 +116,40 @@ def pp_instances(draw):
     return formula, env
 
 
+def _lookup_spy(monkeypatch):
+    """Record table, probe columns and extended table of every lookup."""
+    calls = []
+    extend = ppformula._extend_by_lookup
+
+    def spy(table, probe, rows):
+        grown = extend(table, probe, rows)
+        calls.append((table, probe, grown))
+        return grown
+    monkeypatch.setattr(ppformula, "_extend_by_lookup", spy)
+    return calls
+
+
+def _chain(k):
+    """∃b S(a, b) ∧ S(b, c) over the successor relation of Z/k."""
+    dom = Domain(k)
+    succ = relation(dom, 2, [(x, (x + 1) % k) for x in range(k)])
+    phi = PPFormula(dom, ("a", "c"), ("b",), (("S", ("a", "b")), ("S", ("b", "c"))))
+    return phi, {"S": succ}
+
+
 @settings(max_examples=300, deadline=None)
 @given(pp_instances())
-def test_eval_matches_brute_force_property(instance):
+@example(_chain(3))
+def _eval_matches_brute_force(instance):
     formula, env = instance
     assert set(eval_formula(formula, env).tuples) == brute_eval(formula, env)
+
+
+def test_eval_matches_brute_force_property():
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _lookup_spy(mp)
+        _eval_matches_brute_force()
+    assert calls, "no example extended its table by lookup"
 
 
 @settings(max_examples=200, deadline=None)
@@ -139,6 +178,98 @@ def test_eval_beyond_uint8_domain():
     assert set(got.tuples) == brute_eval(inverse, {"S": succ})
     fixed = PPFormula(dom, ("a", "b"), (), (("S", ("a", "a")),))
     assert eval_formula(fixed, {"S": succ}).tuples == ()
+
+
+def test_eval_chain_through_existential():
+    # b and c are read off S: no table exceeds 300 rows, where extending
+    # by a and c before b would take 300^3
+    phi, env = _chain(300)
+    got = eval_formula(phi, env)
+    assert got.tuples == tuple(sorted((x, (x + 2) % 300) for x in range(300)))
+
+
+def test_eval_formula_chain_from_cli(tmp_path):
+    phi, env = _chain(300)
+    (tmp_path / "chain.pp").write_text(emit_text(phi), encoding="utf-8")
+    (tmp_path / "succ.rel").write_text(emit_relations(env.items()), encoding="utf-8")
+    out = tmp_path / "out.rel"
+    assert run(["eval-formula", "--formula", str(tmp_path / "chain.pp"),
+                "--relations", str(tmp_path / "succ.rel"), "--out", str(out)]) == 0
+    [(_, got)] = parse_relations(out.read_text(encoding="utf-8"))
+    assert got == eval_formula(phi, env) and len(got) == 300
+
+
+def test_lookup_without_bound_position(d3, monkeypatch):
+    # U pins a and b with no other position: each lookup gives every row
+    # both values of U
+    calls = _lookup_spy(monkeypatch)
+    phi = PPFormula(d3, ("a", "b"), (), (("U", ("a",)), ("U", ("b",))))
+    env = {"U": relation(d3, 1, [(0,), (2,)])}
+    assert eval_formula(phi, env).tuples == ((0, 0), (0, 2), (2, 0), (2, 2))
+    assert [probe for _, probe, _ in calls] == [[], []]
+    empty = {"U": relation(d3, 1, [])}
+    assert eval_formula(phi, empty).tuples == ()
+
+
+def test_lookup_of_repeated_variable(d3, monkeypatch):
+    # R(a, v, v) reads only the rows whose last two entries agree, so no
+    # row is repeated: (0, 1) once, not once per row (0, 1, *)
+    calls = _lookup_spy(monkeypatch)
+    phi = PPFormula(d3, ("a", "v"), (), (("R", ("a", "v", "v")),))
+    env = {"R": relation(d3, 3, [(0, 1, 1), (0, 1, 2), (0, 2, 2), (1, 2, 0), (2, 0, 0)])}
+    got = eval_formula(phi, env)
+    assert got.tuples == ((0, 1), (0, 2), (2, 0))
+    assert set(got.tuples) == brute_eval(phi, env)
+    [(table, probe, grown)] = calls
+    assert len(table) == 3 and probe == [0]
+    assert grown.tolist() == [[0, 1], [0, 2], [2, 0]]
+
+
+def test_lookup_in_empty_relation(d3, monkeypatch):
+    calls = _lookup_spy(monkeypatch)
+    phi = PPFormula(d3, ("a",), ("v",), (("R", ("a", "v")),))
+    assert eval_formula(phi, {"R": relation(d3, 2, [])}).tuples == ()
+    assert len(calls) == 1
+
+
+def test_lookup_of_several_values_per_prefix(d3, monkeypatch):
+    # v has 3, 1 and 2 values after a = 0, 1, 2, read off R in the order
+    # (v, a) after an existential w
+    calls = _lookup_spy(monkeypatch)
+    r = relation(d3, 2, [(0, 0), (1, 0), (2, 0), (1, 1), (0, 2), (2, 2)])
+    phi = PPFormula(d3, ("a", "w"), ("v",), (("R", ("v", "a")), ("E", ("v", "w"))))
+    env = {"R": r, "E": relation(d3, 2, [(x, x) for x in range(3)])}
+    got = eval_formula(phi, env)
+    assert set(got.tuples) == brute_eval(phi, env) == {
+        (0, 0), (0, 1), (0, 2), (1, 1), (2, 0), (2, 2)}
+    assert len(calls) == 2 and calls[0][1] == [0]
+
+
+def test_lookup_beyond_uint8_domain(monkeypatch):
+    # S read backwards: the lookup sorts S's rows by the second column
+    # (big-endian entries at k=300)
+    calls = _lookup_spy(monkeypatch)
+    phi, env = _chain(300)
+    assert len(eval_formula(phi, env)) == 300
+    assert [len(grown) for _, _, grown in calls] == [300, 300]
+    calls.clear()
+    backwards = PPFormula(phi.domain, ("a", "c"), ("b",),
+                          (("S", ("b", "a")), ("S", ("c", "b"))))
+    assert eval_formula(backwards, env).tuples == tuple(
+        sorted((x, (x - 2) % 300) for x in range(300)))
+    assert len(calls) == 2
+
+
+def test_eval_snow_k4_peak_memory():
+    graph_t = graph_of(snow_t(4))
+    tracemalloc.start()
+    try:
+        got = eval_formula(snow_pp_formula(4), {"T": graph_t})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 64
+    assert peak < 20 * 2 ** 20
 
 
 def test_eval_cap_raises_before_allocating():
