@@ -1,25 +1,26 @@
 """Clone fragments (n-ary parts of generated clones) and subuniverse closure.
 
-Both rest on one semi-naive closure loop, `_close`: the least set of rows
-that contains a seed and is closed under componentwise application of a list
-of operations.  subuniverse_closure runs it on tuples in A^m.  clone_fragment
-runs it on value tables in A^(k^n), seeded with the n projections: the
-n-ary part of the clone generated by F is the subuniverse of A^(k^n) that
-the projections generate under F.  Each round applies every operation only
-to the argument combinations that involve a row found in the round before,
-as numpy gathers over blocks of combinations.  A round is sized before it
+Both rest on one semi-naive closure loop, `_closure_rounds`, which builds
+the least set of rows that contains a seed and is closed under
+componentwise application of a list of operations, one round at a time.
+subuniverse_closure runs it on tuples in A^m.  clone_fragment runs it on
+value tables in A^(k^n), seeded with the n projections: the n-ary part of
+the clone generated by F is the subuniverse of A^(k^n) that the
+projections generate under F.  Each round applies every operation only to
+the argument combinations that involve a row found in the round before, as
+numpy gathers over blocks of combinations.  A round is sized before it
 starts, and one that would gather more than CLOSURE_WORK_CAP table entries
-raises CapExceeded.
+raises CapExceeded; so does a closure that knows more than cap rows.  These
+two checks bound every path.
 
 For zero-absorbing {0,1}-valued generators (any argument 0 forces value 0)
-clone_fragment has a fast path: besides the variable identifications of the
-generators only the constant zero can appear, because a composition
-involving a non-projection member vanishes outside the single point where
-that member is nonzero.  The fast path therefore applies when the
-identifications are all projections or include the constant zero.  It
-works on the generators' uint8 tables, asserts the shape of its
-intermediate results and falls back to the closure loop if anything
-unexpected appears.
+clone_fragment usually stops after the first round.  That round applies
+every generator to every tuple of projections, so it finds the generators'
+variable identifications.  If each new one is 0 or a single point mapped to
+1, a composition involving it vanishes outside that point: it is that
+member again or the constant zero.  The first round is then closed if it
+found nothing new or found the zero.  Otherwise the same closure goes on
+from the rows it holds.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .core import (_BLOCK_ENTRIES, CapExceeded, Operation, Relation,
 from .commutation import OperationSet
 
 FRAGMENT_CAP = 1_000_000
-IDENTIFICATION_MAP_CAP = 10_000_000
 CLOSURE_WORK_CAP = 10 ** 9      # table entries gathered in one closure round
 
 
@@ -52,12 +52,14 @@ def _fresh_combos(known: int, start: int, arity: int, block: int):
             yield combos
 
 
-def _close(seed: np.ndarray, ops: OperationSet, cap: int | None = None) -> np.ndarray:
-    """Rows of the least superset of seed closed under componentwise ops.
+def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None):
+    """Run the closure of seed under componentwise ops one round at a time.
 
-    seed is a (rows, m) uint8 array.  Raises CapExceeded once more than cap
-    rows are known, or before a round that would gather more than
-    CLOSURE_WORK_CAP entries.
+    seed is a (rows, m) uint8 array.  Yields (rows, start) after each round:
+    the rows known so far, of which rows[start:] are new in that round; the
+    last round finds none.  Raises CapExceeded once more than cap rows are
+    known, or before a round that would gather more than CLOSURE_WORK_CAP
+    entries.
     """
     k = ops.domain.k
     rows = _unique_rows(seed)
@@ -91,13 +93,13 @@ def _close(seed: np.ndarray, ops: OperationSet, cap: int | None = None) -> np.nd
         if fresh:
             new_rows = np.frombuffer(b"".join(fresh), dtype=np.uint8).reshape(-1, m)
             rows = np.vstack([rows, new_rows])
-    return rows
+        yield rows, start
 
 
 def _projection_rows(k: int, arity: int) -> np.ndarray:
     """The value tables of the arity-ary projections, one per row."""
     check_table_entries(k ** arity * arity, f"the table of the {arity}-ary projections over k={k}")
-    return _digit_matrix(k ** arity, arity, k, np.uint8).T
+    return _digit_matrix(arity, k, np.uint8).T
 
 
 def _spike_applicable(generators: OperationSet) -> bool:
@@ -118,49 +120,13 @@ def _spike_applicable(generators: OperationSet) -> bool:
     return True
 
 
-def _identification_tables(table: np.ndarray, k: int, a: int,
-                           arity: int) -> np.ndarray | None:
-    """Tables of an a-ary generator composed with projections in every way;
-    one row per map.  table is the generator's uint8 value table.
-
-    Returns None if some table is neither constant zero nor a single point
-    mapped to 1 (the fast-path shape assumption fails).
+def _spike_closed(fresh: np.ndarray) -> bool:
+    """Whether the first round's fresh rows, under zero-absorbing {0,1}-valued
+    generators, already close the fragment: each is 0 or a single point
+    mapped to 1, and the constant zero is among them unless there are none.
     """
-    check_table_entries(arity ** a * (a + k ** arity),
-                        f"the table of the {arity ** a} identifications of a {a}-ary "
-                        f"generator into arity {arity}")
-    args = _digit_matrix(k ** arity, arity, k)            # (k^n, n)
-    pow_k = k ** np.arange(a - 1, -1, -1, dtype=np.int64)
-    maps = _digit_matrix(arity ** a, a, arity)            # variable per argument slot
-    out = np.empty((len(maps), k ** arity), dtype=np.uint8)
-    for row, m in enumerate(maps):
-        idx = args[:, m] @ pow_k
-        out[row] = table[idx]
-    sums = out.sum(axis=1, dtype=np.int64)
-    maxes = out.max(axis=1)
-    if np.any((sums > 1) | (maxes > 1)):
-        return None
-    return _unique_rows(out)
-
-
-def _spike_fragment(generators: OperationSet, arity: int, cap: int) -> OperationSet | None:
-    domain = generators.domain
-    rows = [_projection_rows(domain.k, arity)]
-    for a in generators.arities():
-        for table in generators.tables(a):
-            if arity ** a > IDENTIFICATION_MAP_CAP:
-                raise CapExceeded(
-                    f"{arity ** a} identification maps exceed the work cap")
-            tables = _identification_tables(table, domain.k, a, arity)
-            if tables is None:
-                return None
-            rows.append(tables)
-    merged = _unique_rows(np.vstack(rows))
-    if len(merged) > arity and merged.any(axis=1).all():
-        return None     # composition may still reach the constant zero
-    if len(merged) > cap:
-        raise CapExceeded(f"fragment size {len(merged)} exceeds the cap of {cap}")
-    return OperationSet(domain, {arity: merged})
+    sums = fresh.sum(axis=1, dtype=np.int64)
+    return bool((sums <= 1).all() and (len(sums) == 0 or (sums == 0).any()))
 
 
 def clone_fragment(generators: OperationSet, arity: int,
@@ -168,11 +134,11 @@ def clone_fragment(generators: OperationSet, arity: int,
     """The arity-ary part of the clone generated by the given operations."""
     if arity < 1:
         raise ValueError("fragment arity must be positive")
-    if _spike_applicable(generators):
-        result = _spike_fragment(generators, arity, cap)
-        if result is not None:
-            return result
-    rows = _close(_projection_rows(generators.domain.k, arity), generators, cap)
+    rounds = _closure_rounds(_projection_rows(generators.domain.k, arity), generators, cap)
+    rows, start = next(rounds)
+    if not (_spike_applicable(generators) and _spike_closed(rows[start:])):
+        for rows, _ in rounds:
+            pass
     return OperationSet(generators.domain, {arity: rows})
 
 
@@ -188,4 +154,6 @@ def subuniverse_closure(seed, ops: OperationSet) -> Relation:
     if not seed:
         raise ValueError("seed must be nonempty")
     start = Relation(ops.domain, len(seed[0]), seed)
-    return Relation(ops.domain, start.arity, _close(start.rows, ops))
+    for rows, _ in _closure_rounds(start.rows, ops):
+        pass
+    return Relation(ops.domain, start.arity, rows)

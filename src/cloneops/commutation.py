@@ -87,7 +87,7 @@ class OperationSet:
         arities = [arity] if arity is not None else list(self._tables)
         for a in arities:
             for row in self.tables(a):
-                yield Operation(self.domain, a, tuple(int(v) for v in row))
+                yield Operation(self.domain, a, tuple(row.tolist()))
 
     def __contains__(self, op: Operation) -> bool:
         if op.domain != self.domain or op.arity not in self._tables:
@@ -205,7 +205,7 @@ def family_op(family: str, params, domain: Domain) -> Operation:
 def all_tables(domain: Domain, arity: int) -> np.ndarray:
     """All k^(k^arity) value tables, one per row, in lexicographic order."""
     width = domain.k ** arity
-    return _digit_matrix(domain.k ** width, width, domain.k, np.uint8)
+    return _digit_matrix(width, domain.k, np.uint8)
 
 
 def preserve_mask(tables: np.ndarray, rel: Relation, ell: int) -> np.ndarray:
@@ -227,7 +227,7 @@ def preserve_mask(tables: np.ndarray, rel: Relation, ell: int) -> np.ndarray:
     check_table_entries(s ** ell * max(ell, m), f"the index of the {s ** ell} choices of "
                         f"{ell} tuples from a {s}-tuple relation")
     tup = rel.rows.astype(np.int64)                     # (s, m)
-    choices = _digit_matrix(s ** ell, ell, s)           # selection index per slot
+    choices = _digit_matrix(ell, s)                     # selection index per slot
     # componentwise argument index: for coordinate i, sum_j r_j[i] * k^(ell-1-j)
     arg_idx = np.zeros((s ** ell, m), dtype=np.int64)
     for j in range(ell):
@@ -613,13 +613,13 @@ def _ternary_centraliser(fs: OperationSet, budget: int, threads: int,
     idx1 = np.array([args_to_index((a, a, b), k) for a, b in pairs])
     idx2 = np.array([args_to_index((a, b, a), k) for a, b in pairs])
     idx3 = np.array([args_to_index((b, a, a), k) for a, b in pairs])
-    ext = _digit_matrix(ext_count, len(free_cells), k, np.uint8)
+    ext = _digit_matrix(len(free_cells), k, np.uint8)
 
     jobs = []
     triple_block = max(1, 200_000 // ext_count)
     for key in sorted(groups):
         gidx = np.array(groups[key], dtype=np.int64)
-        tri = _digit_matrix(len(gidx) ** 3, 3, len(gidx))
+        tri = _digit_matrix(3, len(gidx))
         for start in range(0, len(tri), triple_block):
             jobs.append((gidx, tri[start:start + triple_block]))
 

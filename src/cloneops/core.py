@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 TABLE_ENTRY_CAP = 10_000_000
+_INTEGER_TYPES = (int, np.integer, np.bool_)    # the entry types rows accept
 _BLOCK_ENTRIES = 1 << 18    # values gathered per vectorised block
 
 
@@ -77,12 +78,15 @@ def _strictly_increasing(rows: np.ndarray) -> bool:
     return True
 
 
-def _digit_matrix(count: int, width: int, k: int, dtype=np.int64) -> np.ndarray:
-    """Rows 0..count-1 written as width base-k digits, most significant first."""
-    idx = np.arange(count, dtype=np.int64)
-    out = np.empty((count, width), dtype=dtype)
+def _digit_matrix(width: int, k: int, dtype=np.int64) -> np.ndarray:
+    """Rows 0..k^width-1 written as width base-k digits, most significant first.
+
+    Column pos repeats each digit k^(width-1-pos) times, k^pos times over:
+    range(k) broadcast into that shape of a view of the output.
+    """
+    out = np.empty((k ** width, width), dtype=dtype)
     for pos in range(width):
-        out[:, width - 1 - pos] = (idx // (k ** pos)) % k
+        out.reshape(k ** pos, k, k ** (width - 1 - pos), width)[..., pos] = np.arange(k)[:, None]
     return out
 
 
@@ -106,7 +110,7 @@ def _table_rows(data, k: int, width: int) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "biu":
         # numpy turns uint64 next to signed integers into floats: judge each entry
         arr = np.array(data, dtype=object)
-        if not all(isinstance(v, (int, np.integer, np.bool_)) for v in arr.flat):
+        if not all(isinstance(v, _INTEGER_TYPES) for v in arr.flat):
             raise ValueError("entries must be integers (bools and numpy integers are)")
     if arr.size and not 0 <= arr.min() <= arr.max() < k:
         raise ValueError(f"entries must lie in 0..{k - 1}, got {arr.min()}..{arr.max()}")
@@ -152,13 +156,19 @@ class Operation:
             raise ValueError(f"arity must be positive, got {self.arity}")
         k = self.domain.k
         expected = k ** self.arity
-        object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != expected:
-            raise ValueError(
-                f"table has {len(self.table)} entries, expected k^n = {expected}")
-        for i, v in enumerate(self.table):
+        table = tuple(self.table)
+        if len(table) != expected:
+            raise ValueError(f"table has {len(table)} entries, expected k^n = {expected}")
+        all_int = True
+        for i, v in enumerate(table):
+            if type(v) is not int:
+                if not isinstance(v, _INTEGER_TYPES):
+                    raise ValueError(f"table entry {v!r} at index {i} is not an integer "
+                                     "(bools and numpy integers are)")
+                all_int = False
             if not 0 <= v < k:
                 raise ValueError(f"table entry {v} at index {i} out of range 0..{k - 1}")
+        object.__setattr__(self, "table", table if all_int else tuple(map(int, table)))
 
     def __call__(self, *args: int) -> int:
         return evaluate(self, args)
@@ -213,7 +223,7 @@ def relation(domain: Domain, arity: int, tuples: Iterable[Sequence[int]]) -> Rel
 
 
 def full_relation(domain: Domain, arity: int) -> Relation:
-    return Relation(domain, arity, _digit_matrix(domain.k ** arity, arity, domain.k))
+    return Relation(domain, arity, _digit_matrix(arity, domain.k))
 
 
 def equality_relation(domain: Domain) -> Relation:
@@ -320,7 +330,7 @@ def graph_of(op: Operation) -> Relation:
     """The (n+1)-ary relation {(x, op(x))}."""
     k, n = op.domain.k, op.arity
     dtype = _row_dtype(k)
-    rows = np.column_stack([_digit_matrix(k ** n, n, k, dtype), np.array(op.table, dtype)])
+    rows = np.column_stack([_digit_matrix(n, k, dtype), np.array(op.table, dtype)])
     return Relation(op.domain, n + 1, rows)
 
 

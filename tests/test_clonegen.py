@@ -142,10 +142,41 @@ def test_fragment_cap(t3_set):
         clone_fragment(t3_set, 2, cap=3)
 
 
-def test_identification_tables_checked_before_allocating(t3_set):
-    # the 3^12 x 12 projection rows fit; 12^4 identifications x 3^12 entries do not
-    with pytest.raises(CapExceeded, match="identifications.*over the cap"):
+def test_identification_tables_checked_before_allocating(t3_set, monkeypatch):
+    # the 3^12 x 12 projection rows fit; 12^4 identifications x 3^12 entries exceed the work cap
+    calls = []
+    monkeypatch.setattr(clonegen, "_fresh_combos", lambda *a: calls.append(a) or iter(()))
+    with pytest.raises(CapExceeded, match="work cap"):
         clone_fragment(t3_set, 12)
+    assert calls == []
+
+
+@pytest.mark.parametrize("gen, arity, count", [
+    (Operation(Domain(3), 1, (0, 0, 1)), 1, 3),     # u(u(x)) = 0 needs round 2
+    (snow_t(3), 3, 16),
+])
+def test_fallback_continues_the_first_round(gen, arity, count, monkeypatch):
+    calls = []
+    fresh_combos = clonegen._fresh_combos
+    monkeypatch.setattr(clonegen, "_fresh_combos",
+                        lambda *a: calls.append(a) or fresh_combos(*a))
+    gens = OperationSet.from_operations(gen.domain, [gen])
+    assert clonegen._spike_applicable(gens)
+    assert clone_fragment(gens, arity).count(arity) == count
+    # (known, start, arity, block): round 1 once, then rounds from start > 0
+    assert [c[1] for c in calls].count(0) == 1
+    assert any(c[1] > 0 for c in calls)
+
+
+def test_spike_stop_needs_single_points(d3):
+    # g(x, x) is 1 at two points; g(x, g(x, x)) is 1 only at x = 1
+    g = sparse_op(d3, 2, {(1, 1): 1, (2, 2): 1})
+    zero = make_constant(d3, 1, 0)
+    gens = OperationSet.from_operations(d3, [g, zero])
+    assert clonegen._spike_applicable(gens)
+    assert clone_fragment(gens, 1) == OperationSet.from_operations(d3, [
+        make_projection(d3, 1, 1), zero,
+        Operation(d3, 1, (0, 1, 1)), Operation(d3, 1, (0, 1, 0))])
 
 
 def test_closure_generating_set(d3, t3_set, f3):

@@ -362,7 +362,7 @@ def test_grid_filters_match_sweep_k3(members, seed):
     perturbed = near[rng.integers(0, len(near), 4)].copy()
     perturbed[np.arange(4), rng.integers(0, 27, 4)] = rng.integers(0, 3, 4)
     base = np.vstack([near, perturbed, rng.integers(0, 3, (3, 27), dtype=np.uint8)])
-    fillings = _digit_matrix(3 ** 6, 6, 3, np.uint8)
+    fillings = _digit_matrix(6, 3, np.uint8)
     ext = np.vstack([base[:, _FREE_K3], fillings[rng.choice(3 ** 6, 10, replace=False)]])
     grid = _Grid.of(base, ext, _FREE_K3)
     tables = grid.tables()

@@ -269,6 +269,27 @@ def test_relation_rejects_non_integer_entries(d3, entry):
         Relation(d3, 2, np.array([[0.0, 1.5]]))
 
 
+@pytest.mark.parametrize("entry", [0.5, 2.7, np.float64(2.7), 1.0, "1", None])
+def test_operation_rejects_non_integer_entries(d3, entry):
+    with pytest.raises(ValueError, match="not an integer"):
+        Operation(d3, 1, (0, 1, entry))
+
+
+def test_operation_table_holds_ints(d3):
+    op = Operation(d3, 1, (np.uint8(2), True, np.int64(0)))
+    assert op.table == (2, 1, 0)
+    assert all(type(v) is int for v in op.table)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("width", [0, 1, 2, 3])
+def test_digit_matrix_matches_product(k, width):
+    for dtype in (np.int64, np.uint8, core._row_dtype(k)):
+        digits = core._digit_matrix(width, k, dtype)
+        assert digits.dtype == dtype
+        assert digits.tolist() == [list(t) for t in product(range(k), repeat=width)]
+
+
 def test_relation_accepts_uint64_next_to_signed_entries(d3):
     # numpy alone would promote this row to float64
     assert relation(d3, 2, [(np.uint64(2), 0), (1, np.int64(1))]).tuples == ((1, 1), (2, 0))
