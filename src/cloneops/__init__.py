@@ -1,7 +1,8 @@
 """Computations in clone theory over finite domains.
 
 Modules:
-    core        -- domains, operations (flat value tables), relations
+    core        -- domains, operations (one numpy row, `table` its scalar view),
+                   relations and operation sets, all in one row encoding
     textio      -- plain-text formats for operations and relations
     commutation -- preservation, commutation, centraliser/polymorphism enumeration
     clonegen    -- n-ary clone fragments and subuniverse closure
@@ -13,13 +14,12 @@ Modules:
 
 __version__ = "0.1.0"
 
-from .core import (CapExceeded, Domain, KernelView, Operation, Relation,
-                   compose, equality_relation, evaluate, fix_of, full_relation,
-                   graph_of, image_of, is_projection, kernel_of, make_constant,
-                   make_projection, minor, relation, sparse_op)
-from .commutation import (EnumerationStats, OperationSet, commutes,
-                          enumerate_centraliser, enumerate_polymorphisms,
-                          family_op, preserves)
+from .core import (CapExceeded, Domain, KernelView, Operation, OperationSet,
+                   Relation, compose, equality_relation, evaluate, fix_of,
+                   full_relation, graph_of, image_of, is_projection, kernel_of,
+                   make_constant, make_projection, minor, relation, sparse_op)
+from .commutation import (EnumerationStats, commutes, enumerate_centraliser,
+                          enumerate_polymorphisms, family_op, preserves)
 from .clonegen import clone_fragment, fragment_contains, subuniverse_closure
 from .ppformula import (PPFormula, RelationEnv, emit_smt, emit_text,
                         eval_formula, formula_defines, parse_formula)

@@ -11,8 +11,8 @@ from pathlib import Path
 from typing import Iterable
 
 from . import __version__
-from .core import CapExceeded, graph_of
-from .commutation import OperationSet, enumerate_centraliser
+from .core import CapExceeded, OperationSet, graph_of
+from .commutation import enumerate_centraliser
 from .clonegen import clone_fragment
 from .ppformula import RelationEnv, emit_smt, emit_text, eval_formula, parse_formula
 from .snow import snow_f, snow_pp_formula, snow_t, verify_separation

@@ -28,9 +28,8 @@ from math import prod
 
 import numpy as np
 
-from .core import (_BLOCK_ENTRIES, CapExceeded, Operation, Relation,
+from .core import (_BLOCK_ENTRIES, CapExceeded, Operation, OperationSet, Relation,
                    _digit_matrix, _unique_rows, check_table_entries)
-from .commutation import OperationSet
 
 FRAGMENT_CAP = 1_000_000
 CLOSURE_WORK_CAP = 10 ** 9      # table entries gathered in one closure round

@@ -18,8 +18,8 @@ cell for unary members, by pattern counting for {0,1}-valued members with
 at most three ones, and by sweeping its graph over the assembled survivors
 otherwise.  Only the survivors are assembled into tables.
 
-Candidate and member tables are uint8 rows in the encoding of `core`, whose
-row helpers (`_unique_rows`, `_digit_matrix`) this module shares.
+Candidate and member tables are uint8 rows in the encoding of `core`,
+which also holds their container, `OperationSet`.
 """
 from __future__ import annotations
 
@@ -32,9 +32,9 @@ from math import prod
 
 import numpy as np
 
-from .core import (_BLOCK_ENTRIES, CapExceeded, Domain, Operation, Relation,
-                   _digit_matrix, _table_rows, _unique_rows, args_to_index,
-                   check_table_entries, graph_of, index_to_args, sparse_op)
+from .core import (_BLOCK_ENTRIES, CapExceeded, Domain, Operation, OperationSet,
+                   Relation, _digit_matrix, args_to_index, check_table_entries,
+                   graph_of, index_to_args, sparse_op)
 
 DEFAULT_BUDGET = 250_000_000
 
@@ -44,71 +44,6 @@ class EnumerationStats:
     candidates: int
     survivors: int
     details: dict = field(default_factory=dict)
-
-
-class OperationSet:
-    """Operations over one domain, grouped by arity, canonically sorted.
-
-    Tables are held as numpy uint8 arrays (one row per operation, rows
-    sorted lexicographically, no duplicates), so domains have at most 256
-    elements; Operation objects are materialised on demand.
-    """
-
-    def __init__(self, domain: Domain, tables_by_arity: dict[int, np.ndarray]):
-        if domain.k > 256:
-            raise ValueError(f"operation sets hold uint8 tables: domain size {domain.k} "
-                             "exceeds 256")
-        self.domain = domain
-        self._tables = {arity: _table_rows(arr, domain.k, domain.k ** arity)
-                        for arity, arr in sorted(tables_by_arity.items())}
-
-    @classmethod
-    def from_operations(cls, domain: Domain, ops) -> "OperationSet":
-        grouped: dict[int, list] = {}
-        for op in ops:
-            if op.domain != domain:
-                raise ValueError("all operations must share the domain")
-            grouped.setdefault(op.arity, []).append(op.table)
-        return cls(domain, grouped)
-
-    def arities(self) -> tuple[int, ...]:
-        return tuple(self._tables)
-
-    def tables(self, arity: int) -> np.ndarray:
-        return self._tables.get(arity, np.empty((0, self.domain.k ** arity), dtype=np.uint8))
-
-    def count(self, arity: int | None = None) -> int:
-        if arity is not None:
-            return len(self.tables(arity))
-        return sum(len(t) for t in self._tables.values())
-
-    def members(self, arity: int | None = None):
-        """The operations in (arity, table) order."""
-        arities = [arity] if arity is not None else list(self._tables)
-        for a in arities:
-            for row in self.tables(a):
-                yield Operation(self.domain, a, tuple(row.tolist()))
-
-    def __contains__(self, op: Operation) -> bool:
-        if op.domain != self.domain or op.arity not in self._tables:
-            return False
-        row = np.asarray(op.table, dtype=np.uint8)
-        return bool((self._tables[op.arity] == row).all(axis=1).any())
-
-    def __len__(self):
-        return self.count()
-
-    def __eq__(self, other):
-        if not isinstance(other, OperationSet):
-            return NotImplemented
-        return (self.domain == other.domain
-                and self.arities() == other.arities()
-                and all(np.array_equal(self._tables[a], other._tables[a])
-                        for a in self._tables))
-
-    def __repr__(self):
-        parts = ", ".join(f"{a}-ary: {len(t)}" for a, t in self._tables.items())
-        return f"OperationSet(k={self.domain.k}, {parts or 'empty'})"
 
 
 def preserves(op: Operation, rel: Relation) -> bool:
@@ -422,7 +357,6 @@ def _unary_filter(grid: _Grid, member: Operation) -> _Grid:
     until only the mixed ones are left.
     """
     k = member.domain.k
-    ft = np.asarray(member.table, dtype=np.uint8)
     by_axes: dict[tuple[bool, bool], list[tuple[int, int]]] = {}
     for cell, c in enumerate(product(range(k), repeat=3)):
         image = args_to_index([member.table[x] for x in c], k)
@@ -430,7 +364,7 @@ def _unary_filter(grid: _Grid, member: Operation) -> _Grid:
     for axes in sorted(by_axes, key=lambda axes: axes[0] != axes[1]):
         ok = True
         for cell, image in by_axes[axes]:
-            ok = ok & (grid.column(image) == ft[grid.column(cell)])
+            ok = ok & (grid.column(image) == member.row[grid.column(cell)])
         grid = grid.keep(ok)
     return grid
 
@@ -521,20 +455,16 @@ def _ternary_test(member: Operation):
     assembled candidates ("sweep").  Raises CapExceeded, before any
     candidate is looked at, when the counts would not fit int64.
     """
-    k, r, table = member.domain.k, member.arity, member.table
+    k, r, row = member.domain.k, member.arity, member.row
     if r == 1:
         return "unary", partial(_unary_filter, member=member)
-    mu = table.count(1)
-    if mu <= 3 and table.count(0) + mu == len(table):
-        if mu == 0:     # g(0,0,0) must be 0, nothing else is reachable
+    ones_at = np.flatnonzero(row == 1)
+    if len(ones_at) <= 3 and row.max() <= 1:
+        if not len(ones_at):    # g(0,0,0) must be 0, nothing else is reachable
             return "counting", lambda grid: grid.keep(grid.column(0) == 0)
-        dtype = _count_dtype(k, r)
-        ones, at = [], -1
-        for _ in range(mu):
-            at = table.index(1, at + 1)
-            ones.append(index_to_args(at, k, r))
-        return "counting", partial(_counting_filter, ones=ones, k=k, dtype=dtype,
-                                   pin_cells=_pin_cells(k))
+        ones = [index_to_args(int(at), k, r) for at in ones_at]
+        return "counting", partial(_counting_filter, ones=ones, k=k,
+                                   dtype=_count_dtype(k, r), pin_cells=_pin_cells(k))
     return "sweep", lambda grid: grid.keep(preserve_mask(grid.tables(), graph_of(member), 3))
 
 

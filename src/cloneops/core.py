@@ -1,9 +1,10 @@
-"""Finite domains, finitary operations and finitary relations.
+"""Finite domains, finitary operations, relations and operation sets.
 
-Operations are stored as flat value tables over the domain {0..k-1}.
-The table index of an argument tuple (x1..xn) is sum(x_i * k^(n-i)),
-i.e. lexicographic with the first argument most significant.  All file
-formats and enumeration orders in this package use that convention.
+An operation is one row, `Operation.row`: its flat value table over the
+domain {0..k-1}; `Operation.table` is the scalar view, an int tuple.  The
+table index of an argument tuple (x1..xn) is sum(x_i * k^(n-i)), i.e.
+lexicographic with the first argument most significant.  All file formats
+and enumeration orders in this package use that convention.
 
 Rows (a relation's tuples, an operation set's tables, a formula's partial
 assignments) are held as 2-d numpy arrays, distinct and sorted by
@@ -14,8 +15,7 @@ integer, so byte order is lexicographic value order for every k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ def check_table_entries(entries: int, what: str) -> None:
         raise CapExceeded(f"{what} has {entries} entries, over the cap of {TABLE_ENTRY_CAP}")
 
 
+@cache
 def _row_dtype(k: int) -> np.dtype:
     """The entry type of rows over range(k): uint8 for k <= 256, else big-endian."""
     return np.dtype(np.min_scalar_type(k - 1)).newbyteorder(">")
@@ -90,32 +91,48 @@ def _digit_matrix(width: int, k: int, dtype=np.int64) -> np.ndarray:
     return out
 
 
-def _table_rows(data, k: int, width: int) -> np.ndarray:
-    """The distinct rows of data, sorted, as a 2-d array of _row_dtype(k).
+def _entry_array(data, k: int) -> np.ndarray:
+    """data as an array of _row_dtype(k); it is data itself when that already is one.
 
-    data is a 2-d array or an iterable of rows; rows that are already
-    strictly increasing are not sorted again.  Raises ValueError for a row
-    that is not width entries long, an entry that is not an integer (bools
-    and numpy integers are) or one outside 0..k-1.
+    Raises ValueError for ragged rows, an entry that is not an integer
+    (bools and numpy integers are) or one outside 0..k-1.
     """
     data = data if isinstance(data, np.ndarray) else list(data)
     try:
         arr = np.asarray(data)
     except ValueError:
-        raise ValueError(f"rows differ in length, expected {width} entries each") from None
+        raise ValueError("rows differ in length") from None
+    if arr.size and arr.dtype.kind not in "biu":
+        # numpy turns uint64 next to signed integers into floats: judge each entry
+        arr = np.array(data, dtype=object)
+        for v in arr.flat:
+            if not isinstance(v, _INTEGER_TYPES):
+                raise ValueError(f"entry {v!r} is not an integer (bools and numpy integers are)")
+    if arr.size:
+        lo, hi = 0 if arr.dtype.kind in "bu" else arr.min(), arr.max()
+        if not 0 <= lo <= hi < k:
+            raise ValueError(f"entries must lie in 0..{k - 1}, got {lo}..{hi}")
+    return arr.astype(_row_dtype(k), copy=False)
+
+
+def _table_rows(data, k: int, width: int) -> np.ndarray:
+    """The distinct rows of data, sorted, as a read-only 2-d array of _row_dtype(k).
+
+    data is a 2-d array or an iterable of rows; strictly increasing rows are
+    not sorted again, only copied if they are data's own array.  Raises
+    ValueError as _entry_array does, and for a row not width entries long.
+    """
+    arr = _entry_array(data, k)
     if arr.shape == (0,):
         arr = arr.reshape(0, width)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"rows must have {width} entries each, got shape {arr.shape}")
-    if arr.size and arr.dtype.kind not in "biu":
-        # numpy turns uint64 next to signed integers into floats: judge each entry
-        arr = np.array(data, dtype=object)
-        if not all(isinstance(v, _INTEGER_TYPES) for v in arr.flat):
-            raise ValueError("entries must be integers (bools and numpy integers are)")
-    if arr.size and not 0 <= arr.min() <= arr.max() < k:
-        raise ValueError(f"entries must lie in 0..{k - 1}, got {arr.min()}..{arr.max()}")
-    arr = arr.astype(_row_dtype(k), copy=False)
-    return arr if _strictly_increasing(arr) else _unique_rows(arr)
+    if not _strictly_increasing(arr):
+        arr = _unique_rows(arr)
+    elif arr is data:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -145,36 +162,39 @@ def index_to_args(idx: int, k: int, arity: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Operation:
-    domain: Domain
-    arity: int
-    table: tuple[int, ...]
+    """A finitary operation: row holds its value table, a read-only 1-d array
+    of _row_dtype(k) with k^arity entries; table gives it as an int tuple."""
 
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"arity must be positive, got {self.arity}")
-        k = self.domain.k
-        expected = k ** self.arity
-        table = tuple(self.table)
-        if len(table) != expected:
-            raise ValueError(f"table has {len(table)} entries, expected k^n = {expected}")
-        all_int = True
-        for i, v in enumerate(table):
-            if type(v) is not int:
-                if not isinstance(v, _INTEGER_TYPES):
-                    raise ValueError(f"table entry {v!r} at index {i} is not an integer "
-                                     "(bools and numpy integers are)")
-                all_int = False
-            if not 0 <= v < k:
-                raise ValueError(f"table entry {v} at index {i} out of range 0..{k - 1}")
-        object.__setattr__(self, "table", table if all_int else tuple(map(int, table)))
+    def __init__(self, domain: Domain, arity: int, table):
+        if arity < 1:
+            raise ValueError(f"arity must be positive, got {arity}")
+        self.domain = domain
+        self.arity = arity
+        row = _entry_array(table, domain.k)
+        if row.shape != (domain.k ** arity,):
+            raise ValueError(f"table has {row.size} entries, expected k^n = {domain.k ** arity}")
+        self.row = row.copy() if row is table else row
+        self.row.setflags(write=False)
+
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        return tuple(self.row.tolist())
 
     def __call__(self, *args: int) -> int:
         return evaluate(self, args)
 
+    def __eq__(self, other):
+        if not isinstance(other, Operation):
+            return NotImplemented
+        return (self.domain == other.domain and self.arity == other.arity
+                and np.array_equal(self.row, other.row))
+
+    def __hash__(self):
+        return hash((self.domain, self.arity, self.row.tobytes()))
+
     def __repr__(self):
-        t = list(self.table) if len(self.table) <= 32 else f"<{len(self.table)} entries>"
+        t = list(self.table) if len(self.row) <= 32 else f"<{len(self.row)} entries>"
         return f"Operation(k={self.domain.k}, arity={self.arity}, table={t})"
 
 
@@ -188,7 +208,6 @@ class Relation:
         self.domain = domain
         self.arity = arity
         self.rows = _table_rows(tuples, domain.k, arity)
-        self.rows.flags.writeable = False
 
     @cached_property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
@@ -218,6 +237,70 @@ class Relation:
         return f"Relation(k={self.domain.k}, arity={self.arity}, tuples={ts})"
 
 
+class OperationSet:
+    """Operations over one domain, grouped by arity, canonically sorted.
+
+    Tables are held as read-only uint8 rows (one per operation, sorted
+    lexicographically, no duplicates), so domains have at most 256
+    elements; Operation objects are materialised on demand.
+    """
+
+    def __init__(self, domain: Domain, tables_by_arity: dict[int, np.ndarray]):
+        if domain.k > 256:
+            raise ValueError(f"operation sets hold uint8 tables: domain size {domain.k} "
+                             "exceeds 256")
+        self.domain = domain
+        self._tables = {arity: _table_rows(arr, domain.k, domain.k ** arity)
+                        for arity, arr in sorted(tables_by_arity.items())}
+
+    @classmethod
+    def from_operations(cls, domain: Domain, ops) -> "OperationSet":
+        grouped: dict[int, list] = {}
+        for op in ops:
+            if op.domain != domain:
+                raise ValueError("all operations must share the domain")
+            grouped.setdefault(op.arity, []).append(op.row)
+        return cls(domain, grouped)
+
+    def arities(self) -> tuple[int, ...]:
+        return tuple(self._tables)
+
+    def tables(self, arity: int) -> np.ndarray:
+        return self._tables.get(arity, np.empty((0, self.domain.k ** arity), dtype=np.uint8))
+
+    def count(self, arity: int | None = None) -> int:
+        if arity is not None:
+            return len(self.tables(arity))
+        return sum(len(t) for t in self._tables.values())
+
+    def members(self, arity: int | None = None):
+        """The operations in (arity, table) order."""
+        arities = [arity] if arity is not None else list(self._tables)
+        for a in arities:
+            for row in self.tables(a):
+                yield Operation(self.domain, a, row)
+
+    def __contains__(self, op: Operation) -> bool:
+        if op.domain != self.domain or op.arity not in self._tables:
+            return False
+        return bool((self._tables[op.arity] == op.row).all(axis=1).any())
+
+    def __len__(self):
+        return self.count()
+
+    def __eq__(self, other):
+        if not isinstance(other, OperationSet):
+            return NotImplemented
+        return (self.domain == other.domain
+                and self.arities() == other.arities()
+                and all(np.array_equal(self._tables[a], other._tables[a])
+                        for a in self._tables))
+
+    def __repr__(self):
+        parts = ", ".join(f"{a}-ary: {len(t)}" for a, t in self._tables.items())
+        return f"OperationSet(k={self.domain.k}, {parts or 'empty'})"
+
+
 def relation(domain: Domain, arity: int, tuples: Iterable[Sequence[int]]) -> Relation:
     return Relation(domain, arity, tuple(tuple(t) for t in tuples))
 
@@ -234,18 +317,16 @@ def make_projection(domain: Domain, arity: int, index: int) -> Operation:
     """The index-th projection of the given arity; index is 1-based."""
     if not 1 <= index <= arity:
         raise ValueError(f"projection index {index} out of range 1..{arity}")
-    check_table_entries(domain.k ** arity,
-                        f"table of the {arity}-ary projection over k={domain.k}")
-    table = [args[index - 1] for args in product(domain.elements, repeat=arity)]
-    return Operation(domain, arity, tuple(table))
+    k = domain.k
+    check_table_entries(k ** arity, f"table of the {arity}-ary projection over k={k}")
+    return Operation(domain, arity, _digit_matrix(arity, k, _row_dtype(k))[:, index - 1])
 
 
 def make_constant(domain: Domain, arity: int, value: int) -> Operation:
     if not 0 <= value < domain.k:
         raise ValueError(f"constant value {value} out of range 0..{domain.k - 1}")
-    check_table_entries(domain.k ** arity,
-                        f"table of the {arity}-ary constant over k={domain.k}")
-    return Operation(domain, arity, (value,) * domain.k ** arity)
+    check_table_entries(domain.k ** arity, f"table of the {arity}-ary constant over k={domain.k}")
+    return Operation(domain, arity, np.full(domain.k ** arity, value, _row_dtype(domain.k)))
 
 
 def sparse_op(domain: Domain, arity: int, values: Mapping[Sequence[int], int]) -> Operation:
@@ -256,21 +337,19 @@ def sparse_op(domain: Domain, arity: int, values: Mapping[Sequence[int], int]) -
     """
     k = domain.k
     check_table_entries(k ** arity, f"table of the {arity}-ary operation over k={k}")
-    table = [0] * k ** arity
-    for point, value in values.items():
+    for point in values:
         if len(point) != arity:
             raise ValueError(f"point {tuple(point)} has length {len(point)}, expected {arity}")
-        table[args_to_index(point, k)] = value
-    return Operation(domain, arity, tuple(table))
+    row = np.zeros(k ** arity, dtype=_row_dtype(k))
+    row[[args_to_index(point, k) for point in values]] = _entry_array(values.values(), k)
+    return Operation(domain, arity, row)
 
 
 def is_projection(op: Operation) -> int | None:
     """Return the 1-based projected coordinate, or None if op is not a projection."""
-    for i in range(op.arity):
-        if all(args[i] == v
-               for args, v in zip(product(op.domain.elements, repeat=op.arity), op.table)):
-            return i + 1
-    return None
+    digits = _digit_matrix(op.arity, op.domain.k, op.row.dtype)
+    hits = np.flatnonzero((digits == op.row[:, None]).all(axis=0))
+    return int(hits[0]) + 1 if len(hits) else None
 
 
 def evaluate(op: Operation, args: Sequence[int]) -> int:
@@ -319,30 +398,27 @@ def minor(op: Operation, var_map: Sequence[int], target_arity: int | None = None
     for v in var_map:
         if not 1 <= v <= m:
             raise ValueError(f"var_map value {v} out of range 1..{m}")
-    k = op.domain.k
-    table = []
-    for args in product(op.domain.elements, repeat=m):
-        table.append(op.table[args_to_index([args[v - 1] for v in var_map], k)])
-    return Operation(op.domain, m, tuple(table))
+    k, n = op.domain.k, op.arity
+    args = _digit_matrix(m, k)[:, [v - 1 for v in var_map]]
+    return Operation(op.domain, m, op.row[args @ k ** np.arange(n - 1, -1, -1)])
 
 
 def graph_of(op: Operation) -> Relation:
     """The (n+1)-ary relation {(x, op(x))}."""
     k, n = op.domain.k, op.arity
-    dtype = _row_dtype(k)
-    rows = np.column_stack([_digit_matrix(n, k, dtype), np.array(op.table, dtype)])
+    rows = np.column_stack([_digit_matrix(n, k, op.row.dtype), op.row])
     return Relation(op.domain, n + 1, rows)
 
 
 def image_of(op: Operation) -> Relation:
-    return Relation(op.domain, 1, tuple((v,) for v in set(op.table)))
+    return Relation(op.domain, 1, np.unique(op.row)[:, None])
 
 
 def fix_of(op: Operation) -> Relation:
     k = op.domain.k
-    fixed = [(z,) for z in op.domain.elements
-             if op.table[args_to_index((z,) * op.arity, k)] == z]
-    return Relation(op.domain, 1, tuple(fixed))
+    elements = np.arange(k)
+    diagonal = op.row[elements * ((k ** op.arity - 1) // (k - 1))]   # op(z, ..., z)
+    return Relation(op.domain, 1, elements[diagonal == elements][:, None])
 
 
 class KernelView:
@@ -365,24 +441,20 @@ class KernelView:
         return evaluate(self.op, pair[:n]) == evaluate(self.op, pair[n:])
 
 
-def kernel_of(op: Operation, entry_cap: int = 10_000_000) -> Relation | KernelView:
+def kernel_of(op: Operation) -> Relation | KernelView:
     """ker(op) as a 2n-ary relation of pairs of argument tuples with equal value.
 
-    Materialised only when the total entry count (tuples times 2n) fits the
-    cap; otherwise a KernelView handle supporting membership tests is returned.
+    Materialised, one block per value class, only when its entry count (tuples
+    times 2n) fits TABLE_ENTRY_CAP; otherwise a KernelView handle is returned.
     """
-    n = op.arity
-    classes: dict[int, list[int]] = {}
-    for idx, v in enumerate(op.table):
-        classes.setdefault(v, []).append(idx)
-    pair_count = sum(len(c) ** 2 for c in classes.values())
-    if pair_count * 2 * n > entry_cap:
+    n, k = op.arity, op.domain.k
+    sizes = np.bincount(op.row, minlength=k)
+    if int((sizes ** 2).sum()) * 2 * n > TABLE_ENTRY_CAP:
         return KernelView(op)
-    k = op.domain.k
-    rows = []
-    for members in classes.values():
-        arg_tuples = [index_to_args(i, k, n) for i in members]
-        for a in arg_tuples:
-            for b in arg_tuples:
-                rows.append(a + b)
-    return Relation(op.domain, 2 * n, tuple(rows))
+    digits = _digit_matrix(n, k, op.row.dtype)
+    blocks = []
+    for v in np.flatnonzero(sizes):
+        args = digits[op.row == v]
+        blocks.append(np.hstack([np.repeat(args, len(args), axis=0),
+                                 np.tile(args, (len(args), 1))]))
+    return Relation(op.domain, 2 * n, np.vstack(blocks))

@@ -26,8 +26,7 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .core import CapExceeded, Domain, Operation, graph_of, sparse_op
-from .commutation import OperationSet
+from .core import CapExceeded, Domain, Operation, OperationSet, graph_of, sparse_op
 from .clonegen import clone_fragment, fragment_contains
 from .ppformula import PPFormula, eval_formula
 

@@ -105,7 +105,7 @@ def parse_operations(text: str) -> list[tuple[str, Operation]]:
         name, k, arity = _parse_header(toks)
         toks.expect("table")
         table = [toks.integer("table entry", lo=0, hi=k) for _ in range(k ** arity)]
-        out.append((name, Operation(Domain(k), arity, tuple(table))))
+        out.append((name, Operation(Domain(k), arity, table)))
     return out
 
 
@@ -206,7 +206,7 @@ def emit_operations(named_ops, count_comment: bool = False) -> str:
     for (k, arity), group in groupby(named_ops,
                                      key=lambda pair: (pair[1].domain.k, pair[1].arity)):
         names, group_ops = zip(*group)
-        texts = format_rows([op.table for op in group_ops], k)
+        texts = format_rows([op.row for op in group_ops], k)
         parts.append(_operation_blocks(names, k, arity, texts))
     return "".join(parts) or "\n"
 

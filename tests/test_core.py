@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cloneops.core as core
-from cloneops import (CapExceeded, Domain, KernelView, Operation, Relation,
+from cloneops import (CapExceeded, Domain, KernelView, Operation, OperationSet, Relation,
                       compose, evaluate, fix_of, graph_of, image_of,
                       is_projection, kernel_of, make_constant, make_projection,
                       minor, relation, sparse_op)
@@ -153,8 +153,9 @@ def test_kernel_of_t3(t3):
     assert (0, 0, 0, 0, 1, 1, 2, 2) not in ker
 
 
-def test_kernel_view_above_cap(t3):
-    view = kernel_of(t3, entry_cap=10)
+def test_kernel_view_above_cap(t3, monkeypatch):
+    monkeypatch.setattr(core, "TABLE_ENTRY_CAP", 10)
+    view = kernel_of(t3)
     assert isinstance(view, KernelView)
     assert (1, 2, 1, 2, 1, 1, 2, 2) in view
     assert (0, 0, 0, 0, 1, 1, 2, 2) not in view
@@ -298,3 +299,84 @@ def test_relation_accepts_uint64_next_to_signed_entries(d3):
 def test_is_projection(d3, t3):
     assert is_projection(make_projection(d3, 3, 2)) == 2
     assert is_projection(t3) is None
+
+
+@st.composite
+def _operations(draw):
+    """A random operation for k 2..4 and arity 1..3, sometimes a projection."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    points = list(product(range(k), repeat=n))
+    index = draw(st.integers(0, n))
+    if index:
+        table = [args[index - 1] for args in points]
+    else:
+        table = draw(st.lists(st.integers(0, k - 1), min_size=k ** n, max_size=k ** n))
+    return Operation(Domain(k), n, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operations(), st.data())
+def test_row_built_helpers_match_their_scalar_definitions(op, data):
+    k, n, d = op.domain.k, op.arity, op.domain
+    points = list(product(range(k), repeat=n))
+    value = data.draw(st.integers(0, k - 1))
+    index = data.draw(st.integers(1, n))
+    values = data.draw(st.dictionaries(st.sampled_from(points), st.integers(0, k - 1),
+                                       max_size=4))
+    assert sparse_op(d, n, values).table == tuple(values.get(p, 0) for p in points)
+    assert make_projection(d, n, index).table == tuple(p[index - 1] for p in points)
+    assert make_constant(d, n, value).table == tuple(value for _ in points)
+    m = data.draw(st.integers(1, 3))
+    var_map = data.draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+    assert minor(op, var_map, m).table == tuple(
+        op(*[ys[v - 1] for v in var_map]) for ys in product(range(k), repeat=m))
+    assert is_projection(op) == next(
+        (i + 1 for i in range(n) if all(op(*p) == p[i] for p in points)), None)
+    assert image_of(op).tuples == tuple(sorted({(op(*p),) for p in points}))
+    assert fix_of(op).tuples == tuple((z,) for z in range(k) if op(*(z,) * n) == z)
+    assert kernel_of(op).tuples == tuple(sorted(a + b for a in points for b in points
+                                                if op(*a) == op(*b)))
+    assert graph_of(op).tuples == tuple(p + (op(*p),) for p in points)
+
+
+def test_operation_equality_does_not_depend_on_the_table_type(d3):
+    table = (0, 1, 2, 2, 1, 0, 0, 0, 1)
+    row = OperationSet.from_operations(d3, [Operation(d3, 2, table)]).tables(2)[0]
+    ops = [Operation(d3, 2, t) for t in (table, list(table), np.array(table), row)]
+    assert row.dtype == np.uint8
+    assert all(op == ops[0] and hash(op) == hash(ops[0]) for op in ops)
+    assert len(set(ops)) == 1
+    assert ops[0] != Operation(d3, 2, (0,) * 9)
+    assert Operation(d3, 1, (0, 1, 2)) != Operation(Domain(4), 1, (0, 1, 2, 3))
+
+
+def test_operation_row_is_read_only(d3, t3):
+    for op in (Operation(d3, 1, [2, 1, 0]), t3, make_projection(d3, 2, 1)):
+        assert op.row.dtype == np.uint8 and op.row.shape == (3 ** op.arity,)
+        with pytest.raises(ValueError):
+            op.row[0] = 1
+
+
+def test_stored_tables_do_not_alias_the_callers_array(d3):
+    a = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    rel = Relation(d3, 2, a)
+    assert a.flags.writeable and not rel.rows.flags.writeable
+    a[0] = [2, 2]
+    assert rel.tuples == ((0, 1), (1, 0))
+
+    base = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    rel = Relation(d3, 2, base[:])
+    before = hash(rel)
+    base[0] = [2, 2]
+    assert rel.rows.tolist() == [[0, 1], [1, 0]] and hash(rel) == before
+
+    t = np.array([[0, 0, 1], [0, 1, 0]], dtype=np.uint8)
+    ops = OperationSet(d3, {1: t})
+    t[0] = [2, 2, 2]
+    assert ops.tables(1).tolist() == [[0, 0, 1], [0, 1, 0]]
+    assert not ops.tables(1).flags.writeable
+
+    r = np.array([0, 1, 2], dtype=np.uint8)
+    op = Operation(d3, 1, r)
+    r[0] = 2
+    assert op.row.tolist() == [0, 1, 2]
