@@ -8,10 +8,11 @@ value tables in A^(k^n), seeded with the n projections: the n-ary part of
 the clone generated by F is the subuniverse of A^(k^n) that the
 projections generate under F.  Each round applies every operation only to
 the argument combinations that involve a row found in the round before, as
-numpy gathers over blocks of combinations.  A round is sized before it
-starts, and one that would gather more than CLOSURE_WORK_CAP table entries
-raises CapExceeded; so does a closure that knows more than cap rows.  These
-two checks bound every path.
+numpy gathers over blocks of combinations; the rows a block finds are told
+from the known ones by their keys (`core._row_keys`), kept sorted.  A round
+is sized before it starts, and one that would gather more than
+CLOSURE_WORK_CAP table entries raises CapExceeded; so does a closure that
+knows more than cap rows.  These two checks bound every path.
 
 For zero-absorbing {0,1}-valued generators (any argument 0 forces value 0)
 clone_fragment usually stops after the first round.  That round applies
@@ -29,7 +30,8 @@ from math import prod
 import numpy as np
 
 from .core import (_BLOCK_ENTRIES, CapExceeded, Operation, OperationSet, Relation,
-                   _digit_matrix, _unique_rows, check_table_entries)
+                   _digit_matrix, _isin_sorted, _key_rows, _row_keys, _sorted_distinct,
+                   check_table_entries)
 
 FRAGMENT_CAP = 1_000_000
 CLOSURE_WORK_CAP = 10 ** 9      # table entries gathered in one closure round
@@ -60,10 +62,9 @@ def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None)
     known, or before a round that would gather more than CLOSURE_WORK_CAP
     entries.
     """
-    k = ops.domain.k
-    rows = _unique_rows(seed)
-    m = rows.shape[1]
-    seen = {row.tobytes() for row in rows}
+    k, m = ops.domain.k, seed.shape[1]
+    seen = _sorted_distinct(_row_keys(seed, k))     # the known rows' keys
+    rows = _key_rows(seen, k, m)
     start = 0
     while start < len(rows):
         known = len(rows)
@@ -72,7 +73,7 @@ def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None)
         if work > CLOSURE_WORK_CAP:
             raise CapExceeded(f"a closure round would gather {work} entries, "
                               f"over the work cap of {CLOSURE_WORK_CAP}")
-        fresh: list[bytes] = []
+        fresh = []
         for arity in ops.arities():
             tables = ops.tables(arity)
             block = max(1, _BLOCK_ENTRIES // (m * max(len(tables), 1)))
@@ -81,17 +82,16 @@ def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None)
                 for j in range(1, arity):
                     idx *= k
                     idx += rows[combos[:, j]]
-                for row in _unique_rows(tables[:, idx].reshape(-1, m)):
-                    key = row.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        fresh.append(key)
+                keys = _sorted_distinct(_row_keys(tables[:, idx].reshape(-1, m), k))
+                keys = keys[~_isin_sorted(seen, keys)]
+                if len(keys):
+                    seen = np.insert(seen, np.searchsorted(seen, keys), keys)
+                    fresh.append(_key_rows(keys, k, m))
                 if cap is not None and len(seen) > cap:
                     raise CapExceeded(f"fragment size {len(seen)} exceeds the cap of {cap}")
         start = known
         if fresh:
-            new_rows = np.frombuffer(b"".join(fresh), dtype=np.uint8).reshape(-1, m)
-            rows = np.vstack([rows, new_rows])
+            rows = np.concatenate([rows, *fresh])
         yield rows, start
 
 

@@ -7,10 +7,13 @@ lexicographic with the first argument most significant.  All file formats
 and enumeration orders in this package use that convention.
 
 Rows (a relation's tuples, an operation set's tables, a formula's partial
-assignments) are held as 2-d numpy arrays, distinct and sorted by
-`_unique_rows` as byte strings (`_row_keys`).  Entries have the type
-`_row_dtype(k)`: uint8 for k <= 256, else the narrowest big-endian unsigned
-integer, so byte order is lexicographic value order for every k.
+assignments) are held as 2-d numpy arrays of `_row_dtype(k)`: uint8 for
+k <= 256, else the narrowest big-endian unsigned integer.  Rows are sorted,
+deduplicated and looked up by one key each (`_row_keys`): the row read as a
+base-k number, most significant entry first, in an unsigned integer of at
+most 64 bits when k^width <= 2^64; wider rows are keyed by their bytes,
+whose order the big-endian entries make lexicographic value order.  Either
+way key order is lexicographic row order and equal keys mean equal rows.
 """
 from __future__ import annotations
 
@@ -41,19 +44,98 @@ def _row_dtype(k: int) -> np.dtype:
     return np.dtype(np.min_scalar_type(k - 1)).newbyteorder(">")
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-d array as one byte string (a 1-d void array)."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+@cache
+def _key_width(k: int) -> int:
+    """The most entries a row over range(k) may have to be keyed by an
+    integer: the largest width with k^width <= 2^64."""
+    width = 0
+    while k ** (width + 1) <= 1 << 64:
+        width += 1
+    return width
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-d array of a row dtype, in lexicographic order.
+@cache
+def _key_weights(k: int, width: int) -> np.ndarray:
+    """k^(width-1), ..., k, 1 in the narrowest unsigned integer that holds
+    k^width - 1 and k; width <= _key_width(k)."""
+    weights = np.array([k ** p for p in range(width - 1, -1, -1)],
+                       dtype=np.min_scalar_type(max(k ** width - 1, k)))
+    weights.setflags(write=False)
+    return weights
 
-    np.unique(axis=0) gives the same result but builds one structured field
-    per column, which is slow for wide rows.
+
+def _row_keys(rows: np.ndarray, k: int) -> np.ndarray:
+    """One key per row of a 2-d array of _row_dtype(k), as a 1-d array.
+
+    A row of width <= _key_width(k) entries is keyed by its base-k number,
+    in the type of _key_weights (uint64 at most); a wider one by its bytes
+    (a void scalar).  Key order is lexicographic row order, and equal keys
+    mean equal rows.
     """
-    return np.unique(_row_keys(rows)).view(rows.dtype).reshape(-1, rows.shape[1])
+    width = rows.shape[1]
+    if width > _key_width(k):
+        rows = np.ascontiguousarray(rows)
+        return rows.view(f"V{width * rows.itemsize}").ravel()
+    weights = _key_weights(k, width)
+    keys = np.empty(len(rows), dtype=weights.dtype)
+    # matmul casts its whole operand to the weights' type: a block at a time
+    step = max(_BLOCK_ENTRIES // max(width, 1), 1)
+    for start in range(0, len(rows), step):
+        np.matmul(rows[start:start + step], weights, out=keys[start:start + step])
+    return keys
+
+
+def _key_rows(keys: np.ndarray, k: int, width: int) -> np.ndarray:
+    """The rows of width entries that _row_keys(rows, k) gives these keys."""
+    dtype = _row_dtype(k)
+    if keys.dtype.kind == "V":
+        return np.ascontiguousarray(keys).view(dtype).reshape(len(keys), width)
+    rows = np.empty((len(keys), width), dtype=dtype)
+    # the digits are written a block at a time, column by column
+    step = max(_BLOCK_ENTRIES // max(width, 1), 1)
+    for start in range(0, len(keys), step):
+        rest = keys[start:start + step]
+        digits = np.empty((width, len(rest)), dtype=dtype)
+        for pos in range(width - 1, -1, -1):
+            quotient = rest // k
+            digits[pos] = rest - quotient * k
+            rest = quotient
+        rows[start:start + step] = digits.T
+    return rows
+
+
+def _last_entries(keys: np.ndarray, k: int) -> np.ndarray:
+    """The last entry of each row that _row_keys(rows, k) gives these keys."""
+    dtype = _row_dtype(k)
+    if keys.dtype.kind == "u":
+        return (keys % k).astype(dtype)
+    width = keys.itemsize // dtype.itemsize
+    return keys.view(dtype)[width - 1::width]
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in increasing order.
+
+    A sort and a mask of equal neighbours: np.unique hashes integer keys,
+    which is tens of times slower for uint64.
+    """
+    keys = np.sort(keys)
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
+
+
+def _isin_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Mask of the probe keys that occur in the sorted keys."""
+    if not len(keys):
+        return np.zeros(len(probe), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    return keys[pos] == probe
+
+
+def _unique_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """The distinct rows of a 2-d array of _row_dtype(k), in lexicographic order."""
+    return _key_rows(_sorted_distinct(_row_keys(rows, k)), k, rows.shape[1])
 
 
 def _strictly_increasing(rows: np.ndarray) -> bool:
@@ -128,7 +210,7 @@ def _table_rows(data, k: int, width: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"rows must have {width} entries each, got shape {arr.shape}")
     if not _strictly_increasing(arr):
-        arr = _unique_rows(arr)
+        arr = _unique_rows(arr, k)
     elif arr is data:
         arr = arr.copy()
     arr.setflags(write=False)
@@ -176,6 +258,14 @@ class Operation:
             raise ValueError(f"table has {row.size} entries, expected k^n = {domain.k ** arity}")
         self.row = row.copy() if row is table else row
         self.row.setflags(write=False)
+
+    @classmethod
+    def _of_row(cls, domain: Domain, arity: int, row: np.ndarray) -> "Operation":
+        """The operation whose table is row, unchecked: row must be a read-only
+        1-d array of _row_dtype(domain.k) with k^arity entries."""
+        op = cls.__new__(cls)
+        op.domain, op.arity, op.row = domain, arity, row
+        return op
 
     @cached_property
     def table(self) -> tuple[int, ...]:
@@ -252,6 +342,7 @@ class OperationSet:
         self.domain = domain
         self._tables = {arity: _table_rows(arr, domain.k, domain.k ** arity)
                         for arity, arr in sorted(tables_by_arity.items())}
+        self._keys: dict[int, np.ndarray] = {}     # _row_keys of the tables, on demand
 
     @classmethod
     def from_operations(cls, domain: Domain, ops) -> "OperationSet":
@@ -278,12 +369,15 @@ class OperationSet:
         arities = [arity] if arity is not None else list(self._tables)
         for a in arities:
             for row in self.tables(a):
-                yield Operation(self.domain, a, row)
+                yield Operation._of_row(self.domain, a, row)
 
     def __contains__(self, op: Operation) -> bool:
         if op.domain != self.domain or op.arity not in self._tables:
             return False
-        return bool((self._tables[op.arity] == op.row).all(axis=1).any())
+        k = self.domain.k
+        if op.arity not in self._keys:
+            self._keys[op.arity] = _row_keys(self._tables[op.arity], k)
+        return bool(_isin_sorted(self._keys[op.arity], _row_keys(op.row[None, :], k))[0])
 
     def __len__(self):
         return self.count()

@@ -15,15 +15,17 @@ the whole domain.  But an atom with one unbound variable v, b bound
 positions and fewer than k^(b+1) rows pins v, fewer than k values per bound
 prefix on average, and v comes next (generic join one variable at a time:
 Ngo, Porat, Ré, Rudra, PODS 2012; Veldhuizen, ICDT 2014).  v is read off
-the atom's rows by looking up each row's bound prefix when that relation
+the atom's rows by looking up each row's bound prefix, as a range of the
+sorted keys of the atom's rows with v's position last, when that relation
 has fewer rows than the table times k; otherwise, as for every other
 variable, each row is extended by all k values.  After each extension the
 rows are filtered by every atom whose variables are now all bound, by
-looking up the atom's columns, as byte strings, in the sorted rows of its
-relation.  Existential columns that no remaining atom mentions are then
-dropped and repeated rows removed.  Any table that would exceed
-EVAL_TABLE_BYTES, including the extensions by unconstrained free variables,
-raises CapExceeded before it is built.
+looking up the key of the atom's columns (`core._row_keys`, the row read as
+a base-k number) among the keys of its relation's sorted rows.  Existential
+columns that no remaining atom mentions are then dropped and repeated rows
+removed.  Any table that would exceed EVAL_TABLE_BYTES, including the
+extensions by unconstrained free variables, raises CapExceeded before it is
+built.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import CapExceeded, Domain, Relation, _row_dtype, _row_keys, _unique_rows
+from .core import (CapExceeded, Domain, Relation, _isin_sorted, _last_entries, _row_dtype,
+                   _row_keys, _unique_rows)
 
 EVAL_TABLE_BYTES = 1 << 26
 FILTER_BLOCK_ROWS = 1 << 16
@@ -109,18 +112,16 @@ def _check_table_size(count: int, width: int, itemsize: int) -> None:
                           f"over the cap of {EVAL_TABLE_BYTES}")
 
 
-def _holds(keys: np.ndarray, table: np.ndarray, cols: list[int]) -> np.ndarray:
-    """Mask of the table rows whose entries in cols form a key.
+def _holds(keys: np.ndarray, table: np.ndarray, cols: list[int], k: int) -> np.ndarray:
+    """Mask of the table rows whose entries in cols form one of the sorted keys.
 
     Rows are looked up in blocks, so the temporaries stay small next to the
     table.
     """
-    mask = np.zeros(len(table), dtype=bool)
-    if len(keys):
-        for start in range(0, len(table), FILTER_BLOCK_ROWS):
-            probe = _row_keys(table[start:start + FILTER_BLOCK_ROWS, cols])
-            pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-            mask[start:start + len(probe)] = keys[pos] == probe
+    mask = np.empty(len(table), dtype=bool)
+    for start in range(0, len(table), FILTER_BLOCK_ROWS):
+        probe = _row_keys(table[start:start + FILTER_BLOCK_ROWS, cols], k)
+        mask[start:start + len(probe)] = _isin_sorted(keys, probe)
     return mask
 
 
@@ -133,33 +134,34 @@ def _pin_bound(size: int, k: int) -> int:
     return bound
 
 
-def _lookup_rows(rows: np.ndarray, vars_: tuple[str, ...], var: str) -> np.ndarray:
-    """The atom's relation rows reordered for looking up var: the positions
-    of the other variables first, var's first position last, sorted.
+def _lookup_keys(rows: np.ndarray, vars_: tuple[str, ...], var: str, k: int) -> np.ndarray:
+    """The sorted keys of the atom's relation rows reordered for looking up
+    var: the positions of the other variables first, var's first position
+    last.
 
     Rows whose entries differ at var's positions satisfy no assignment and
-    are left out, so the rows stay distinct.
+    are left out, so the keys stay distinct.
     """
     at = [i for i, v in enumerate(vars_) if v == var]
     if len(at) > 1:
         rows = rows[(rows[:, at[1:]] == rows[:, at[:1]]).all(axis=1)]
     order = [i for i, v in enumerate(vars_) if v != var] + at[:1]
-    if order != list(range(len(vars_))):
-        rows = rows[:, order]
-        rows = rows[np.argsort(_row_keys(rows))]
-    return rows
+    if order == list(range(len(vars_))):
+        return _row_keys(rows, k)
+    return np.sort(_row_keys(rows[:, order], k))
 
 
-def _extend_by_lookup(table: np.ndarray, probe: list[int], rows: np.ndarray) -> np.ndarray:
-    """Each table row followed by every last entry of the sorted rows that
-    start with the table row's entries in the probe columns.
+def _extend_by_lookup(table: np.ndarray, probe: list[int], keys: np.ndarray,
+                      k: int) -> np.ndarray:
+    """Each table row followed by every last entry of the rows, given by
+    their sorted keys, that start with the table row's entries in the probe
+    columns.
 
     Works in blocks, like _holds.  Raises CapExceeded before the extended
     table is built when it would exceed EVAL_TABLE_BYTES.
     """
     count, width = table.shape
-    keys = _row_keys(rows)
-    # the rows starting with a prefix lie between (prefix, 0) and (prefix, max)
+    # the rows starting with a prefix lie between (prefix, 0) and (prefix, k - 1)
     first = np.empty(count, dtype=np.int64)
     ends = np.empty(count, dtype=np.int64)
     for start in range(0, count, FILTER_BLOCK_ROWS):
@@ -167,20 +169,20 @@ def _extend_by_lookup(table: np.ndarray, probe: list[int], rows: np.ndarray) -> 
         bounds = np.empty((len(table[block]), len(probe) + 1), dtype=table.dtype)
         bounds[:, :-1] = table[block, probe]
         bounds[:, -1] = 0
-        first[block] = np.searchsorted(keys, _row_keys(bounds), "left")
-        bounds[:, -1] = np.iinfo(table.dtype).max
-        ends[block] = np.searchsorted(keys, _row_keys(bounds), "right")
+        first[block] = np.searchsorted(keys, _row_keys(bounds, k), "left")
+        bounds[:, -1] = k - 1
+        ends[block] = np.searchsorted(keys, _row_keys(bounds, k), "right")
     ends -= first                   # the match count of each table row
     np.cumsum(ends, out=ends)       # one past its last output row
     total = int(ends[-1]) if count else 0
     _check_table_size(total, width + 1, table.itemsize)
-    first[1:] -= ends[:-1]          # output row j of table row i reads rows[first[i] + j]
+    first[1:] -= ends[:-1]          # output row j of table row i reads keys[first[i] + j]
     grown = np.empty((total, width + 1), dtype=table.dtype)
     for start in range(0, total, FILTER_BLOCK_ROWS):
         out = np.arange(start, min(start + FILTER_BLOCK_ROWS, total))
         source = np.searchsorted(ends, out, "right")
         grown[out[0]:out[-1] + 1, :width] = table[source]
-        grown[out[0]:out[-1] + 1, width] = rows[first[source] + out, -1]
+        grown[out[0]:out[-1] + 1, width] = _last_entries(keys[first[source] + out], k)
     return grown
 
 
@@ -198,7 +200,7 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
         raise ValueError("formula and environment domains differ")
     k = formula.domain.k
     dtype = _row_dtype(k)
-    keys = {name: _row_keys(rel.rows) for name, rel in env.items()}
+    keys: dict[str, np.ndarray] = {}    # the relations' row keys, made on first use
     pin_bound = {name: _pin_bound(len(rel), k) for name, rel in env.items()}
     pending = []
     for rel_name, vars_ in formula.atoms:
@@ -209,7 +211,7 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
             raise ValueError(
                 f"atom over '{rel_name}' has {len(vars_)} variables, "
                 f"relation arity is {rel.arity}")
-        pending.append((rel, vars_, keys[rel_name], pin_bound[rel_name]))
+        pending.append((rel, vars_, rel_name, pin_bound[rel_name]))
     used = dict.fromkeys(v for _, vars_ in formula.atoms for v in vars_)
     # free variables in some atom, then existential ones, then the other free ones
     order = list(dict.fromkeys([v for v in formula.free_vars if v in used] + list(used)
@@ -225,12 +227,14 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
         waiting = []
         pin, pin_key = None, None
         for atom in pending:
-            rel, vars_, atom_keys, min_bound = atom
+            rel, vars_, rel_name, min_bound = atom
             missing = {v for v in vars_ if v not in index}
             if not missing:
                 # a lookup only adds rows that satisfy its atom
                 if atom is not looked_up:
-                    table = table[_holds(atom_keys, table, [index[v] for v in vars_])]
+                    if rel_name not in keys:
+                        keys[rel_name] = _row_keys(rel.rows, k)
+                    table = table[_holds(keys[rel_name], table, [index[v] for v in vars_], k)]
                 continue
             waiting.append(atom)
             if len(missing) == 1:
@@ -246,7 +250,7 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
         keep = [i for i, v in enumerate(cols) if v in needed]
         if len(keep) < len(cols):
             cols = [cols[i] for i in keep]
-            table = _unique_rows(table[:, keep]) if keep else table[:1, :0]
+            table = _unique_rows(table[:, keep], k) if keep else table[:1, :0]
             index = {v: i for i, v in enumerate(cols)}
         if len(added) == len(order):
             break
@@ -260,7 +264,7 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
             if count * k > len(rel):
                 looked_up = atom
                 table = _extend_by_lookup(table, [index[v] for v in vars_ if v != var],
-                                          _lookup_rows(rel.rows, vars_, var))
+                                          _lookup_keys(rel.rows, vars_, var, k), k)
         if looked_up is None:
             _check_table_size(count * k, width + 1, table.itemsize)
             grown = np.empty((count, k, width + 1), dtype=dtype)

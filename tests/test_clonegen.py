@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -9,6 +10,7 @@ from cloneops import (CapExceeded, Domain, Operation, OperationSet,
                       clone_fragment, fragment_contains, full_relation,
                       graph_of, make_constant, make_projection, snow_f, snow_t,
                       sparse_op, subuniverse_closure, enumerate_centraliser)
+from cloneops.textio import operation_set_blocks
 
 
 def test_fragment_t3_arities(d3, t3_set):
@@ -21,6 +23,16 @@ def test_fragment_t3_arities(d3, t3_set):
         make_constant(d3, 2, 0),
         sparse_op(d3, 2, {(1, 2): 1}), sparse_op(d3, 2, {(2, 1): 1})])
     assert f2 == expected
+
+
+def test_fragment_of_wide_tables(t3_set):
+    # 81-entry tables at k=3, past the 40 entries an integer key holds: the
+    # closure tells them apart by their bytes
+    frag = clone_fragment(t3_set, 4)
+    text = "".join(operation_set_blocks(frag, 4))
+    assert text.startswith("# count 67\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ba5e1b10a193b27b3eb2588cddab79c0e5863091a748847e6eed12ac4e69196b")
 
 
 def test_fragment_of_identity(d3):

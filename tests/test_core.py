@@ -246,7 +246,8 @@ def test_relation_validation_matches_row_by_row(k, arity, data):
 def test_strictly_increasing_rows_are_not_sorted_again(d3, rows, ordered, monkeypatch):
     sorts = []
     unique_rows = core._unique_rows
-    monkeypatch.setattr(core, "_unique_rows", lambda r: sorts.append(r) or unique_rows(r))
+    monkeypatch.setattr(core, "_unique_rows",
+                        lambda r, k: sorts.append(r) or unique_rows(r, k))
     rel = Relation(d3, 2, np.array(rows, dtype=np.int64).reshape(-1, 2))
     assert rel.tuples == _reference_rows(3, 2, [tuple(r) for r in rows])
     assert bool(sorts) != ordered
@@ -380,3 +381,76 @@ def test_stored_tables_do_not_alias_the_callers_array(d3):
     op = Operation(d3, 1, r)
     r[0] = 2
     assert op.row.tolist() == [0, 1, 2]
+
+
+# the widest rows over range(k) that get an integer key: k^width <= 2^64 < k^(width+1)
+_KEY_WIDTHS = {2: 64, 3: 40, 4: 32, 16: 16, 255: 8, 256: 8, 257: 7, 300: 7}
+
+
+def test_key_width():
+    for k, width in _KEY_WIDTHS.items():
+        assert core._key_width(k) == width
+        assert k ** width <= 2 ** 64 < k ** (width + 1)
+
+
+@st.composite
+def _keyed_rows(draw):
+    """Rows over range(k) as wide as an integer key allows, or one entry wider.
+
+    The rows are drawn from a few that share a prefix and then take entries
+    0 and k-1 more often than others, so rows repeat, and rows that differ
+    only in their last entries sit at the carries of base-k numbers.
+    """
+    k = draw(st.sampled_from(sorted(_KEY_WIDTHS)))
+    width = draw(st.sampled_from([1, 2, _KEY_WIDTHS[k], _KEY_WIDTHS[k] + 1]))
+    entries = st.sampled_from([0, k - 1]) | st.integers(0, k - 1)
+    base = draw(st.lists(entries, min_size=width, max_size=width))
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        cut = draw(st.integers(0, width))
+        pool.append(base[:cut] + draw(st.lists(entries, min_size=width - cut,
+                                               max_size=width - cut)))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return k, np.array(rows, dtype=core._row_dtype(k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keyed_rows())
+def test_row_keys_order_rows_lexicographically(case):
+    k, rows = case
+    keys = core._row_keys(rows, k)
+    assert (keys.dtype.kind == "u") == (rows.shape[1] <= _KEY_WIDTHS[k])
+    tuples = [tuple(row) for row in rows.tolist()]
+    assert np.argsort(keys, kind="stable").tolist() == sorted(range(len(rows)),
+                                                              key=tuples.__getitem__)
+    for i, j in product(range(len(rows)), repeat=2):
+        assert (keys[i] == keys[j]) == (tuples[i] == tuples[j])
+    assert np.array_equal(core._key_rows(keys, k, rows.shape[1]), rows)
+    assert core._last_entries(keys, k).tolist() == rows[:, -1].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keyed_rows())
+def test_unique_rows_match_numpy(case):
+    k, rows = case
+    assert np.array_equal(core._unique_rows(rows, k), np.unique(rows, axis=0))
+
+
+@pytest.mark.parametrize("k, arity", [(3, 2), (4, 3)])    # integer keys; bytes past 32 entries
+def test_operation_set_members_and_membership(k, arity):
+    dom = Domain(k)
+    rng = np.random.default_rng(k)
+    tables = rng.integers(0, k, (20, k ** arity), dtype=np.uint8)
+    tables[:10, -1] = k - 1
+    ops = OperationSet(dom, {arity: np.vstack([tables, tables[::-2]])})
+    assert ops.count(arity) == 20
+    members = list(ops.members(arity))
+    assert members == [Operation(dom, arity, t) for t in ops.tables(arity)]
+    assert all(not op.row.flags.writeable for op in members)
+    assert all(op in ops for op in members)
+    for op in members:
+        row = op.row.copy()
+        row[-1] = (row[-1] + 1) % k
+        assert (Operation(dom, arity, row) in ops) == any(
+            np.array_equal(row, t) for t in ops.tables(arity))
+    assert Operation(dom, 1, [0] * k) not in ops

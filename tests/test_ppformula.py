@@ -73,7 +73,7 @@ def test_relation_rows_are_not_resorted(t3, f3, monkeypatch):
     sorted_tables = []
     unique_rows = ppformula._unique_rows
     monkeypatch.setattr(ppformula, "_unique_rows",
-                        lambda rows: sorted_tables.append(rows.copy()) or unique_rows(rows))
+                        lambda rows, k: sorted_tables.append(rows.copy()) or unique_rows(rows, k))
     phi = snow_pp_formula(3)
     assert len(phi.atoms) == 5
     graph_t = graph_of(t3)
@@ -121,8 +121,8 @@ def _lookup_spy(monkeypatch):
     calls = []
     extend = ppformula._extend_by_lookup
 
-    def spy(table, probe, rows):
-        grown = extend(table, probe, rows)
+    def spy(table, probe, keys, k):
+        grown = extend(table, probe, keys, k)
         calls.append((table, probe, grown))
         return grown
     monkeypatch.setattr(ppformula, "_extend_by_lookup", spy)
@@ -258,6 +258,21 @@ def test_lookup_beyond_uint8_domain(monkeypatch):
     assert eval_formula(backwards, env).tuples == tuple(
         sorted((x, (x - 2) % 300) for x in range(300)))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("k", [3, 300])
+def test_lookup_of_rows_ending_in_the_last_value(k, monkeypatch):
+    # R's rows after a = 0 end in k-1, next to the rows after a = 1: the
+    # rows after a prefix end at (prefix, k-1), and a larger last entry
+    # would carry into the next prefix
+    calls = _lookup_spy(monkeypatch)
+    dom = Domain(k)
+    env = {"A": relation(dom, 1, [(0,), (1,)]),
+           "R": relation(dom, 2, [(0, k - 1), (1, 0), (1, k - 1), (2, 0)])}
+    phi = PPFormula(dom, ("a", "v"), (), (("A", ("a",)), ("R", ("a", "v"))))
+    assert eval_formula(phi, env).tuples == ((0, k - 1), (1, 0), (1, k - 1))
+    assert [(probe, grown.tolist()) for _, probe, grown in calls] == [
+        ([], [[0], [1]]), ([0], [[0, k - 1], [1, 0], [1, k - 1]])]
 
 
 def test_eval_snow_k4_peak_memory():
