@@ -299,6 +299,16 @@ class Relation:
         self.arity = arity
         self.rows = _table_rows(tuples, domain.k, arity)
 
+    @classmethod
+    def _of_rows(cls, domain: Domain, arity: int, rows: np.ndarray) -> "Relation":
+        """The relation whose tuples are rows, unchecked: rows must be a 2-d
+        array of _row_dtype(domain.k), arity wide, distinct and sorted; it is
+        made read-only."""
+        rows.setflags(write=False)
+        rel = cls.__new__(cls)
+        rel.domain, rel.arity, rel.rows = domain, arity, rows
+        return rel
+
     @cached_property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.rows.tolist()))
@@ -498,10 +508,13 @@ def minor(op: Operation, var_map: Sequence[int], target_arity: int | None = None
 
 
 def graph_of(op: Operation) -> Relation:
-    """The (n+1)-ary relation {(x, op(x))}."""
+    """The (n+1)-ary relation {(x, op(x))}.
+
+    Its rows are the argument tuples in lexicographic order, each followed by
+    its value, so they are distinct and sorted as built."""
     k, n = op.domain.k, op.arity
     rows = np.column_stack([_digit_matrix(n, k, op.row.dtype), op.row])
-    return Relation(op.domain, n + 1, rows)
+    return Relation._of_rows(op.domain, n + 1, rows)
 
 
 def image_of(op: Operation) -> Relation:

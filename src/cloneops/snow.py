@@ -13,9 +13,12 @@ Witness mode never assembles a square.  The three atoms over the square read
 it directly or through a permutation of its cells, so each is 1 on exactly
 two fixed squares: p1, p2 or their pullbacks.  A sample (drawn off-diagonal
 cells, x on the anti-diagonal) is decided by comparing its cells with the
-patterns whose anti-diagonal is x, usually none.  The draws are the same as
-when every sampled square was assembled and T evaluated on it, so a seed
-gives the same samples and the same verdicts.
+patterns whose anti-diagonal is x, usually none.  Cells are drawn only for
+a refuted (x, y) whose x is the anti-diagonal of some pattern, each such
+tuple from its own stream seeded by (seed, position of x, y), so its draws
+depend on no other tuple.  Every other refuted tuple is decided without
+draws: no atom over the square can be 1 on it, so all of its samples
+satisfy the formula or none does, and its count is exact for any draws.
 """
 from __future__ import annotations
 
@@ -302,27 +305,34 @@ def _witness_completeness(k: int, inst: SnowInstance, samples: int,
                           seed: int) -> CheckResult:
     """Randomised search for free tuples outside graph(f) satisfying the formula.
 
-    For each refuted (x, y), in order, the cells off the anti-diagonal are
-    drawn uniformly as one (samples, n^2 - n) uint8 block.  No square is
-    assembled: each atom is decided by matching the drawn cells against the
-    atom's patterns (p1, p2 or their pullbacks through the atom order) whose
-    anti-diagonal is x, usually none.  The two comparison variables are
-    determined by their defining atoms, so each sample decides satisfiability
-    of the sampled square exactly.
+    No square is assembled: each atom is decided by matching the cells off
+    the anti-diagonal against the atom's patterns (p1, p2 or their pullbacks
+    through the atom order) whose anti-diagonal is x.  The two comparison
+    variables are determined by their defining atoms, so each sample decides
+    satisfiability of the sampled square exactly.  Only a refuted (x, y)
+    with a pattern under x reads its cells; they are drawn uniformly as one
+    (samples, n^2 - n) uint8 block from np.random.default_rng([seed, i, y]),
+    i the position of x in product order.  Every other refuted tuple stands
+    for samples undrawn rows: its atoms are constant, and all samples
+    satisfy or none does.
     """
     patterns = _atom_patterns(inst)
+    patterned = set().union(*patterns)          # at most six anti-diagonals
     width = len(_off_diagonal(inst.arrows))
-    rng = np.random.default_rng(seed)
+    undrawn = np.empty((samples, 0), dtype=np.uint8)
     graph_members = {inst.up: 1, inst.down: 1}
     violations = 0
     tuples_checked = 0
-    for x in product(range(k), repeat=inst.n):
+    for i, x in enumerate(product(range(k), repeat=inst.n)):
         fx = graph_members.get(x, 0)
         for y in range(k):
             if y == fx:
                 continue  # in graph(f): nothing to refute
             tuples_checked += 1
-            cells = rng.integers(0, k, size=(samples, width), dtype=np.uint8)
+            cells = undrawn
+            if x in patterned:
+                cells = np.random.default_rng([seed, i, y]).integers(
+                    0, k, size=(samples, width), dtype=np.uint8)
             violations += _count_satisfying(inst, patterns, x, y, cells)
     if violations:
         return CheckResult("completeness-sampling", "FAIL",
@@ -337,9 +347,9 @@ def verify_separation(k: int, mode: str = "full", samples: int = 100_000,
 
     Full mode evaluates the formula exhaustively (k <= 4); witness mode checks
     the explicit witness squares and samples the completeness direction.
-    Witness mode needs samples >= 1 (ValueError otherwise) and raises
-    CapExceeded, before any work, when the k^(k-1)*(k-1)*samples samples
-    exceed WITNESS_SAMPLE_CAP.
+    Witness mode needs samples >= 1 and seed >= 0 (ValueError otherwise)
+    and raises CapExceeded, before any work, when the k^(k-1)*(k-1)*samples
+    samples exceed WITNESS_SAMPLE_CAP.  Full mode ignores the seed.
     """
     _check_k(k)
     if mode not in ("full", "witness"):
@@ -347,6 +357,8 @@ def verify_separation(k: int, mode: str = "full", samples: int = 100_000,
     if mode == "witness":
         if samples < 1:
             raise ValueError(f"witness mode needs at least 1 sample per tuple, got {samples}")
+        if seed < 0:
+            raise ValueError(f"witness mode needs a non-negative seed, got {seed}")
         # each argument tuple x is paired with the k-1 values other than f(x)
         total = k ** (k - 1) * (k - 1) * samples
         if total > WITNESS_SAMPLE_CAP:

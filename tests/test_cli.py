@@ -178,6 +178,13 @@ def test_witness_sample_count_exit_code(samples, capsys):
     assert captured.out == ""
 
 
+def test_witness_negative_seed_exit_code(capsys):
+    assert run(["verify-snow", "--k", "3", "--mode", "witness", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: witness mode needs a non-negative seed, got -1\n"
+    assert captured.out == ""
+
+
 def test_witness_sample_cap_exit_code(capsys):
     # k=7: 705,894 refuted tuples x 100,000 default samples
     assert run(["verify-snow", "--k", "7", "--mode", "witness"]) == 3

@@ -128,6 +128,18 @@ def test_graph_size_and_prefix_injectivity():
         assert len(prefixes) == 9
 
 
+@pytest.mark.parametrize("k, arity", [(2, 1), (2, 4), (3, 3), (4, 2), (5, 2)])
+def test_graph_rows_are_built_sorted_and_distinct(k, arity, monkeypatch):
+    rng = np.random.default_rng(k * 10 + arity)
+    op = Operation(Domain(k), arity, rng.integers(0, k, k ** arity))
+    monkeypatch.setattr(core, "_strictly_increasing", lambda rows: pytest.fail(
+        "graph_of checked the order of rows it built in order"))
+    g = graph_of(op)
+    assert g.rows.dtype == op.row.dtype and not g.rows.flags.writeable
+    assert np.array_equal(g.rows, np.unique(g.rows, axis=0))
+    assert g.arity == arity + 1 and len(g) == k ** arity
+
+
 def test_image_fix_of_t3(t3):
     assert image_of(t3).tuples == ((0,), (1,))
     assert fix_of(t3).tuples == ((0,),)

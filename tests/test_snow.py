@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cloneops
 import cloneops.snow as snow
 from cloneops import (CapExceeded, Domain, arrow_plan, commutes, evaluate,
                       graph_of, snow_f, snow_instance, snow_pp_formula,
@@ -175,6 +176,47 @@ def test_witness_needs_a_sample_before_any_work(samples, monkeypatch):
         verify_separation(3, "witness", samples=samples)
 
 
+@pytest.mark.parametrize("seed", [-1, -2 ** 40])
+def test_witness_needs_a_non_negative_seed_before_any_work(seed, monkeypatch):
+    def no_instance(k):
+        raise AssertionError("the instance was built before the seed check")
+    monkeypatch.setattr(snow, "snow_instance", no_instance)
+    with pytest.raises(ValueError, match=f"non-negative seed, got {seed}"):
+        verify_separation(3, "witness", samples=10, seed=seed)
+
+
+def test_full_mode_ignores_the_seed():
+    assert verify_separation(3, "full", seed=-1).passed
+
+
+def test_witness_draws_only_where_a_pattern_can_read_them(monkeypatch):
+    inst = snow_instance(5)
+    keys = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: keys.append(tuple(seed)) or default_rng(seed))
+    result = snow._witness_completeness(5, inst, 10_000, 1)
+    assert (result.status, result.detail) == (
+        "PASS", "no violation in 2500x10000 samples")
+    tuples = list(product(range(5), repeat=4))
+    drawn = {(tuples[i], y) for seed, i, y in keys}
+    patterned = set().union(*snow._atom_patterns(inst))
+    assert patterned == {inst.up, inst.down, (4, 2, 3, 4), (4, 3, 2, 4)}
+    assert len(keys) == len(drawn) == 16
+    assert drawn == {(x, y) for x in patterned for y in range(5)
+                     if y != (x in (inst.up, inst.down))}
+    assert {seed for seed, i, y in keys} == {1}
+
+
+def test_witness_k3_report_text():
+    assert verify_separation(3, "witness", samples=2000, seed=1).render() == (
+        f"# cloneops {cloneops.__version__} separation report\n"
+        "# k=3 mode=witness samples=2000 seed=1\n"
+        "PASS soundness-witnesses: all 9 graph tuples witnessed\n"
+        "PASS completeness-sampling: no violation in 18x2000 samples\n"
+        "PASS separation: separating function outside the 5-member fragment\n")
+
+
 def test_witness_sample_cap_raises_before_any_draw(monkeypatch):
     def no_draws(seed=None):
         raise AssertionError("samples were drawn before the cap check")
@@ -220,8 +262,9 @@ def _reference_violations(k, inst, samples, seed):
     """Satisfying samples outside the claimed graph, with every square assembled.
 
     T is evaluated on each assembled square and on its re-orderings for
-    atoms 3 and 5; the draws are made in the same order as the witness check
-    makes them.
+    atoms 3 and 5.  Every refuted (x, y) draws its cells, from the generator
+    the witness check gives it: default_rng([seed, i, y]), i the position of
+    x in product order.
     """
     n = k - 1
     anti, (_, a3, a5) = _formula_positions(k)
@@ -231,10 +274,9 @@ def _reference_violations(k, inst, samples, seed):
     def rule(squares):
         return (squares[:, None, :] == ones).all(axis=2).any(axis=1).astype(np.uint8)
 
-    rng = np.random.default_rng(seed)
     claimed = {inst.up: 1, inst.down: 1}
     violations = 0
-    for x in product(range(k), repeat=n):
+    for i, x in enumerate(product(range(k), repeat=n)):
         for y in range(k):
             if y == claimed.get(x, 0):
                 continue
@@ -243,6 +285,7 @@ def _reference_violations(k, inst, samples, seed):
             v0 = rule(np.tile(xv[::-1], n)[None, :])[0]
             squares = np.zeros((samples, n * n), dtype=np.uint8)
             squares[:, anti] = xv
+            rng = np.random.default_rng([seed, i, y])
             squares[:, others] = rng.integers(0, k, size=(samples, len(others)),
                                               dtype=np.uint8)
             sat = (rule(squares) == y) & (rule(squares[:, a3]) == u0)
