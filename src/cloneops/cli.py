@@ -22,15 +22,19 @@ from .textio import (FormatError, emit_operations, emit_relations,
                      parse_tuple_lists)
 
 
-def _write(path: str | None, text: str | Iterable[str]):
-    """Write text, or each string of an iterable in turn, to path or stdout."""
+def _write(path: str | None, text: str | Iterable):
+    """Write text, or each chunk of an iterable in turn, to path or stdout:
+    str chunks encoded as UTF-8, bytes-like chunks as they are."""
     chunks = [text] if isinstance(text, str) else text
+    data = (chunk.encode("utf-8") if isinstance(chunk, str) else chunk for chunk in chunks)
     if path is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        sys.stdout.flush()
+        for chunk in data:
+            sys.stdout.buffer.write(chunk)
+        sys.stdout.buffer.flush()
     else:
-        with open(path, "w", encoding="utf-8") as out:
-            for chunk in chunks:
+        with open(path, "wb") as out:
+            for chunk in data:
                 out.write(chunk)
 
 

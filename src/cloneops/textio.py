@@ -18,11 +18,14 @@ Relation blocks:
 
 Out-of-range values are rejected with an error naming line and column.
 
-All tables and tuple lines are written by one vectorised row formatter,
-format_rows.  emit_operations writes a list of Operation objects;
+All tables and tuple lines are written by one vectorised formatter,
+_text_block: the text of a block of rows is built as a uint8 matrix, a row
+of it per line, each value one lookup of its padded text, with a head in
+front of each line (an operation's 'op <name>' ... 'table ' lines).
+emit_operations and emit_relations return it decoded as str;
 operation_set_blocks writes one arity of an OperationSet straight from its
-sorted uint8 table, in blocks of rows, without building an Operation per
-member or the whole file as one string.
+sorted uint8 table and yields each block of rows as its ASCII bytes,
+without building an Operation or a str per member.
 """
 from __future__ import annotations
 
@@ -149,72 +152,102 @@ def parse_tuple_lists(text: str) -> list[tuple[str, Domain, list[tuple[int, ...]
     return out
 
 
-def _value_text(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII text of 0..k-1 and a space (spaced) or a newline (ended), 0-padded."""
-    width = len(str(k - 1)) + 1
-    spaced = np.zeros((k, width), dtype=np.uint8)
-    for v in range(k):
-        text = str(v).encode("ascii")
-        spaced[v, :len(text) + 1] = np.frombuffer(text + b" ", dtype=np.uint8)
-    ended = spaced.copy()
-    ended[ended == ord(" ")] = ord("\n")
-    return spaced, ended
+def _value_units(k: int, sep: str) -> np.ndarray:
+    """The text of each of 0..k-1 and sep, zero-padded to a power-of-two
+    byte count: a 1-d array of that void type, one unit per value."""
+    size = 1 << len(str(k - 1)).bit_length()
+    text = b"".join(f"{v}{sep}".encode("ascii").ljust(size, b"\0") for v in range(k))
+    return np.frombuffer(text, dtype=np.dtype(f"V{size}"))
 
 
-def format_rows(rows, k: int) -> list[str]:
-    """' '.join(map(str, row)) for each row of an integer array over range(k).
+def _text_block(rows, k: int, head=np.empty((1, 0), dtype=np.uint8)) -> np.ndarray:
+    """head[i] + ' '.join(map(str, rows[i])) + '\n' for each row, as one flat
+    uint8 array.
 
-    Each entry is looked up as its padded text, the last one of a row
-    with a newline in place of the separating space; dropping the padding
-    leaves the rows' text as one ASCII buffer.
+    rows is a 2-d integer array over range(k), head a 2-d uint8 array with a
+    row for each of them or one row for all.  Each line is laid out in one
+    row of a matrix: the head, then each entry as one unit holding its text,
+    the last with a newline in place of the separating space, in a single
+    lookup.  Only for k > 10 do the texts of the values differ in width;
+    then the zero padding is dropped, and the heads are kept whole.
     """
     rows = np.asarray(rows)
-    if rows.shape[0] == 0:
-        return []
-    spaced, ended = _value_text(k)
-    chars = spaced[rows]
-    chars[:, -1] = ended[rows[:, -1]]
-    chars = chars.ravel()
-    return chars[chars != 0].tobytes().decode("ascii").split("\n")[:-1]
+    spaced, ended = _value_units(k, " "), _value_units(k, "\n")
+    lead = head.shape[1]
+    mat = np.empty((rows.shape[0], lead + rows.shape[1] * spaced.itemsize), dtype=np.uint8)
+    mat[:, :lead] = head
+    text = mat[:, lead:].view(spaced.dtype)
+    # fancy indexing casts the indices in chunks; take would copy them all to intp
+    text[:, :-1] = spaced[rows[:, :-1]]
+    text[:, -1] = ended[rows[:, -1]]
+    if k <= 10:
+        return mat.reshape(-1)
+    keep = mat != 0
+    keep[:, :lead] = True
+    return mat[keep]
 
 
-def _operation_blocks(names, k: int, arity: int, table_texts) -> str:
-    middle = f"\ndomain {k}\narity {arity}\ntable "
-    return "".join([f"op {name}{middle}{text}\n" for name, text in zip(names, table_texts)])
+def _operation_text(names: np.ndarray, rows, k: int, arity: int) -> np.ndarray:
+    """The blocks 'op <name>' ... 'table <row>' of operations of one arity,
+    names a (len(rows), L) uint8 array of the names' bytes."""
+    after = np.frombuffer(f"\ndomain {k}\narity {arity}\ntable ".encode("ascii"), np.uint8)
+    width = names.shape[1]
+    head = np.empty((len(names), 3 + width + len(after)), dtype=np.uint8)
+    head[:, :3] = np.frombuffer(b"op ", np.uint8)
+    head[:, 3:3 + width] = names
+    head[:, 3 + width:] = after
+    return _text_block(rows, k, head)
 
 
-def operation_set_blocks(ops, arity: int) -> Iterator[str]:
-    """The text emit_operations gives for ops' members of one arity, in blocks.
+def _index_names(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The names g<lo> ... g<hi-1>, cut into runs of one digit count: for
+    each run its bounds and a (run length, 1 + digits) uint8 array."""
+    while lo < hi:
+        digits = len(str(lo))
+        end = min(hi, 10 ** digits)
+        names = np.empty((end - lo, 1 + digits), dtype=np.uint8)
+        names[:, 0] = ord("g")
+        powers = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+        names[:, 1:] = np.arange(lo, end, dtype=np.int64)[:, None] // powers % 10 + ord("0")
+        yield lo, end, names
+        lo = end
+
+
+def operation_set_blocks(ops, arity: int) -> Iterator[bytes | np.ndarray]:
+    """The bytes emit_operations gives for ops' members of one arity, in blocks.
 
     Yields the '# count N' line, then the operations g0, g1, ... in table
     order, formatted straight from ops.tables(arity), at most
-    EMIT_BLOCK_ENTRIES table entries per block.
+    EMIT_BLOCK_ENTRIES table entries per block, each block a flat uint8
+    array of ASCII text.
     """
     tables = ops.tables(arity)
     k = ops.domain.k
-    yield f"# count {len(tables)}\n"
+    yield f"# count {len(tables)}\n".encode("ascii")
     step = max(1, EMIT_BLOCK_ENTRIES // tables.shape[1])
     for lo in range(0, len(tables), step):
-        texts = format_rows(tables[lo:lo + step], k)
-        names = (f"g{i}" for i in range(lo, lo + len(texts)))
-        yield _operation_blocks(names, k, arity, texts)
+        hi = min(lo + step, len(tables))
+        parts = [_operation_text(names, tables[a:b], k, arity)
+                 for a, b, names in _index_names(lo, hi)]
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def emit_operations(named_ops, count_comment: bool = False) -> str:
-    named_ops = list(named_ops)
-    parts = [f"# count {len(named_ops)}\n"] if count_comment else []
-    for (k, arity), group in groupby(named_ops,
-                                     key=lambda pair: (pair[1].domain.k, pair[1].arity)):
+    named_ops = [(name.encode("utf-8"), op) for name, op in named_ops]
+    parts = [f"# count {len(named_ops)}\n".encode("ascii")] if count_comment else []
+    # one run per length of the names, so that their bytes form a matrix
+    for (k, arity, width), group in groupby(
+            named_ops, key=lambda pair: (pair[1].domain.k, pair[1].arity, len(pair[0]))):
         names, group_ops = zip(*group)
-        texts = format_rows([op.row for op in group_ops], k)
-        parts.append(_operation_blocks(names, k, arity, texts))
-    return "".join(parts) or "\n"
+        names = np.frombuffer(b"".join(names), np.uint8).reshape(len(names), width)
+        parts.append(_operation_text(names, [op.row for op in group_ops], k, arity))
+    return b"".join(parts).decode("utf-8") or "\n"
 
 
 def emit_relations(named_rels) -> str:
     parts = []
     for name, rel in named_rels:
         parts.append(f"rel {name}\ndomain {rel.domain.k}\narity {rel.arity}\ntuples\n")
-        parts.extend(text + "\n" for text in format_rows(rel.rows, rel.domain.k))
+        parts.append(str(_text_block(rel.rows, rel.domain.k), "ascii"))
         parts.append("end\n")
     return "".join(parts) or "\n"

@@ -29,9 +29,9 @@ def test_fragment_of_wide_tables(t3_set):
     # 81-entry tables at k=3, past the 40 entries an integer key holds: the
     # closure tells them apart by their bytes
     frag = clone_fragment(t3_set, 4)
-    text = "".join(operation_set_blocks(frag, 4))
-    assert text.startswith("# count 67\n")
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    text = b"".join(operation_set_blocks(frag, 4))
+    assert text.startswith(b"# count 67\n")
+    assert hashlib.sha256(text).hexdigest() == (
         "ba5e1b10a193b27b3eb2588cddab79c0e5863091a748847e6eed12ac4e69196b")
 
 

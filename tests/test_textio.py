@@ -2,14 +2,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cloneops.textio as textio
-from cloneops import (Domain, FormatError, OperationSet, emit_operations,
-                      emit_relations, full_relation, graph_of, make_projection,
-                      parse_operations, parse_relations, parse_tuple_lists,
-                      relation, snow_t)
-from cloneops.textio import format_rows, operation_set_blocks
+from cloneops import (Domain, FormatError, Operation, OperationSet,
+                      emit_operations, emit_relations, full_relation, graph_of,
+                      make_projection, parse_operations, parse_relations,
+                      parse_tuple_lists, relation, snow_t)
+from cloneops.core import _row_dtype
+from cloneops.textio import _text_block, operation_set_blocks
 
 
 def test_operation_round_trip(t3):
@@ -86,40 +87,69 @@ def test_empty_relation_keeps_declared_arity(d3):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 300), st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_format_rows_matches_join(k, width, n, seed):
+def test_text_block_matches_join(k, width, n, seed):
     rows = np.random.default_rng(seed).integers(0, k, size=(n, width))
     rows[0, -1] = k - 1
-    assert format_rows(rows, k) == [" ".join(map(str, row)) for row in rows.tolist()]
+    expected = "".join(" ".join(map(str, row)) + "\n" for row in rows.tolist())
+    # int64 rows, and the rows' own type: big-endian past k = 256
+    for typed in (rows, rows.astype(_row_dtype(k))):
+        assert _text_block(typed, k).tobytes().decode("ascii") == expected
 
 
 @st.composite
 def _operation_sets(draw):
     k = draw(st.sampled_from([2, 3, 10, 11, 256]))
     arity = draw(st.integers(1, 2))
-    n = draw(st.sampled_from([1, 2, 5, 9]))
+    n = draw(st.sampled_from([1, 2, 5, 9, 10, 11, 101]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = OperationSet(Domain(k), {arity: rng.integers(0, k, size=(n, k ** arity))})
     width = k ** arity
-    # one block, a row per block, and blocks of two rows plus a partial one
-    block = draw(st.sampled_from([textio.EMIT_BLOCK_ENTRIES, 1, 2 * width + 1]))
+    # one block, a row per block, blocks of two rows plus a partial one, and
+    # blocks of seven rows, which hold g7-g13 and g98-g104
+    block = draw(st.sampled_from([textio.EMIT_BLOCK_ENTRIES, 1, 2 * width + 1, 7 * width]))
     return ops, arity, block
+
+
+def _distinct_rows(k, arity, n):
+    return OperationSet(Domain(k), {arity: np.array(
+        [[i // k ** p % k for p in range(k ** arity)] for i in range(n)])})
 
 
 @settings(max_examples=60, deadline=None)
 @given(_operation_sets())
+# g9 -> g10 and g99 -> g100 inside one block and across blocks
+@example((_distinct_rows(2, 3, 101), 3, 7 * 8))
+@example((_distinct_rows(2, 3, 101), 3, 10 * 8))
+@example((_distinct_rows(11, 1, 11), 1, 7 * 11))
+@example((_distinct_rows(11, 1, 101), 1, 2 * 11 + 1))
 def test_operation_set_blocks_match_emit_operations(case):
     ops, arity, block = case
     with mock.patch.object(textio, "EMIT_BLOCK_ENTRIES", block):
         blocks = list(operation_set_blocks(ops, arity))
     named = [(f"g{i}", op) for i, op in enumerate(ops.members(arity))]
-    assert "".join(blocks) == emit_operations(named, count_comment=True)
+    assert b"".join(blocks).decode("ascii") == emit_operations(named, count_comment=True)
     rows_per_block = max(1, block // ops.tables(arity).shape[1])
     assert len(blocks) == 1 + -(-ops.count(arity) // rows_per_block)
 
 
 def test_operation_set_blocks_of_empty_slice(d3):
     empty = OperationSet(d3, {})
-    assert "".join(operation_set_blocks(empty, 2)) == emit_operations([], count_comment=True)
+    assert (b"".join(operation_set_blocks(empty, 2)).decode("ascii")
+            == emit_operations([], count_comment=True))
+
+
+def test_padded_values_hand_cases():
+    ops = OperationSet(Domain(11), {1: [[10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9]]})
+    assert b"".join(operation_set_blocks(ops, 1)) == (
+        b"# count 1\nop g0\ndomain 11\narity 1\ntable 10 0 1 2 3 4 5 6 7 8 9\n")
+    # the zero padding goes, a name's own bytes stay
+    named = [("\u03c6\0", Operation(Domain(11), 1, [10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0]))]
+    assert emit_operations(named) == (
+        "op \u03c6\0\ndomain 11\narity 1\ntable 10 9 8 7 6 5 4 3 2 1 0\n")
+    assert parse_operations(emit_operations(named)) == named
+    rel = relation(Domain(256), 3, [(99, 100, 255), (0, 9, 10)])
+    assert emit_relations([("R", rel)]) == (
+        "rel R\ndomain 256\narity 3\ntuples\n0 9 10\n99 100 255\nend\n")
 
 
 @settings(max_examples=200, deadline=None)
