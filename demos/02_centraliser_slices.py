@@ -1,12 +1,11 @@
 """Enumerating centraliser slices by exhaustive search.
 
 The centraliser of a set of operations holds everything that commutes with
-all of them.  Low-arity slices are found by sweeping all k^(k^n) value
-tables with early abort; the ternary slice is assembled from compatible
-triples of binary members (its three identification minors) instead of
-sweeping all 3^27 tables.  Each triple fixes 21 cells and the 6 cells with
-pairwise distinct arguments range over all 729 fillings; T is decided on
-that triple-by-filling grid by exact pattern counting.
+all of them.  Low-arity slices test all k^(k^n) value tables; the ternary
+slice is assembled from compatible triples of binary members (its three
+identification minors) instead of testing all 3^27 tables.  Each triple
+fixes 21 cells and the 6 cells with pairwise distinct arguments range over
+all 729 fillings.  At every arity T is decided by exact pattern counting.
 
 Run with --ternary to include the ternary enumeration (about ten seconds).
 """

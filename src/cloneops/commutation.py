@@ -1,22 +1,24 @@
 """Preservation, commutation and exhaustive centraliser/polymorphism enumeration.
 
-g commutes with f exactly when g preserves the graph of f, so one sweep
-kernel serves both searches: `preserve_mask` filters a batch of candidate
-value tables against a relation, constraint by constraint (a choice of ell
-tuples of the relation) in lexicographic order, checking blocks of
-constraints at once and dropping dead candidates as it goes; it is the
-vectorised form of the early-abort scalar checks `preserves` and
-`commutes`.
+g commutes with f exactly when g preserves the graph of f.  The sweep
+kernel `preserve_mask` filters a batch of candidate value tables against a
+relation, constraint by constraint (a choice of ell tuples of the relation)
+in lexicographic order, checking blocks of constraints at once and dropping
+dead candidates as it goes; it is the vectorised form of the early-abort
+scalar checks `preserves` and `commutes`.
 
-Ternary centralisers are not swept over all tables.  Every candidate is one
-diagonal-compatible triple of binary centraliser members (its three
-identification minors fix the k^3 - k(k-1)(k-2) base cells) together with
-one filling of the pairwise-distinct free cells.  The candidates are kept
-in that factored form, a `_Grid` of triples by fillings, and each member is
-decided on the grid by the exact test `_ternary_test` picks for it: cell by
-cell for unary members, by pattern counting for {0,1}-valued members with
-at most three ones, and by sweeping its graph over the assembled survivors
-otherwise.  Only the survivors are assembled into tables.
+Every search runs one driver: blocks of candidates, each a `_Grid`, pass
+through one filter per member or relation, and only the survivors are
+assembled into tables.  A polymorphism search sweeps each relation.  A
+centraliser search decides each member by the exact test `_member_test`
+picks for it once: cell by cell for unary members, by pattern counting for
+{0,1}-valued members with at most three ones, and by sweeping its graph
+otherwise.  Unary and binary candidates are all k^(k^ell) tables, in flat
+chunks.  Ternary candidates are not: every one is a diagonal-compatible
+triple of binary centraliser members (its three identification minors fix
+the k^3 - k(k-1)(k-2) base cells) together with one filling of the
+pairwise-distinct free cells, kept in that factored form, a `_Grid` of
+triples by fillings.
 
 Candidate and member tables are uint8 rows in the encoding of `core`,
 which also holds their container, `OperationSet`.
@@ -201,12 +203,12 @@ def preserve_mask(tables: np.ndarray, rel: Relation, ell: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact ternary commutation tests on the factored candidate grid
+# exact commutation tests on the factored candidate grid
 
 
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """Ternary candidate tables in factored form.
+    """Candidate tables in factored form.
 
     Candidate (t, e) is the table base[t] with each free cell c (a key of
     slot) overwritten by ext[e, slot[c]].  While dense, the live candidates
@@ -217,7 +219,7 @@ class _Grid:
     candidates stay in row-major (t, e) order.  A flat batch of tables is
     the grid with an empty extension.
     """
-    base: np.ndarray        # (triples, k^3) tables; their free cells are ignored
+    base: np.ndarray        # (rows, k^ell) tables; their free cells are ignored
     ext: np.ndarray         # (extensions, free cells) fillings of the free cells
     slot: dict
     ti: np.ndarray
@@ -306,30 +308,28 @@ class _Grid:
         return out
 
 
-def _pin_cells(k: int):
-    """cells[(row_mask, pins)] = indices of triples c in A^3 with c[i] == pin per row."""
+def _pin_cells(k: int, ell: int):
+    """cells[(row_mask, pins)] = indices of cells c in A^ell with c[i] == pin per row."""
     cells: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    triples = list(product(range(k), repeat=3))
-    for mask in range(8):
-        rows = [i for i in range(3) if mask >> i & 1]
-        for idx, c in enumerate(triples):
-            key = (mask, tuple(c[i] for i in rows))
-            cells.setdefault(key, []).append(idx)
+    for mask in range(2 ** ell):
+        rows = [i for i in range(ell) if mask >> i & 1]
+        for idx, c in enumerate(product(range(k), repeat=ell)):
+            cells.setdefault((mask, tuple(c[i] for i in rows)), []).append(idx)
     return cells
 
 
-def _count_dtype(k: int, r: int):
+def _count_dtype(k: int, r: int, ell: int):
     """The integer dtype that holds the pattern counts of an r-ary member exactly.
 
     Every product of cell counts and every super-pattern count counts a set
-    of 3-by-r matrices over k elements, so it is at most k^(3r); the signed
-    Moebius sums stay within 8 k^(3r).  int32 holds them all below 2^31.
-    int64 is exact while k^(3r) < 2^63: super-pattern counts never wrap,
-    and the Moebius sums are exact modulo 2^64 with their true values in
-    range.  Beyond that raises CapExceeded.
+    of ell-by-r matrices over k elements, so it is at most k^(ell r); the
+    signed Moebius sums stay within 2^ell k^(ell r).  int32 holds them all
+    below 2^31.  int64 is exact while k^(ell r) < 2^63: super-pattern counts
+    never wrap, and the Moebius sums are exact modulo 2^64 with their true
+    values in range.  Beyond that raises CapExceeded.
     """
-    bound = k ** (3 * r)
-    if 8 * bound < 2 ** 31:
+    bound = k ** (ell * r)
+    if 2 ** ell * bound < 2 ** 31:
         return np.int32
     if bound < 2 ** 63:
         return np.int64
@@ -349,8 +349,8 @@ def _product(factors: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _unary_filter(grid: _Grid, member: Operation) -> _Grid:
-    """Candidates g with g(f(c0), f(c1), f(c2)) = f(g(c)) for all cells c, f = member.
+def _unary_filter(grid: _Grid, member: Operation, ell: int) -> _Grid:
+    """Candidates g with g(f(c_1), ..., f(c_ell)) = f(g(c)) for all cells c, f = member.
 
     Each equation compares two columns, each per triple or per extension.
     Equations within one axis are tested first, so the grid stays dense
@@ -358,7 +358,7 @@ def _unary_filter(grid: _Grid, member: Operation) -> _Grid:
     """
     k = member.domain.k
     by_axes: dict[tuple[bool, bool], list[tuple[int, int]]] = {}
-    for cell, c in enumerate(product(range(k), repeat=3)):
+    for cell, c in enumerate(product(range(k), repeat=ell)):
         image = args_to_index([member.table[x] for x in c], k)
         by_axes.setdefault((cell in grid.slot, image in grid.slot), []).append((cell, image))
     for axes in sorted(by_axes, key=lambda axes: axes[0] != axes[1]):
@@ -369,12 +369,12 @@ def _unary_filter(grid: _Grid, member: Operation) -> _Grid:
     return grid
 
 
-def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, dtype,
+def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, ell: int, dtype,
                      pin_cells) -> _Grid:
     """Candidates commuting with the member that is 1 exactly on ones.
 
-    A 3-by-r matrix is determined by its r columns (cells of A^3); its rows
-    map through the member to a pattern v in {0,1}^3.  A candidate g
+    An ell-by-r matrix is determined by its r columns (cells of A^ell); its
+    rows map through the member to a pattern v in {0,1}^ell.  A candidate g
     commutes iff for every pattern v, either every matrix with pattern v
     has its columns' g-values in ones and g(v) = 1, or none has and
     g(v) = 0.  The number n_v of matrices with pattern v whose g-values lie
@@ -383,9 +383,9 @@ def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, dtype,
     of products of per-cell counts #{c pinned on the rows of mask : g(c) =
     a}.  On the grid a per-cell count is a per-triple count over the base
     cells plus a per-extension count over the free cells, broadcast.
-    Patterns are tested cheapest first (7; 3, 5, 6; 1, 2, 4; 0: each needs
-    the super-pattern counts of its supersets), and the survivors, with the
-    counts computed so far, are compressed after each.
+    Patterns are tested cheapest first, in order of falling popcount (each
+    needs the super-pattern counts of its supersets), and the survivors,
+    with the counts computed so far, are compressed after each.
     """
     r, mu = len(ones[0]), len(ones)
     base, ext, slot = grid.base, grid.ext, grid.slot
@@ -412,7 +412,7 @@ def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, dtype,
         return live[key]
 
     def n_super(mask: int) -> np.ndarray:
-        rows = [i for i in range(3) if mask >> i & 1]
+        rows = [i for i in range(ell) if mask >> i & 1]
         acc = 0
         for w in ones:
             for choice in product(ones, repeat=len(rows)):
@@ -420,10 +420,11 @@ def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, dtype,
                                       for j in range(r)])
         return acc
 
-    total = [prod(mu if v >> i & 1 else k ** r - mu for i in range(3)) for v in range(8)]
-    corner = [args_to_index([v >> i & 1 for i in range(3)], k) for v in range(8)]
+    masks = range(2 ** ell)
+    total = [prod(mu if v >> i & 1 else k ** r - mu for i in range(ell)) for v in masks]
+    corner = [args_to_index([v >> i & 1 for i in range(ell)], k) for v in masks]
     # mu <= 3 < k^r, so every pattern has matrices to count
-    patterns = (7, 3, 5, 6, 1, 2, 4, 0)
+    patterns = sorted(masks, key=lambda v: -bin(v).count("1"))
     # the right-hand side is {0,1}-valued, so g(v) must be as well
     ok = True
     for v in patterns:
@@ -434,7 +435,7 @@ def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, dtype,
         if not len(grid):
             break
         n_v = 0
-        for mask in range(8):
+        for mask in masks:
             if mask & v == v:
                 if mask not in supers:
                     supers[mask] = n_super(mask)
@@ -445,27 +446,32 @@ def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, dtype,
     return grid
 
 
-def _ternary_test(member: Operation):
-    """(name, filter): the test of ternary candidates for commutation with member.
+def _sweep_filter(grid: _Grid, rel: Relation, ell: int) -> _Grid:
+    """Candidates preserving rel, found by sweeping it over the assembled candidates."""
+    return grid.keep(preserve_mask(grid.tables(), rel, ell))
+
+
+def _member_test(member: Operation, ell: int):
+    """(name, filter): the test of ell-ary candidates for commutation with member.
 
     filter maps a _Grid to the sub-grid of its candidates that commute with
     member.  Unary members are decided cell by cell ("unary"), {0,1}-valued
     ones that are 1 at most three times by exact pattern counting
-    ("counting"), and any other member by sweeping its graph over the
-    assembled candidates ("sweep").  Raises CapExceeded, before any
-    candidate is looked at, when the counts would not fit int64.
+    ("counting"), and any other member by sweeping its graph, built here
+    once, over the assembled candidates ("sweep").  Raises CapExceeded,
+    before any candidate is looked at, when the counts would not fit int64.
     """
     k, r, row = member.domain.k, member.arity, member.row
     if r == 1:
-        return "unary", partial(_unary_filter, member=member)
+        return "unary", partial(_unary_filter, member=member, ell=ell)
     ones_at = np.flatnonzero(row == 1)
     if len(ones_at) <= 3 and row.max() <= 1:
-        if not len(ones_at):    # g(0,0,0) must be 0, nothing else is reachable
+        if not len(ones_at):    # g(0,...,0) must be 0, nothing else is reachable
             return "counting", lambda grid: grid.keep(grid.column(0) == 0)
         ones = [index_to_args(int(at), k, r) for at in ones_at]
-        return "counting", partial(_counting_filter, ones=ones, k=k,
-                                   dtype=_count_dtype(k, r), pin_cells=_pin_cells(k))
-    return "sweep", lambda grid: grid.keep(preserve_mask(grid.tables(), graph_of(member), 3))
+        return "counting", partial(_counting_filter, ones=ones, k=k, ell=ell,
+                                   dtype=_count_dtype(k, r, ell), pin_cells=_pin_cells(k, ell))
+    return "sweep", partial(_sweep_filter, rel=graph_of(member), ell=ell)
 
 
 # ---------------------------------------------------------------------------
@@ -477,48 +483,44 @@ def _clamp_threads(threads: int) -> int:
     return max(1, min(threads, os.cpu_count() or 1))
 
 
-def _run_chunks(worker, chunks, threads: int):
-    if threads <= 1 or len(chunks) <= 1:
-        return [worker(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
+def _run_filters(grids, filters, threads: int):
+    """The survivors of every grid under the filters, applied in turn.
+
+    Returns the surviving tables, grid after grid, and per filter its
+    (in, out) candidate counts summed over the grids.
+    """
+    def worker(grid):
+        flow = []
+        for keep in filters:
+            before = len(grid)
+            if before:
+                grid = keep(grid)
+            flow.append((before, len(grid)))
+        return grid.tables(), flow
+
+    if threads <= 1 or len(grids) <= 1:
+        parts = [worker(grid) for grid in grids]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(worker, grids))
+    per_filter = zip(*(flow for _, flow in parts))      # each filter's flow, grid by grid
+    return (np.vstack([rows for rows, _ in parts]),
+            [tuple(map(sum, zip(*flows))) for flows in per_filter])
 
 
-def _sweep_enumeration(domain: Domain, arity: int, relations, budget: int,
-                       threads: int) -> np.ndarray:
+def _table_grids(domain: Domain, arity: int, budget: int, threads: int) -> list[_Grid]:
+    """All k^(k^arity) tables as flat grids, one chunk per thread."""
     count = domain.k ** (domain.k ** arity)
     if count > budget:
         raise CapExceeded(
             f"{count} candidate tables of arity {arity} exceed the budget of {budget}")
-    tables = all_tables(domain, arity)
-
-    def worker(chunk: np.ndarray):
-        live, flow = chunk, []
-        for rel in relations:
-            before = len(live)
-            if before:
-                live = live[preserve_mask(live, rel, arity)]
-            flow.append((before, len(live)))
-        return live, flow
-
-    parts = _run_chunks(worker, np.array_split(tables, threads), threads)
-    return np.vstack([rows for rows, _ in parts]), [flow for _, flow in parts]
+    return [_Grid.of(chunk) for chunk in np.array_split(all_tables(domain, arity), threads)]
 
 
-def _filter_details(members, names, flows) -> list[dict]:
-    """Candidates in and out of each member's filter, summed over the jobs."""
-    return [{"member": i, "arity": f.arity, "test": name,
-             "in": sum(flow[i][0] for flow in flows),
-             "out": sum(flow[i][1] for flow in flows)}
-            for i, (f, name) in enumerate(zip(members, names))]
-
-
-def _ternary_centraliser(fs: OperationSet, budget: int, threads: int,
-                         stats: EnumerationStats) -> np.ndarray:
-    domain = fs.domain
-    k = domain.k
-    members = list(fs.members())
-    tests = [_ternary_test(f) for f in members]
+def _ternary_grids(fs: OperationSet, budget: int, threads: int,
+                   stats: EnumerationStats) -> list[_Grid]:
+    """The ternary candidates as grids of binary-slice triples by free-cell fillings."""
+    k = fs.domain.k
     binary = enumerate_centraliser(fs, 2, budget=budget, threads=threads)
     btab = binary.tables(2)
     stats.details["binary_slice"] = len(btab)
@@ -533,10 +535,9 @@ def _ternary_centraliser(fs: OperationSet, budget: int, threads: int,
         groups.setdefault(diags[i].tobytes(), []).append(i)
 
     explored = sum(len(g) ** 3 for g in groups.values()) * ext_count
-    stats.candidates += explored
     stats.details["ternary_explored"] = explored
-    if stats.candidates > budget:
-        raise CapExceeded(f"{stats.candidates} candidates exceed the budget of {budget}")
+    if explored > budget:
+        raise CapExceeded(f"{explored} candidates exceed the budget of {budget}")
 
     # placement maps: cell (a,a,b) <- minor1(a,b); (a,b,a) <- minor2; (b,a,a) <- minor3
     pairs = list(product(range(k), repeat=2))
@@ -545,58 +546,47 @@ def _ternary_centraliser(fs: OperationSet, budget: int, threads: int,
     idx3 = np.array([args_to_index((b, a, a), k) for a, b in pairs])
     ext = _digit_matrix(len(free_cells), k, np.uint8)
 
-    jobs = []
+    grids = []
     triple_block = max(1, 200_000 // ext_count)
     for key in sorted(groups):
         gidx = np.array(groups[key], dtype=np.int64)
         tri = _digit_matrix(3, len(gidx))
         for start in range(0, len(tri), triple_block):
-            jobs.append((gidx, tri[start:start + triple_block]))
-
-    def worker(job):
-        gidx, tri = job
-        base = np.zeros((len(tri), k ** 3), dtype=np.uint8)
-        base[:, idx1] = btab[gidx[tri[:, 0]]]
-        base[:, idx2] = btab[gidx[tri[:, 1]]]
-        base[:, idx3] = btab[gidx[tri[:, 2]]]
-        grid = _Grid.of(base, ext, free_cells)
-        flow = []
-        for _, test in tests:
-            before = len(grid)
-            if before:
-                grid = test(grid)
-            flow.append((before, len(grid)))
-        return grid.tables(), flow
-
-    parts = _run_chunks(worker, jobs, threads)
-    stats.details["filters"] = _filter_details(
-        members, [name for name, _ in tests], [flow for _, flow in parts])
-    if not parts:
-        return np.zeros((0, k ** 3), dtype=np.uint8)
-    return np.vstack([rows for rows, _ in parts])
+            block = gidx[tri[start:start + triple_block]]      # binary slice rows
+            base = np.zeros((len(block), k ** 3), dtype=np.uint8)
+            base[:, idx1] = btab[block[:, 0]]
+            base[:, idx2] = btab[block[:, 1]]
+            base[:, idx3] = btab[block[:, 2]]
+            grids.append(_Grid.of(base, ext, free_cells))
+    return grids
 
 
 def enumerate_centraliser(fs: OperationSet, arity: int, budget: int = DEFAULT_BUDGET,
                           threads: int = 1, return_stats: bool = False):
     """All operations of the given arity commuting with every member of fs.
 
-    Arity 1 and 2 sweep every candidate table against the graph of each
-    member; arity 3 goes through the binary slice via identification minors.
-    Higher arities are rejected.  threads is clamped to [1, os.cpu_count()].
+    Each member is decided by the exact test `_member_test` picks for it.
+    Arity 1 and 2 run it over every candidate table; arity 3 over the
+    triples of binary slice members that agree as identification minors, by
+    the fillings of the cells with pairwise-distinct arguments.  Higher
+    arities are rejected.  threads is clamped to [1, os.cpu_count()].
     """
     if arity not in (1, 2, 3):
         raise ValueError("centraliser enumeration supports arities 1..3 only")
     domain = fs.domain
     threads = _clamp_threads(threads)
+    members = list(fs.members())
+    tests = [_member_test(f, arity) for f in members]
     stats = EnumerationStats(candidates=0, survivors=0)
     if arity <= 2:
-        stats.candidates = domain.k ** (domain.k ** arity)
-        members = list(fs.members())
-        rows, flows = _sweep_enumeration(domain, arity, [graph_of(f) for f in members],
-                                         budget, threads)
-        stats.details["filters"] = _filter_details(members, ["sweep"] * len(members), flows)
+        grids = _table_grids(domain, arity, budget, threads)
     else:
-        rows = _ternary_centraliser(fs, budget, threads, stats)
+        grids = _ternary_grids(fs, budget, threads, stats)
+    stats.candidates = sum(len(grid) for grid in grids)
+    rows, flow = _run_filters(grids, [keep for _, keep in tests], threads)
+    stats.details["filters"] = [
+        {"member": i, "arity": f.arity, "test": name, "in": n_in, "out": n_out}
+        for i, (f, (name, _), (n_in, n_out)) in enumerate(zip(members, tests, flow))]
     result = OperationSet(domain, {arity: rows})
     stats.survivors = result.count(arity)
     if return_stats:
@@ -617,5 +607,8 @@ def enumerate_polymorphisms(relations, arity: int, budget: int = DEFAULT_BUDGET,
     for rel in relations:
         if rel.domain != domain:
             raise ValueError("all relations must share the domain")
-    rows, _ = _sweep_enumeration(domain, arity, relations, budget, _clamp_threads(threads))
+    threads = _clamp_threads(threads)
+    rows, _ = _run_filters(_table_grids(domain, arity, budget, threads),
+                           [partial(_sweep_filter, rel=rel, ell=arity) for rel in relations],
+                           threads)
     return OperationSet(domain, {arity: rows})

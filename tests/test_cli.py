@@ -210,13 +210,24 @@ def test_eval_formula_cap_exit_code(tmp_path, capsys):
 
 
 def test_centraliser_constraint_cap_exit_code(tmp_path, capsys):
-    # a 9-ary member at k=3: the binary sweep would index (3^9)^2 constraints
+    # a 9-ary member at k=3 that is not {0,1}-valued: the binary sweep of its
+    # graph would index (3^9)^2 constraints
     ops = tmp_path / "wide.ops"
-    ops.write_text(emit_operations([("g", sparse_op(Domain(3), 9, {(2,) * 9: 1}))]))
+    ops.write_text(emit_operations([("g", sparse_op(Domain(3), 9, {(2,) * 9: 2}))]))
     assert run(["centraliser", "--ops", str(ops), "--arity", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "over the cap" in captured.err
     assert captured.out == ""
+
+
+def test_centraliser_of_a_wide_01_spike(tmp_path):
+    # the {0,1}-valued spike is decided by pattern counting, without its graph;
+    # 56 is also what checking every set of columns of a 2-by-9 matrix gives
+    ops = tmp_path / "wide.ops"
+    ops.write_text(emit_operations([("g", sparse_op(Domain(3), 9, {(2,) * 9: 1}))]))
+    out = tmp_path / "cent.ops"
+    assert run(["centraliser", "--ops", str(ops), "--arity", "2", "--out", str(out)]) == 0
+    assert out.read_text().startswith("# count 56\n")
 
 
 def test_clone_projection_cap_exit_code(snow_files, capsys):

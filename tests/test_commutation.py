@@ -10,7 +10,7 @@ from cloneops import (CapExceeded, Domain, Operation, OperationSet, commutes,
                       enumerate_centraliser, enumerate_polymorphisms,
                       family_op, full_relation, graph_of, make_projection,
                       preserves, relation, snow_t, sparse_op)
-from cloneops.commutation import _Grid, _count_dtype, _ternary_test, preserve_mask
+from cloneops.commutation import _Grid, _count_dtype, _member_test, preserve_mask
 from cloneops.core import _digit_matrix
 
 
@@ -28,7 +28,7 @@ def _survivors(grid):
 
 def _pattern_mask(tables, member):
     """Mask of the candidate tables that the ternary test of member keeps."""
-    _, test = _ternary_test(member)
+    _, test = _member_test(member, 3)
     return _survivors(test(_Grid.of(tables)))
 
 
@@ -271,60 +271,6 @@ def test_threads_clamped_to_cpu_count(monkeypatch, t3_set, binary_centraliser):
 
 
 @st.composite
-def _member_and_candidates(draw):
-    k = draw(st.sampled_from([2, 3]))
-    d = Domain(k)
-    arity = draw(st.integers(1, 2))
-    ell = draw(st.integers(1, 3))
-    f = Operation(d, arity, tuple(draw(st.lists(
-        st.integers(0, k - 1), min_size=k ** arity, max_size=k ** arity))))
-    width = k ** ell
-    rows = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=width, max_size=width),
-                         min_size=1, max_size=12))
-    return d, f, ell, np.array(rows, dtype=np.uint8)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_member_and_candidates())
-def test_graph_mask_agrees_with_scalar_commutes(case):
-    d, f, ell, tables = case
-    mask = preserve_mask(tables, graph_of(f), ell)
-    for row, ok in zip(tables, mask):
-        g = Operation(d, ell, tuple(int(v) for v in row))
-        assert commutes(g, f) == bool(ok)
-
-
-def test_count_dtype_follows_the_exact_bound():
-    # 8 * 3^15 < 2^31 <= 8 * 3^18; 3^39 < 2^63 <= 3^42
-    assert _count_dtype(3, 5) == np.int32
-    assert _count_dtype(3, 6) == np.int64
-    assert _count_dtype(3, 13) == np.int64
-    with pytest.raises(CapExceeded):
-        _count_dtype(3, 14)
-
-
-def test_counting_beyond_int64_is_refused_up_front(d3):
-    member = sparse_op(d3, 14, {(2,) * 14: 1})
-    with pytest.raises(CapExceeded, match="beyond int64"):
-        _ternary_test(member)
-
-
-def test_ternary_filter_counts_for_t_and_u(d3):
-    fs = OperationSet.from_operations(d3, [snow_t(3), family_op("u", (2, 1), d3)])
-    result, stats = enumerate_centraliser(fs, 3, return_stats=True)
-    assert stats.candidates == 5_977_800
-    assert stats.survivors == result.count(3) == 524_291
-    flow = [(f["arity"], f["test"], f["in"], f["out"]) for f in stats.details["filters"]]
-    assert flow == [(1, "unary", 5_977_800, 524_413), (4, "counting", 524_413, 524_291)]
-
-
-def test_sweep_filter_counts(t3_set):
-    _, stats = enumerate_centraliser(t3_set, 2, return_stats=True)
-    assert stats.details["filters"] == [
-        {"member": 0, "arity": 4, "test": "sweep", "in": 3 ** 9, "out": 65}]
-
-
-@st.composite
 def _member(draw, k, arities):
     """A member of the given arities: unary, {0,1}-valued with 0-3 ones, or any table."""
     d = Domain(k)
@@ -337,6 +283,92 @@ def _member(draw, k, arities):
         ones = draw(st.sets(st.integers(0, size - 1), max_size=min(3, size)))
         table = [int(i in ones) for i in range(size)]
     return Operation(d, arity, tuple(table))
+
+
+@st.composite
+def _member_and_candidates(draw):
+    k = draw(st.sampled_from([2, 3]))
+    d = Domain(k)
+    f = draw(_member(k, [1, 2, 3]))
+    ell = draw(st.integers(1, 3))
+    width = k ** ell
+    rows = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=width, max_size=width),
+                         min_size=1, max_size=12))
+    # projections and constants commute with many members, copies of them
+    # with one cell changed fail few equations, random tables fail many
+    cells = _digit_matrix(ell, k, np.uint8)
+    near = np.vstack([cells.T, np.repeat(np.arange(k, dtype=np.uint8)[:, None], width, axis=1)])
+    edits = draw(st.lists(st.tuples(st.integers(0, len(near) - 1), st.integers(0, width - 1),
+                                    st.integers(0, k - 1)), max_size=6))
+    perturbed = near[[i for i, _, _ in edits]]
+    for row, (_, cell, value) in zip(perturbed, edits):
+        row[cell] = value
+    return d, f, ell, np.vstack([np.array(rows, dtype=np.uint8), near, perturbed])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_member_and_candidates())
+def test_graph_mask_agrees_with_scalar_commutes(case):
+    d, f, ell, tables = case
+    mask = preserve_mask(tables, graph_of(f), ell)
+    # the exact test picked for f agrees on the same candidates as a flat grid
+    assert np.array_equal(_survivors(_member_test(f, ell)[1](_Grid.of(tables))), mask)
+    if f.arity * ell <= 6:      # the scalar scan visits k^(arity * ell) matrices
+        for row, ok in zip(tables, mask):
+            g = Operation(d, ell, tuple(int(v) for v in row))
+            assert commutes(g, f) == bool(ok)
+
+
+def test_count_dtype_follows_the_exact_bound():
+    for ell, int32_max, int64_max in [
+            (1, 18, 39),    # 2 * 3^18 < 2^31 <= 2 * 3^19; 3^39 < 2^63 <= 3^40
+            (2, 9, 19),     # 4 * 3^18 < 2^31 <= 4 * 3^20; 3^38 < 2^63 <= 3^40
+            (3, 5, 13)]:    # 8 * 3^15 < 2^31 <= 8 * 3^18; 3^39 < 2^63 <= 3^42
+        assert _count_dtype(3, int32_max, ell) == np.int32
+        assert _count_dtype(3, int32_max + 1, ell) == np.int64
+        assert _count_dtype(3, int64_max, ell) == np.int64
+        with pytest.raises(CapExceeded):
+            _count_dtype(3, int64_max + 1, ell)
+
+
+def test_counting_beyond_int64_is_refused_up_front(monkeypatch, d3):
+    import cloneops.commutation as commutation
+    member = sparse_op(d3, 14, {(2,) * 14: 1})
+    with pytest.raises(CapExceeded, match="beyond int64"):
+        _member_test(member, 3)
+    # the ternary slice refuses it before the binary slice is built
+    monkeypatch.setattr(commutation, "all_tables", None)
+    with pytest.raises(CapExceeded, match="beyond int64"):
+        enumerate_centraliser(OperationSet.from_operations(d3, [member]), 3)
+
+
+def test_low_arity_slices_count_without_graphs(monkeypatch, t3_set, binary_centraliser):
+    import cloneops.commutation as commutation
+    built = []
+    monkeypatch.setattr(commutation, "graph_of", lambda op: built.append(op) or graph_of(op))
+    t4 = snow_t(4)
+    unary4, stats = enumerate_centraliser(OperationSet.from_operations(t4.domain, [t4]), 1,
+                                          return_stats=True)
+    assert unary4.count(1) == 4 ** 2 + 1
+    assert [f["test"] for f in stats.details["filters"]] == ["counting"]
+    assert enumerate_centraliser(t3_set, 2) == binary_centraliser
+    assert built == []
+    assert unary4 == enumerate_polymorphisms([graph_of(t4)], 1)
+
+
+def test_ternary_filter_counts_for_t_and_u(d3):
+    fs = OperationSet.from_operations(d3, [snow_t(3), family_op("u", (2, 1), d3)])
+    result, stats = enumerate_centraliser(fs, 3, return_stats=True)
+    assert stats.candidates == 5_977_800
+    assert stats.survivors == result.count(3) == 524_291
+    flow = [(f["arity"], f["test"], f["in"], f["out"]) for f in stats.details["filters"]]
+    assert flow == [(1, "unary", 5_977_800, 524_413), (4, "counting", 524_413, 524_291)]
+
+
+def test_binary_filter_counts(t3_set):
+    _, stats = enumerate_centraliser(t3_set, 2, return_stats=True)
+    assert stats.details["filters"] == [
+        {"member": 0, "arity": 4, "test": "counting", "in": 3 ** 9, "out": 65}]
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,7 +400,7 @@ def test_grid_filters_match_sweep_k3(members, seed):
     tables = grid.tables()
     expected = np.ones(len(tables), dtype=bool)
     for f in members:
-        grid = _ternary_test(f)[1](grid)
+        grid = _member_test(f, 3)[1](grid)
         expected &= preserve_mask(tables, graph_of(f), 3)
         assert np.array_equal(_survivors(grid), expected)
     assert expected.any()   # the projections survive
