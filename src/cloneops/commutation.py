@@ -26,7 +26,6 @@ which also holds their container, `OperationSet`.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
@@ -501,6 +500,7 @@ def _run_filters(grids, filters, threads: int):
     if threads <= 1 or len(grids) <= 1:
         parts = [worker(grid) for grid in grids]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(worker, grids))
     per_filter = zip(*(flow for _, flow in parts))      # each filter's flow, grid by grid

@@ -19,17 +19,21 @@ the atom's rows by looking up each row's bound prefix, as a range of the
 sorted keys of the atom's rows with v's position last, when that relation
 has fewer rows than the table times k; otherwise, as for every other
 variable, each row is extended by all k values.  After each extension the
-rows are filtered by every atom whose variables are now all bound, by
-looking up the key of the atom's columns (`core._row_keys`, the row read as
-a base-k number) among the keys of its relation's sorted rows.  Existential
-columns that no remaining atom mentions are then dropped and repeated rows
-removed.  Any table that would exceed EVAL_TABLE_BYTES, including the
-extensions by unconstrained free variables, raises CapExceeded before it is
-built.
+rows are filtered by every atom whose variables are now all bound, in one
+keyed lookup per relation: the atoms over a relation are held as one matrix
+of variable ids, and the keys of the completed atoms' columns
+(`core._row_keys`, the row read as a base-k number) are looked up among the
+keys of the relation's sorted rows, for a block of rows and atoms at a time.
+The pinning candidates and the columns still needed are read off the same
+matrices.  Existential columns that no remaining atom mentions are then
+dropped and repeated rows removed.  Any table that would exceed
+EVAL_TABLE_BYTES, including the extensions by unconstrained free variables,
+raises CapExceeded before it is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -112,16 +116,22 @@ def _check_table_size(count: int, width: int, itemsize: int) -> None:
                           f"over the cap of {EVAL_TABLE_BYTES}")
 
 
-def _holds(keys: np.ndarray, table: np.ndarray, cols: list[int], k: int) -> np.ndarray:
-    """Mask of the table rows whose entries in cols form one of the sorted keys.
+def _holds(keys: np.ndarray, table: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the table rows whose entries in the columns of every atom form
+    one of the sorted keys; cols holds a row of column positions per atom.
 
-    Rows are looked up in blocks, so the temporaries stay small next to the
-    table.
+    The rows are looked up in blocks, at most FILTER_BLOCK_ROWS keys at a
+    time, so the temporaries stay small next to the table.
     """
+    atoms, arity = cols.shape
+    flat = cols.ravel()
+    step = max(FILTER_BLOCK_ROWS // atoms, 1)
     mask = np.empty(len(table), dtype=bool)
-    for start in range(0, len(table), FILTER_BLOCK_ROWS):
-        probe = _row_keys(table[start:start + FILTER_BLOCK_ROWS, cols], k)
-        mask[start:start + len(probe)] = _isin_sorted(keys, probe)
+    for start in range(0, len(table), step):
+        probe = _row_keys(np.take(table[start:start + step], flat, axis=1)
+                          .reshape(-1, arity), k)
+        hits = _isin_sorted(keys, probe).reshape(-1, atoms)
+        mask[start:start + len(hits)] = hits.all(axis=1)
     return mask
 
 
@@ -186,13 +196,25 @@ def _extend_by_lookup(table: np.ndarray, probe: list[int], keys: np.ndarray,
     return grown
 
 
+class _Atoms:
+    """The pending atoms over one relation: a row of variable ids per atom
+    and each atom's place in the formula."""
+
+    def __init__(self, rel: Relation, ids: np.ndarray, places: np.ndarray, k: int):
+        self.rel, self.ids, self.places = rel, ids, places
+        self.min_bound = _pin_bound(len(rel), k)
+        # rows per bound prefix of b positions, as len(rel) / k^b for each b
+        self.per_prefix = np.array([len(rel) / k ** b for b in range(rel.arity + 1)])
+        self.keys = None        # the relation's row keys, made on first use
+
+
 def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) -> Relation:
     """The relation defined by the formula: projection of the satisfying set.
 
     Of several pinned variables the one with the fewest values per bound
-    prefix comes next, ties in the default order.  Raises CapExceeded,
-    before the table is extended, when the extended table of partial
-    assignments would exceed EVAL_TABLE_BYTES.
+    prefix comes next, ties in the default order, then in atom order.
+    Raises CapExceeded, before the table is extended, when the extended
+    table of partial assignments would exceed EVAL_TABLE_BYTES.
     """
     if not isinstance(env, RelationEnv):
         env = RelationEnv(env)
@@ -200,81 +222,114 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
         raise ValueError("formula and environment domains differ")
     k = formula.domain.k
     dtype = _row_dtype(k)
-    keys: dict[str, np.ndarray] = {}    # the relations' row keys, made on first use
-    pin_bound = {name: _pin_bound(len(rel), k) for name, rel in env.items()}
-    pending = []
+    arity = {name: rel.arity for name, rel in env.items()}
     for rel_name, vars_ in formula.atoms:
-        if rel_name not in env:
-            raise ValueError(f"missing relation '{rel_name}' in the environment")
-        rel = env[rel_name]
-        if rel.arity != len(vars_):
-            raise ValueError(
-                f"atom over '{rel_name}' has {len(vars_)} variables, "
-                f"relation arity is {rel.arity}")
-        pending.append((rel, vars_, rel_name, pin_bound[rel_name]))
-    used = dict.fromkeys(v for _, vars_ in formula.atoms for v in vars_)
-    # free variables in some atom, then existential ones, then the other free ones
+        if arity.get(rel_name) != len(vars_):
+            if rel_name not in arity:
+                raise ValueError(f"missing relation '{rel_name}' in the environment")
+            raise ValueError(f"atom over '{rel_name}' has {len(vars_)} variables, "
+                             f"relation arity is {arity[rel_name]}")
+    used = dict.fromkeys(chain.from_iterable(vars_ for _, vars_ in formula.atoms))
+    # free variables in some atom, then existential ones, then the other free ones;
+    # a variable's id is its place in this order
     order = list(dict.fromkeys([v for v in formula.free_vars if v in used] + list(used)
                                + list(formula.free_vars)))
     rank = {v: i for i, v in enumerate(order)}
+    id_dtype = np.min_scalar_type(len(order))
+    # each atom's relation, as its place in env, and its variable ids
+    index = {name: i for i, name in enumerate(env)}
+    rel_of = np.fromiter(map(index.__getitem__, (rel_name for rel_name, _ in formula.atoms)),
+                         np.intp, len(formula.atoms))
+    widths = np.array(list(arity.values()))[rel_of]
+    ids = np.fromiter(map(rank.__getitem__,
+                          chain.from_iterable(vars_ for _, vars_ in formula.atoms)),
+                      id_dtype, widths.sum())
+    starts = np.cumsum(widths) - widths     # where each atom's ids begin
+    place_dtype = np.min_scalar_type(len(formula.atoms))
+    groups = []
+    for i, rel in enumerate(env.values()):
+        places = np.flatnonzero(rel_of == i)
+        if len(places):
+            groups.append(_Atoms(rel, ids[starts[places, None] + np.arange(rel.arity)],
+                                 places.astype(place_dtype), k))
+    free = np.zeros(len(order), dtype=bool)
+    free[[rank[v] for v in formula.free_vars]] = True
+    added = np.zeros(len(order), dtype=bool)
+    column = np.zeros(len(order), dtype=np.intp)     # the column of each variable in cols
     # one row per partial assignment of the variables in cols
     table = np.zeros((1, 0), dtype=dtype)
-    cols: list[str] = []
-    added: set[str] = set()
-    looked_up = None        # the atom whose lookup added the last variable
+    cols = np.zeros(0, dtype=id_dtype)
+    looked_up = None        # the place of the atom whose lookup added the last variable
     while True:
-        index = {v: i for i, v in enumerate(cols)}
-        waiting = []
+        needed = free.copy()
         pin, pin_key = None, None
-        for atom in pending:
-            rel, vars_, rel_name, min_bound = atom
-            missing = {v for v in vars_ if v not in index}
-            if not missing:
+        for group in groups:
+            known = added[group.ids]
+            complete = known.all(axis=1)
+            if complete.any():
                 # a lookup only adds rows that satisfy its atom
-                if atom is not looked_up:
-                    if rel_name not in keys:
-                        keys[rel_name] = _row_keys(rel.rows, k)
-                    table = table[_holds(keys[rel_name], table, [index[v] for v in vars_], k)]
+                check = complete if looked_up is None else complete & (group.places != looked_up)
+                if check.any():
+                    if group.keys is None:
+                        group.keys = _row_keys(group.rel.rows, k)
+                    # as many atoms at a time as gather FILTER_BLOCK_ROWS entries
+                    # from the whole table, or one; each block drops its failing
+                    # rows, and the table they leave, before the next
+                    cols_of = column[group.ids[check]]
+                    while len(cols_of) and len(table):
+                        size = max(FILTER_BLOCK_ROWS // (len(table) * cols_of.shape[1]), 1)
+                        table = table[_holds(group.keys, table, cols_of[:size], k)]
+                        cols_of = cols_of[size:]
+                group.ids, group.places = group.ids[~complete], group.places[~complete]
+                known = known[~complete]
+            ids = group.ids
+            if not len(ids):
                 continue
-            waiting.append(atom)
-            if len(missing) == 1:
-                var = next(iter(missing))
-                bound = len(vars_) - vars_.count(var)
-                if bound < min_bound:
-                    continue
-                key = (len(rel) / k ** bound, rank[var])
-                if pin is None or key < pin_key:
-                    pin, pin_key = (atom, var), key
-        pending = waiting
-        needed = set(formula.free_vars).union(*(atom[1] for atom in pending))
-        keep = [i for i, v in enumerate(cols) if v in needed]
+            needed[ids] = True
+            # the atoms whose unbound positions all hold one variable pin it
+            unbound = ids[np.arange(len(ids)), known.argmin(axis=1)]
+            bound = known.sum(axis=1)
+            pins = np.flatnonzero(((ids == unbound[:, None]) | known).all(axis=1)
+                                  & (bound >= group.min_bound))
+            if not len(pins):
+                continue
+            best = pins[np.lexsort((group.places[pins], unbound[pins],
+                                    group.per_prefix[bound[pins]]))[0]]
+            key = (float(group.per_prefix[bound[best]]), int(unbound[best]),
+                   int(group.places[best]))
+            if pin is None or key < pin_key:
+                pin, pin_key = group, key
+        keep = np.flatnonzero(needed[cols])
         if len(keep) < len(cols):
-            cols = [cols[i] for i in keep]
-            table = _unique_rows(table[:, keep], k) if keep else table[:1, :0]
-            index = {v: i for i, v in enumerate(cols)}
-        if len(added) == len(order):
+            cols = cols[keep]
+            table = _unique_rows(table[:, keep], k) if len(keep) else table[:1, :0]
+            column[cols] = np.arange(len(cols))
+        if added.all():
             break
         count, width = table.shape
         looked_up = None
         if pin is None:
-            var = next(v for v in order if v not in added)
+            var = int(added.argmin())       # the first variable of the default order not added
         else:
-            atom, var = pin
-            rel, vars_ = atom[:2]
+            _, var, place = pin_key
+            rel = pin.rel
             if count * k > len(rel):
-                looked_up = atom
-                table = _extend_by_lookup(table, [index[v] for v in vars_ if v != var],
-                                          _lookup_keys(rel.rows, vars_, var, k), k)
+                looked_up = place
+                vars_ = formula.atoms[place][1]
+                table = _extend_by_lookup(
+                    table, [int(column[rank[v]]) for v in vars_ if v != order[var]],
+                    _lookup_keys(rel.rows, vars_, order[var], k), k)
         if looked_up is None:
             _check_table_size(count * k, width + 1, table.itemsize)
             grown = np.empty((count, k, width + 1), dtype=dtype)
             grown[:, :, :width] = table[:, None, :]
             grown[:, :, width] = np.arange(k, dtype=dtype)
             table = grown.reshape(count * k, width + 1)
-        cols.append(var)
-        added.add(var)
+        column[var] = width
+        cols = np.append(cols, np.array(var, dtype=id_dtype))
+        added[var] = True
     alpha = formula.alpha or range(1, len(formula.free_vars) + 1)
-    columns = [cols.index(formula.free_vars[a - 1]) for a in alpha]
+    columns = [column[rank[formula.free_vars[a - 1]]] for a in alpha]
     return Relation(formula.domain, formula.output_arity, table[:, columns])
 
 

@@ -1,21 +1,27 @@
 """Primitive positive definitions of a relation from a generating system.
 
 Given relations Q = {rho_1..rho_t} and a generating system gamma_0 of a
-relation rho_0 invariant under Pol(Q), the synthesis iterates, for every
-relation and every selection of n = |gamma_0| of its tuples, over the rows
-of the selected submatrix.  A row equal to a row of the gamma_0 matrix gets
-that row's free variable, a fresh row gets the next existential variable;
-each submatrix contributes one atom (deduplicated per relation).  By
-construction the resulting formula is satisfied by every tuple of the
-closure of gamma_0; it defines rho_0 exactly when gamma_0 generates rho_0
-under Pol(Q), which validate_synthesis checks rather than assumes.
+relation rho_0 invariant under Pol(Q), every selection of n = |gamma_0|
+tuples of a relation contributes one atom, over the rows of the selected
+submatrix.  A row equal to a row of the gamma_0 matrix gets that row's free
+variable, a fresh row gets the next existential variable.  The rows of all
+selections of a relation are keyed at once (`core._row_keys`), and the
+existentials are numbered by first appearance, selection by selection in
+lexicographic order and relation by relation.  Distinct selections give
+distinct atoms, so no atom repeats.  By construction the resulting formula
+is satisfied by every tuple of the closure of gamma_0; it defines rho_0
+exactly when gamma_0 generates rho_0 under Pol(Q), which validate_synthesis
+checks rather than assumes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import repeat
 
-from .core import CapExceeded, Domain, Relation
+import numpy as np
+
+from .core import (CapExceeded, Domain, Relation, _digit_matrix, _isin_sorted, _row_dtype,
+                   _row_keys)
 from .ppformula import PPFormula, RelationEnv, eval_formula
 
 ROW_BUDGET = 100_000_000
@@ -86,37 +92,48 @@ def synthesize_ppdef(env: RelationEnv, gen: GeneratingSystem,
     if row_count > row_budget:
         raise CapExceeded(f"L = {row_count} rows exceed the budget of {row_budget}")
 
-    var_of: dict[tuple[int, ...], str] = {}
+    k, m_prime = gen.domain.k, gen.m_prime
+    names = [f"x{i}" for i in range(1, m_prime + 1)]     # the i-th gamma row's symbol
+    # the submatrix rows named so far, by sorted key, and their names' places
+    known = _row_keys(np.array(list(gen.iota), dtype=_row_dtype(k)), k)
+    symbols = np.argsort(known)
+    known = known[symbols]
+    met = np.zeros(m_prime, dtype=bool)     # the gamma rows met
     exist_count = 0
     atoms = []
     atom_counts = {}
     for name, rel in env.items():
-        kept = []
-        seen: set[tuple[str, ...]] = set()
-        for selection in product(rel.tuples, repeat=n):
-            symbols = []
-            for j in range(rel.arity):
-                z = tuple(col[j] for col in selection)
-                sym = var_of.get(z)
-                if sym is None:
-                    if z in gen.iota:
-                        sym = f"x{gen.iota[z]}"
-                    else:
-                        exist_count += 1
-                        sym = f"y{exist_count}"
-                    var_of[z] = sym
-                symbols.append(sym)
-            atom = tuple(symbols)
-            if atom not in seen:
-                seen.add(atom)
-                kept.append((name, atom))
-        atom_counts[name] = len(kept)
-        atoms.extend(kept)
+        # selection s takes the tuples numbered by the base-len(rel) digits
+        # of s; row z of its submatrix, their z-th entries, is keyed at
+        # s * arity + z
+        sel = _digit_matrix(n, len(rel), np.min_scalar_type(max(len(rel) - 1, 0)))
+        sub_rows = rel.rows.T[:, sel].reshape(rel.arity * len(sel), n)
+        keys = _row_keys(sub_rows, k).reshape(rel.arity, len(sel)).T.ravel()
+        # the keys not named before get the next existentials, in order of
+        # first appearance: the first of each run of equal keys in a stable sort
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        first &= ~_isin_sorted(known, ordered)
+        fresh = ordered[first][np.argsort(order[first])]
+        known = np.concatenate([known, fresh])
+        symbols = np.concatenate([symbols, len(names) + np.arange(len(fresh))])
+        names += [f"y{exist_count + j}" for j in range(1, len(fresh) + 1)]
+        exist_count += len(fresh)
+        by_key = np.argsort(known)
+        known, symbols = known[by_key], symbols[by_key]
+        named = symbols[np.searchsorted(known, keys)].reshape(len(sel), rel.arity)
+        met[named[named < m_prime]] = True
+        # distinct selections give distinct atoms: the tuples of rel are
+        # distinct, and so are the symbols of distinct submatrix rows
+        words = [map(names.__getitem__, col) for col in named.T.tolist()]
+        atoms.extend(zip(repeat(name), zip(*words)))
+        atom_counts[name] = len(sel)
 
-    free = tuple(f"x{i}" for i in range(1, gen.m_prime + 1))
-    exist = tuple(f"y{i}" for i in range(1, exist_count + 1))
+    free, exist = tuple(names[:m_prime]), tuple(names[m_prime:])
     formula = PPFormula(gen.domain, free, exist, tuple(atoms), gen.alpha)
-    unseen = sum(1 for v in gen.iota if v not in var_of)
+    unseen = m_prime - int(met.sum())
     return SynthesisResult(formula, row_count, atom_counts, exist_count,
                            gen.m_prime, unseen)
 

@@ -155,6 +155,15 @@ def test_console_script_version():
     assert out.stdout.startswith("cloneops ")
 
 
+def test_cli_import_leaves_out_the_thread_pool():
+    # every job pays for its imports; only a search on several threads needs the pool
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, cloneops.cli; print('concurrent.futures' in sys.modules)"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout == "False\n"
+
+
 def test_domain_beyond_uint8_exit_code(tmp_path, capsys):
     ops = tmp_path / "big.ops"
     ops.write_text("op g\ndomain 300\narity 1\ntable 256" + " 0" * 299 + "\n")

@@ -256,9 +256,9 @@ class _SerialPool:
 
 
 def test_threads_clamped_to_cpu_count(monkeypatch, t3_set, binary_centraliser):
-    import cloneops.commutation as commutation
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(commutation, "ThreadPoolExecutor", _SerialPool)
+    # the search imports the pool only when it runs on several threads
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     assert enumerate_centraliser(t3_set, 2, threads=64) == binary_centraliser
     polys = enumerate_polymorphisms([graph_of(snow_t(3))], 2, threads=64)

@@ -13,13 +13,16 @@ from cloneops import (CapExceeded, Domain, Operation, PPFormula, RelationEnv,
                       parse_formula, parse_relations, relation, snow_f,
                       snow_pp_formula, snow_t)
 from cloneops.cli import run
+from cloneops.core import _key_width
 
 
-def brute_eval(formula, env):
+def brute_eval(formula, env, values=None):
+    """The satisfying set, by trying every assignment of the values (the
+    domain by default) to the variables."""
     names = list(formula.free_vars) + list(formula.exist_vars)
     sat = set()
     k = formula.domain.k
-    for vals in product(range(k), repeat=len(names)):
+    for vals in product(range(k) if values is None else values, repeat=len(names)):
         a = dict(zip(names, vals))
         if all(tuple(a[v] for v in vs) in env[rn] for rn, vs in formula.atoms):
             free = [a[v] for v in formula.free_vars]
@@ -311,6 +314,66 @@ def test_eval_matches_brute_force():
         assert set(eval_formula(formula, env).tuples) == brute_eval(formula, env)
 
 
+def _planted_instance(rng, k, arities, atom_count, nvars, alphabet):
+    """atom_count atoms over relations of the given arities, their variables
+    drawn with replacement from nvars (so they repeat inside atoms); each
+    relation holds its atoms' rows under one or two random assignments and
+    a few random rows, all over the alphabet.  Every free variable occurs
+    in an atom, so the alphabet is enough for brute_eval."""
+    dom = Domain(k)
+    names = [f"v{i}" for i in range(nvars)]
+    atoms = []
+    for _ in range(atom_count):
+        r = rng.randrange(len(arities))
+        atoms.append((f"R{r}", tuple(rng.choices(names, k=arities[r]))))
+    rows = {f"R{r}": {tuple(rng.choices(alphabet, k=ar)) for _ in range(rng.randint(0, 3))}
+            for r, ar in enumerate(arities)}
+    for _ in range(rng.randint(1, 2)):
+        planted = {v: rng.choice(alphabet) for v in names}
+        for rel_name, vars_ in atoms:
+            rows[rel_name].add(tuple(planted[v] for v in vars_))
+    used = [v for v in names if any(v in vars_ for _, vars_ in atoms)]
+    free = used[:rng.randint(1, len(used))]
+    formula = PPFormula(dom, tuple(free), tuple(v for v in names if v not in free),
+                        tuple(atoms))
+    env = {f"R{r}": relation(dom, ar, rows[f"R{r}"]) for r, ar in enumerate(arities)}
+    return formula, env
+
+
+def test_batched_filter_matches_brute_force(monkeypatch):
+    filters = []
+    holds = ppformula._holds
+
+    def spy(keys, table, cols, k):
+        filters.append((k, *cols.shape))
+        return holds(keys, table, cols, k)
+    monkeypatch.setattr(ppformula, "_holds", spy)
+    lookups = _lookup_spy(monkeypatch)
+    cases = [(2, (6,), 200, 7, (0, 1)),
+             (3, (3,), 200, 4, (0, 1, 2)),
+             (3, (2, 4), 400, 5, (0, 1, 2)),
+             # 8 entries over k = 300 are keyed by their bytes: 300^8 > 2^64
+             (300, (8, 2), 250, 4, (0, 1, 255, 256, 299))]
+    rng = random.Random(16)
+    for block in [ppformula.FILTER_BLOCK_ROWS, 7]:
+        # with 7 keys per lookup, the rows and the atoms both come in blocks
+        monkeypatch.setattr(ppformula, "FILTER_BLOCK_ROWS", block)
+        for case in cases:
+            for _ in range(4):
+                formula, env = _planted_instance(rng, *case)
+                got = eval_formula(formula, env)
+                assert set(got.tuples) == brute_eval(formula, env, case[-1])
+                assert len(got)     # the planted assignments satisfy the formula
+    # over 100 atoms of one relation were looked up together, atoms of both
+    # arities were filtered, some by their bytes, and atoms extended the
+    # table by lookup (and were left out of the next filter)
+    assert max(atoms for _, atoms, _ in filters) >= 100
+    assert {(k, arity) for k, _, arity in filters} == {
+        (k, arity) for k, arities, *_ in cases for arity in arities}
+    assert 8 > _key_width(300)
+    assert lookups
+
+
 def test_adding_an_atom_never_enlarges():
     rng = random.Random(100)
     for _ in range(30):
@@ -370,6 +433,13 @@ def test_eval_errors(d3):
         eval_formula(phi, {"R": full_relation(d3, 2)})  # arity mismatch
     with pytest.raises(ValueError):
         eval_formula(phi, {"R": full_relation(Domain(2), 1)})  # wrong domain
+    # the first atom at fault is reported
+    faults = (("R", ("a", "a")), ("S", ("a",)))
+    env = {"R": full_relation(d3, 1)}
+    with pytest.raises(ValueError, match="has 2 variables, relation arity is 1"):
+        eval_formula(PPFormula(d3, ("a",), (), faults), env)
+    with pytest.raises(ValueError, match="missing relation 'S'"):
+        eval_formula(PPFormula(d3, ("a",), (), faults[::-1]), env)
 
 
 def test_relation_env_validation(d3):

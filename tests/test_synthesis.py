@@ -19,6 +19,92 @@ def closure_oracle(env, gamma0):
     return subuniverse_closure(gamma0, polys)
 
 
+def reference_synthesis(env, gen):
+    """The formula by the definition: a loop over every selection of every
+    relation, naming each column of the selected submatrix by its gamma
+    row or the next existential, one atom per selection, repeats dropped."""
+    n = gen.n
+    var_of = {}
+    exist_count = 0
+    atoms = []
+    atom_counts = {}
+    for name, rel in env.items():
+        kept = []
+        seen = set()
+        for selection in product(rel.tuples, repeat=n):
+            symbols = []
+            for j in range(rel.arity):
+                z = tuple(col[j] for col in selection)
+                sym = var_of.get(z)
+                if sym is None:
+                    if z in gen.iota:
+                        sym = f"x{gen.iota[z]}"
+                    else:
+                        exist_count += 1
+                        sym = f"y{exist_count}"
+                    var_of[z] = sym
+                symbols.append(sym)
+            atom = tuple(symbols)
+            if atom not in seen:
+                seen.add(atom)
+                kept.append((name, atom))
+        atom_counts[name] = len(kept)
+        atoms.extend(kept)
+    free = tuple(f"x{i}" for i in range(1, gen.m_prime + 1))
+    exist = tuple(f"y{i}" for i in range(1, exist_count + 1))
+    formula = PPFormula(gen.domain, free, exist, tuple(atoms), gen.alpha)
+    unseen = sum(1 for v in gen.iota if v not in var_of)
+    row_count = sum(len(rel) ** n * rel.arity for rel in env.values())
+    return SynthesisResult(formula, row_count, atom_counts, exist_count,
+                           gen.m_prime, unseen)
+
+
+def _assert_same_synthesis(env, gen):
+    got, want = synthesize_ppdef(env, gen), reference_synthesis(env, gen)
+    assert emit_text(got.formula) == emit_text(want.formula)
+    assert got.stats_line() == want.stats_line()
+    assert got.atom_counts == want.atom_counts
+    assert (got.unseen_rows, got.free_count) == (want.unseen_rows, want.free_count)
+    # distinct selections always give distinct atoms
+    n = gen.n
+    assert got.atom_counts == {name: len(rel) ** n for name, rel in env.items()}
+    return got
+
+
+def test_synthesis_matches_reference():
+    """2-3 relations of different arities (some empty), so the existentials
+    are numbered across them; generating systems with repeated tuples and
+    repeated matrix rows, over values the relations never take."""
+    rng = random.Random(16)
+    unseen = 0
+    for _ in range(150):
+        k = rng.choice([2, 3, 300])
+        dom = Domain(k)
+        values = rng.sample(range(k), min(k, 3))
+        env = {}
+        for i in range(rng.randint(2, 3)):
+            ar = rng.randint(1, 3)
+            env[f"R{i}"] = relation(dom, ar, {tuple(rng.choices(values, k=ar))
+                                              for _ in range(rng.randint(0, 4))})
+        m0 = rng.randint(1, 4)
+        gamma0 = [tuple(rng.choice(range(k)) if rng.random() < 0.2 else rng.choice(values)
+                        for _ in range(m0)) for _ in range(rng.randint(1, 3))]
+        gamma0 += rng.sample(gamma0, rng.randint(0, len(gamma0)))
+        unseen += _assert_same_synthesis(RelationEnv(env), dedup_rows(gamma0, dom)).unseen_rows
+    assert unseen
+
+
+def test_synthesis_matches_reference_beyond_key_width():
+    # 65 generating tuples: a column of a selection has 65 entries over
+    # k = 2, wider than an integer key, and is keyed by its bytes
+    d2 = Domain(2)
+    gamma0 = list(product(range(2), repeat=7))[:65]
+    env = RelationEnv({"R": relation(d2, 3, [(0, 1, 1)]), "U": relation(d2, 1, [(1,)]),
+                       "E": relation(d2, 2, [])})
+    result = _assert_same_synthesis(env, dedup_rows(gamma0, d2))
+    assert result.exist_count == 2 and result.unseen_rows == 7
+
+
 def test_dedup_rows_examples(d3):
     gen = dedup_rows([(0, 1, 0), (1, 0, 1)], Domain(2))
     # rows (0,1), (1,0), (0,1): third equals the first
