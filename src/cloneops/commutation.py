@@ -8,17 +8,23 @@ dead candidates as it goes; it is the vectorised form of the early-abort
 scalar checks `preserves` and `commutes`.
 
 Every search runs one driver: blocks of candidates, each a `_Grid`, pass
-through one filter per member or relation, and only the survivors are
-assembled into tables.  A polymorphism search sweeps each relation.  A
-centraliser search decides each member by the exact test `_member_test`
-picks for it once: cell by cell for unary members, by pattern counting for
-{0,1}-valued members with at most three ones, and by sweeping its graph
-otherwise.  Unary and binary candidates are all k^(k^ell) tables, in flat
-chunks.  Ternary candidates are not: every one is a diagonal-compatible
-triple of binary centraliser members (its three identification minors fix
-the k^3 - k(k-1)(k-2) base cells) together with one filling of the
-pairwise-distinct free cells, kept in that factored form, a `_Grid` of
-triples by fillings.
+through one filter per member or relation, each filter turning a grid into
+a list of grids, and only the survivors are assembled into tables.  A
+polymorphism search sweeps each relation.  A centraliser search decides
+each member by the exact test `_member_test` picks for it once: cell by
+cell for unary members, by pattern counting for {0,1}-valued members with
+at most three ones, and by sweeping its graph otherwise.  Unary and binary
+candidates are all k^(k^ell) tables, in flat chunks.  Ternary candidates
+are not: every one is a diagonal-compatible triple of binary centraliser
+members (its three identification minors fix the k^3 - k(k-1)(k-2) base
+cells) together with one filling of the pairwise-distinct free cells, kept
+in that factored form, a dense `_Grid` of triples by fillings.  The unary
+test keeps grids dense, joining the equations that mix the two axes into
+dense sub-grids; on a dense grid pattern counts are matrix products of
+per-triple and per-filling factors.  Only a count or a sweep that cuts
+across both axes leaves a sparse grid of (triple, filling) pairs.  No step
+builds per-candidate arrays for more than CANDIDATE_BLOCK candidates at a
+time.
 
 Candidate and member tables are uint8 rows in the encoding of `core`,
 which also holds their container, `OperationSet`.
@@ -34,10 +40,11 @@ from math import prod
 import numpy as np
 
 from .core import (_BLOCK_ENTRIES, CapExceeded, Domain, Operation, OperationSet,
-                   Relation, _digit_matrix, args_to_index, check_table_entries,
-                   graph_of, index_to_args, sparse_op)
+                   Relation, _digit_matrix, _isin_sorted, _row_keys, args_to_index,
+                   check_table_entries, graph_of, index_to_args, sparse_op)
 
 DEFAULT_BUDGET = 250_000_000
+CANDIDATE_BLOCK = 200_000   # the most candidates a step builds per-candidate arrays for
 
 
 @dataclass
@@ -212,8 +219,10 @@ class _Grid:
     Candidate (t, e) is the table base[t] with each free cell c (a key of
     slot) overwritten by ext[e, slot[c]].  While dense, the live candidates
     are every pair in ti x ei, laid out as a (len(ti), len(ei)) grid over
-    which per-triple and per-extension values broadcast; once a filter cuts
-    across both axes the grid turns sparse, the live candidates are the
+    which per-triple and per-extension values broadcast.  The unary filter
+    keeps grids dense: it cuts one axis at a time and joins the equations
+    across the axes into dense sub-grids.  Only a cut across both axes by a
+    count or a sweep turns a grid sparse: the live candidates are then the
     pairs zip(ti, ei), and values are gathered per pair.  Either way the
     candidates stay in row-major (t, e) order.  A flat batch of tables is
     the grid with an empty extension.
@@ -258,18 +267,18 @@ class _Grid:
         """The grid of the live candidates under mask.
 
         mask broadcasts to self.shape or is flat in candidate order.  A mask
-        that depends on the triple or the extension only keeps a dense grid
-        dense.  The arrays in carried, aligned with this grid, are cut to the
-        survivors in place.
+        that keeps everything, or depends on the triple or the extension
+        only, keeps a dense grid dense.  The arrays in carried, aligned with
+        this grid, are cut to the survivors in place.
         """
         mask = np.asarray(mask, dtype=bool)
+        if mask.all():
+            return self
         carried = {} if carried is None else carried
         if self.dense:
             if mask.ndim == 1:
                 mask = mask.reshape(self.shape)
             elif mask.ndim == 0:
-                if mask:
-                    return self
                 mask = np.zeros((len(self.ti), 1), dtype=bool)
             if mask.shape[1] == 1:
                 rows = mask[:, 0]
@@ -290,6 +299,18 @@ class _Grid:
             rows, cols = np.nonzero(full)
             return replace(self, ti=self.ti[rows], ei=self.ei[cols], dense=False)
         return replace(self, ti=self.ti[full], ei=self.ei[full])
+
+    def split(self, limit: int) -> list["_Grid"]:
+        """This grid's candidates as grids of at most limit candidates each
+        (a dense grid is cut into blocks of whole triples, and no triple has
+        more than limit extensions), a sparse one into runs of pairs."""
+        if len(self) <= limit:
+            return [self]
+        if self.dense:
+            step = max(1, limit // len(self.ei))
+            return [replace(self, ti=self.ti[at:at + step]) for at in range(0, len(self.ti), step)]
+        return [replace(self, ti=self.ti[at:at + limit], ei=self.ei[at:at + limit])
+                for at in range(0, len(self.ti), limit)]
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The (base row, extension row) of each live candidate, in order."""
@@ -336,40 +357,242 @@ def _count_dtype(k: int, r: int, ell: int):
                       "beyond int64")
 
 
-def _product(factors: list[np.ndarray]) -> np.ndarray:
-    """The product of arrays, multiplying those of one shape before broadcasting."""
-    by_shape: dict[tuple[int, ...], np.ndarray] = {}
-    for f in factors:
-        by_shape[f.shape] = by_shape[f.shape] * f if f.shape in by_shape else f
-    parts = sorted(by_shape.values(), key=np.size)
-    out = parts[0]
-    for part in parts[1:]:
-        out = out * part
+def _product_dtype(k: int, r: int, ell: int):
+    """The dtype in which matrix products give the super-pattern counts exactly.
+
+    Every entry, product and partial sum of those products is a
+    non-negative integer at most the count it adds up to, so at most
+    k^(ell r): float32 represents them all below 2^24, float64 below 2^53;
+    beyond that the products run in int64 (see _count_dtype).
+    """
+    bound = k ** (ell * r)
+    if bound < 2 ** 24:
+        return np.float32
+    if bound < 2 ** 53:
+        return np.float64
+    return np.int64
+
+
+def _super_terms(ones: list[tuple[int, ...]], ell: int) -> dict:
+    """Each super-pattern count as a weighted sum of products of cell counts.
+
+    For every row mask: (keys, terms).  keys are the (a, pins) of the cell
+    counts #{c pinned on the rows of mask to pins : g(c) = a}; terms maps
+    the r keys of each product, in increasing order, to the number of
+    equal products it stands for.
+    """
+    r = len(ones[0])
+    out = {}
+    for mask in range(2 ** ell):
+        rows = [i for i in range(ell) if mask >> i & 1]
+        keys: dict[tuple, int] = {}
+        terms: dict[tuple, int] = {}
+        for w in ones:
+            for choice in product(ones, repeat=len(rows)):
+                pins = list(zip(*choice)) or [()] * r      # the pins of each column
+                term = tuple(sorted([keys.setdefault((w[j], pins[j]), len(keys))
+                                     for j in range(r)]))
+                terms[term] = terms.get(term, 0) + 1
+        out[mask] = (list(keys), terms)
     return out
 
 
-def _unary_filter(grid: _Grid, member: Operation, ell: int) -> _Grid:
+@dataclass(frozen=True, eq=False)
+class _CountLayout:
+    """Where the cell counts of one member lie on grids with given free cells.
+
+    A cell count is a per-triple count over the base cells it covers plus a
+    per-extension count over the free ones.  Each side is a matrix product
+    of a one-hot table of the rows' values with triple_side ((cell, value)
+    by count) or ext_side ((free cell, value) by count); the last column of
+    each counts nothing and is set to 1.  Per mask, sparse holds each key's
+    column on both sides (-1 where a side covers none of its cells) and the
+    terms as built; dense expands every product into sums of products of a
+    per-triple factor and a per-extension factor, splitting only the keys
+    counted on both sides, as column indices (left, right; -1 pads) and
+    weights.
+    """
+    triple_side: np.ndarray
+    ext_side: np.ndarray
+    sparse: dict
+    dense: dict
+
+    @classmethod
+    def build(cls, super_terms: dict, pin_cells: dict, slot: dict, k: int, ell: int,
+              ftype) -> "_CountLayout":
+        columns: tuple[list, list] = ([], [])     # per side, the one-hot entries of each count
+        sparse, dense = {}, {}
+        for mask, (keys, terms) in super_terms.items():
+            at = []         # per key, its column on each side or -1
+            for a, pins in keys:
+                sides: tuple[list, list] = ([], [])
+                for c in pin_cells[mask, pins]:
+                    j = slot.get(c)
+                    if j is None:
+                        sides[0].append(c * k + a)
+                    else:
+                        sides[1].append(j * k + a)
+                at.append([])
+                for cols, entries in zip(columns, sides):
+                    at[-1].append(len(cols) if entries else -1)
+                    if entries:
+                        cols.append(entries)
+            sparse[mask] = (at, terms)
+            expanded: dict[tuple, int] = {}
+            for term, weight in terms.items():
+                left, right, mixed = [], [], []
+                for key in term:
+                    b, e = at[key]
+                    if e < 0:
+                        left.append(b)
+                    elif b < 0:
+                        right.append(e)
+                    else:
+                        mixed.append((b, e))
+                for on_ext in product((False, True), repeat=len(mixed)):
+                    lhs = left + [b for (b, _), x in zip(mixed, on_ext) if not x]
+                    rhs = right + [e for (_, e), x in zip(mixed, on_ext) if x]
+                    split = tuple(sorted(lhs)), tuple(sorted(rhs))
+                    expanded[split] = expanded.get(split, 0) + weight
+            dense[mask] = (_padded([left for left, _ in expanded]),
+                           _padded([right for _, right in expanded]),
+                           np.array(list(expanded.values()), ftype))
+        one_hot_width = (k ** ell * k, len(slot) * k)
+        triple_side, ext_side = (np.zeros((width, len(cols) + 1), ftype)
+                                 for width, cols in zip(one_hot_width, columns))
+        for side, cols in zip((triple_side, ext_side), columns):
+            side[[entry for entries in cols for entry in entries],
+                 [col for col, entries in enumerate(cols) for _ in entries]] = 1
+        return cls(triple_side, ext_side, sparse, dense)
+
+    def side_counts(self, grid: _Grid, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every per-triple and per-extension count: for a dense grid one row
+        per live triple and extension, for a sparse one per base and ext row."""
+        rows = (grid.base[grid.ti], grid.ext[grid.ei]) if grid.dense else (grid.base, grid.ext)
+        return tuple(_one_hot_counts(values, side, k)
+                     for values, side in zip(rows, (self.triple_side, self.ext_side)))
+
+
+def _one_hot_counts(rows: np.ndarray, side: np.ndarray, k: int) -> np.ndarray:
+    """rows one-hot encoded (by cell, then value) times side, with a last column of ones."""
+    out = np.empty((len(rows), side.shape[1]), dtype=side.dtype)
+    if side.shape[1] == 1:      # no count lies on this side
+        out[:] = 1
+        return out
+    values = np.arange(k, dtype=rows.dtype)
+    step = max(1, _BLOCK_ENTRIES // max(rows.shape[1] * k, 1))
+    for at in range(0, len(rows), step):
+        block = rows[at:at + step]
+        one_hot = (block[:, :, None] == values).reshape(len(block), -1)
+        np.matmul(one_hot.astype(side.dtype), side, out=out[at:at + step])
+    out[:, -1] = 1
+    return out
+
+
+def _padded(index_rows) -> np.ndarray:
+    """Rows of column indices of unequal lengths as a matrix, padded with -1."""
+    width = max(map(len, index_rows), default=0)
+    return np.array([row + (-1,) * (width - len(row)) for row in index_rows],
+                    dtype=np.int64).reshape(len(index_rows), width)
+
+
+def _dense_super(left: np.ndarray, right: np.ndarray, left_cols: np.ndarray,
+                 right_cols: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
+    """A super-pattern count on a dense grid, from its expanded products.
+
+    Each product is a per-triple factor (a product of left's columns) times
+    a per-extension factor (of right's); the weighted sum of them is one
+    matrix product, or a matrix-vector product when every factor lies on
+    one axis.
+    """
+    def factors(counts, cols):
+        out = counts[:, cols[:, 0]]
+        for j in range(1, cols.shape[1]):
+            out *= counts[:, cols[:, j]]
+        return out
+
+    if not right_cols.shape[1]:
+        return (factors(left, left_cols) @ weights)[:, None].astype(dtype)
+    if not left_cols.shape[1]:
+        return (factors(right, right_cols) @ weights)[None, :].astype(dtype)
+    lhs = factors(left, left_cols)
+    lhs *= weights
+    return (lhs @ factors(right, right_cols).T).astype(dtype, copy=False)
+
+
+def _sparse_super(grid: _Grid, left: np.ndarray, right: np.ndarray, at: list,
+                  terms: dict, dtype) -> np.ndarray:
+    """A super-pattern count on a sparse grid: each cell count gathered per pair."""
+    gathered = {}
+    for key in {key for term in terms for key in term}:
+        count = 0
+        for counts, col, index in ((left, at[key][0], grid.ti), (right, at[key][1], grid.ei)):
+            if col >= 0:
+                count = count + counts[index, col].astype(dtype)
+        gathered[key] = count
+    acc = 0
+    for term, weight in terms.items():
+        term_product = gathered[term[0]]
+        for key in term[1:]:
+            term_product = term_product * gathered[key]
+        acc = acc + (weight * term_product if weight > 1 else term_product)
+    return acc
+
+
+def _unary_filter(grid: _Grid, member: Operation, ell: int) -> list[_Grid]:
     """Candidates g with g(f(c_1), ..., f(c_ell)) = f(g(c)) for all cells c, f = member.
 
     Each equation compares two columns, each per triple or per extension.
-    Equations within one axis are tested first, so the grid stays dense
-    until only the mixed ones are left.
+    On a dense grid the equations within one axis cut that axis, and the
+    mixed ones are a join: a triple keeps exactly the extensions whose
+    values in them equal its own, so the survivors are one dense sub-grid
+    per signature found on both axes.  A sparse grid is cut pair by pair.
     """
     k = member.domain.k
     by_axes: dict[tuple[bool, bool], list[tuple[int, int]]] = {}
     for cell, c in enumerate(product(range(k), repeat=ell)):
         image = args_to_index([member.table[x] for x in c], k)
         by_axes.setdefault((cell in grid.slot, image in grid.slot), []).append((cell, image))
-    for axes in sorted(by_axes, key=lambda axes: axes[0] != axes[1]):
-        ok = True
-        for cell, image in by_axes[axes]:
-            ok = ok & (grid.column(image) == member.row[grid.column(cell)])
-        grid = grid.keep(ok)
-    return grid
+
+    def holds(part: _Grid, equations) -> np.ndarray:
+        ok = np.True_
+        for cell, image in equations:
+            ok = ok & (part.column(image) == member.row[part.column(cell)])
+        return ok
+
+    if not grid.dense:
+        return _cut(grid, partial(holds, equations=sum(by_axes.values(), [])))
+    for axes in ((False, False), (True, True)):
+        grid = grid.keep(holds(grid, by_axes.get(axes, ())))
+    mixed = by_axes.get((False, True), []) + by_axes.get((True, False), [])
+    if not mixed or not len(grid):
+        return [grid]
+    signatures = (np.empty((len(grid.ti), len(mixed)), dtype=grid.base.dtype),
+                  np.empty((len(grid.ei), len(mixed)), dtype=grid.base.dtype))
+    for j, (cell, image) in enumerate(mixed):
+        sides = (grid.column(image).ravel(), member.row[grid.column(cell)].ravel())
+        on_ext = image in grid.slot
+        signatures[0][:, j], signatures[1][:, j] = sides[on_ext], sides[not on_ext]
+    return [replace(grid, ti=grid.ti[rows], ei=grid.ei[cols])
+            for rows, cols in _join(*(_row_keys(sig, k) for sig in signatures))]
+
+
+def _join(left: np.ndarray, right: np.ndarray):
+    """(rows, cols) for each key in both arrays: its positions in each, increasing."""
+    runs = []
+    for keys in (left, right):
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        runs.append((order, ranked[starts], np.append(starts, len(keys))))
+    (lorder, lkeys, lbounds), (rorder, rkeys, rbounds) = runs
+    both = np.flatnonzero(_isin_sorted(rkeys, lkeys))
+    for i, j in zip(both, np.searchsorted(rkeys, lkeys[both])):
+        yield lorder[lbounds[i]:lbounds[i + 1]], rorder[rbounds[j]:rbounds[j + 1]]
 
 
 def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, ell: int, dtype,
-                     pin_cells) -> _Grid:
+                     layout) -> list[_Grid]:
     """Candidates commuting with the member that is 1 exactly on ones.
 
     An ell-by-r matrix is determined by its r columns (cells of A^ell); its
@@ -381,84 +604,76 @@ def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, ell: int,
     n_super[mask] (rows in mask map to 1, the others anywhere), each a sum
     of products of per-cell counts #{c pinned on the rows of mask : g(c) =
     a}.  On the grid a per-cell count is a per-triple count over the base
-    cells plus a per-extension count over the free cells, broadcast.
-    Patterns are tested cheapest first, in order of falling popcount (each
-    needs the super-pattern counts of its supersets), and the survivors,
-    with the counts computed so far, are compressed after each.
+    cells plus a per-extension count over the free cells (layout(grid)
+    places them).  On a dense grid n_super is a matrix product of
+    per-triple and per-extension factors, on a sparse one a sum of products
+    of counts gathered per pair.  Patterns are tested cheapest first, in
+    order of falling popcount (each needs the super-pattern counts of its
+    supersets), and the survivors, with the counts computed so far, are
+    compressed after each.  The grid is counted in parts of at most
+    CANDIDATE_BLOCK candidates.
     """
-    r, mu = len(ones[0]), len(ones)
-    base, ext, slot = grid.base, grid.ext, grid.slot
-    sides: dict[tuple, tuple] = {}          # per-triple and per-extension counts
-    live: dict[tuple, np.ndarray] = {}      # their sums for the live candidates
-
-    def count(key) -> np.ndarray:
-        if key not in live:
-            if key not in sides:
-                a, mask, pins = key
-                cells = pin_cells[mask, pins]
-                fixed = [c for c in cells if c not in slot]
-                free = [slot[c] for c in cells if c in slot]
-                sides[key] = (
-                    (base[:, fixed] == a).sum(axis=1, dtype=dtype) if fixed else None,
-                    (ext[:, free] == a).sum(axis=1, dtype=dtype) if free else None)
-            b, e = sides[key]
-            if e is None:
-                live[key] = grid.per_triple(b)
-            elif b is None:
-                live[key] = grid.per_ext(e)
-            else:
-                live[key] = grid.per_triple(b) + grid.per_ext(e)
-        return live[key]
-
-    def n_super(mask: int) -> np.ndarray:
-        rows = [i for i in range(ell) if mask >> i & 1]
-        acc = 0
-        for w in ones:
-            for choice in product(ones, repeat=len(rows)):
-                acc = acc + _product([count((w[j], mask, tuple(o[j] for o in choice)))
-                                      for j in range(r)])
-        return acc
-
+    r = len(ones[0])
     masks = range(2 ** ell)
-    total = [prod(mu if v >> i & 1 else k ** r - mu for i in range(ell)) for v in masks]
+    total = [prod(len(ones) if v >> i & 1 else k ** r - len(ones) for i in range(ell))
+             for v in masks]
     corner = [args_to_index([v >> i & 1 for i in range(ell)], k) for v in masks]
-    # mu <= 3 < k^r, so every pattern has matrices to count
+    # len(ones) <= 3 < k^r, so every pattern has matrices to count
     patterns = sorted(masks, key=lambda v: -bin(v).count("1"))
-    # the right-hand side is {0,1}-valued, so g(v) must be as well
-    ok = True
-    for v in patterns:
-        ok = ok & (grid.column(corner[v]) <= 1)
-    grid = grid.keep(ok)
-    supers: dict[int, np.ndarray] = {}
-    for v in patterns:
-        if not len(grid):
-            break
-        n_v = 0
-        for mask in masks:
-            if mask & v == v:
-                if mask not in supers:
-                    supers[mask] = n_super(mask)
-                odd = bin(mask ^ v).count("1") % 2
-                n_v = n_v - supers[mask] if odd else n_v + supers[mask]
-        grid = grid.keep(n_v == grid.column(corner[v]).astype(dtype) * total[v], supers)
-        live.clear()
-    return grid
+    placed = layout(grid)
+
+    def survivors(part: _Grid) -> _Grid:
+        # the right-hand side is {0,1}-valued, so g(v) must be as well
+        ok = np.True_
+        for v in patterns:
+            ok = ok & (part.column(corner[v]) <= 1)
+        part = part.keep(ok)
+        supers: dict[int, np.ndarray] = {}
+        counted = None      # (part, its per-triple and per-extension counts)
+        for v in patterns:
+            if not len(part):
+                break
+            n_v = 0
+            for mask in masks:
+                if mask & v == v:
+                    if mask not in supers:
+                        if counted is None or counted[0] is not part:
+                            counted = part, placed.side_counts(part, k)
+                        if part.dense:
+                            supers[mask] = _dense_super(*counted[1], *placed.dense[mask], dtype)
+                        else:
+                            supers[mask] = _sparse_super(part, *counted[1],
+                                                         *placed.sparse[mask], dtype)
+                    odd = bin(mask ^ v).count("1") % 2
+                    n_v = n_v - supers[mask] if odd else n_v + supers[mask]
+            part = part.keep(n_v == part.column(corner[v]).astype(dtype) * total[v], supers)
+        return part
+
+    return [survivors(part) for part in grid.split(CANDIDATE_BLOCK)]
 
 
-def _sweep_filter(grid: _Grid, rel: Relation, ell: int) -> _Grid:
+def _cut(grid: _Grid, mask_of) -> list[_Grid]:
+    """The survivors of grid under mask_of, taken a part of at most CANDIDATE_BLOCK
+    candidates at a time."""
+    return [part.keep(mask_of(part)) for part in grid.split(CANDIDATE_BLOCK)]
+
+
+def _sweep_filter(grid: _Grid, rel: Relation, ell: int) -> list[_Grid]:
     """Candidates preserving rel, found by sweeping it over the assembled candidates."""
-    return grid.keep(preserve_mask(grid.tables(), rel, ell))
+    return _cut(grid, lambda part: preserve_mask(part.tables(), rel, ell))
 
 
 def _member_test(member: Operation, ell: int):
     """(name, filter): the test of ell-ary candidates for commutation with member.
 
-    filter maps a _Grid to the sub-grid of its candidates that commute with
-    member.  Unary members are decided cell by cell ("unary"), {0,1}-valued
-    ones that are 1 at most three times by exact pattern counting
-    ("counting"), and any other member by sweeping its graph, built here
-    once, over the assembled candidates ("sweep").  Raises CapExceeded,
-    before any candidate is looked at, when the counts would not fit int64.
+    filter maps a _Grid to a list of grids of its candidates that commute
+    with member.  Unary members are decided cell by cell ("unary"),
+    {0,1}-valued ones that are 1 at most three times by exact pattern
+    counting ("counting"), and any other member by sweeping its graph,
+    built here once, over the assembled candidates ("sweep").  The terms of
+    the counts are built here once too, and placed on the grid once per
+    set of free cells.  Raises CapExceeded, before any candidate is looked
+    at, when the counts would not fit int64.
     """
     k, r, row = member.domain.k, member.arity, member.row
     if r == 1:
@@ -466,10 +681,21 @@ def _member_test(member: Operation, ell: int):
     ones_at = np.flatnonzero(row == 1)
     if len(ones_at) <= 3 and row.max() <= 1:
         if not len(ones_at):    # g(0,...,0) must be 0, nothing else is reachable
-            return "counting", lambda grid: grid.keep(grid.column(0) == 0)
+            return "counting", partial(_cut, mask_of=lambda part: part.column(0) == 0)
         ones = [index_to_args(int(at), k, r) for at in ones_at]
-        return "counting", partial(_counting_filter, ones=ones, k=k, ell=ell,
-                                   dtype=_count_dtype(k, r, ell), pin_cells=_pin_cells(k, ell))
+        dtype, ftype = _count_dtype(k, r, ell), _product_dtype(k, r, ell)
+        super_terms, pin_cells = _super_terms(ones, ell), _pin_cells(k, ell)
+        layouts: dict[tuple, _CountLayout] = {}
+
+        def layout(grid: _Grid) -> _CountLayout:
+            free = tuple(grid.slot)
+            if free not in layouts:
+                layouts[free] = _CountLayout.build(super_terms, pin_cells, grid.slot, k, ell,
+                                                   ftype)
+            return layouts[free]
+
+        return "counting", partial(_counting_filter, ones=ones, k=k, ell=ell, dtype=dtype,
+                                   layout=layout)
     return "sweep", partial(_sweep_filter, rel=graph_of(member), ell=ell)
 
 
@@ -485,17 +711,18 @@ def _clamp_threads(threads: int) -> int:
 def _run_filters(grids, filters, threads: int):
     """The survivors of every grid under the filters, applied in turn.
 
-    Returns the surviving tables, grid after grid, and per filter its
-    (in, out) candidate counts summed over the grids.
+    A filter maps a grid to a list of grids.  Returns the surviving tables,
+    grid after grid, and per filter its (in, out) candidate counts summed
+    over the grids.
     """
     def worker(grid):
-        flow = []
+        live, flow = [grid], []
         for keep in filters:
-            before = len(grid)
-            if before:
-                grid = keep(grid)
-            flow.append((before, len(grid)))
-        return grid.tables(), flow
+            before = sum(map(len, live))
+            live = [part for block in live for part in keep(block) if len(part)]
+            flow.append((before, sum(map(len, live))))
+        return ([part.tables() for block in live for part in block.split(CANDIDATE_BLOCK)]
+                or [grid.base[:0]]), flow
 
     if threads <= 1 or len(grids) <= 1:
         parts = [worker(grid) for grid in grids]
@@ -504,7 +731,7 @@ def _run_filters(grids, filters, threads: int):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(worker, grids))
     per_filter = zip(*(flow for _, flow in parts))      # each filter's flow, grid by grid
-    return (np.vstack([rows for rows, _ in parts]),
+    return (np.vstack([rows for tables, _ in parts for rows in tables]),
             [tuple(map(sum, zip(*flows))) for flows in per_filter])
 
 
@@ -547,7 +774,7 @@ def _ternary_grids(fs: OperationSet, budget: int, threads: int,
     ext = _digit_matrix(len(free_cells), k, np.uint8)
 
     grids = []
-    triple_block = max(1, 200_000 // ext_count)
+    triple_block = max(1, CANDIDATE_BLOCK // ext_count)
     for key in sorted(groups):
         gidx = np.array(groups[key], dtype=np.int64)
         tri = _digit_matrix(3, len(gidx))

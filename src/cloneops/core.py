@@ -129,7 +129,8 @@ def _isin_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Mask of the probe keys that occur in the sorted keys."""
     if not len(keys):
         return np.zeros(len(probe), dtype=bool)
-    pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    pos = np.searchsorted(keys, probe)
+    np.minimum(pos, len(keys) - 1, out=pos)
     return keys[pos] == probe
 
 

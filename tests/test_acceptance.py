@@ -24,6 +24,8 @@ from test_commutation import expected_binary_catalog
 
 TERNARY_CANDIDATE_BOUND = 65 ** 3 * 3 ** 6     # 200,201,625
 TERNARY_COUNT = 1_048_578
+TERNARY_CANDIDATES = 27_695_439     # diagonal-compatible triples times fillings
+TERNARY_SHA256 = "626305562eaab2974b8672d94cf105e0687aa25d3dd4c219a5c76e3c06f57baf"
 
 
 class _Timer:
@@ -80,6 +82,8 @@ def test_criterion_03_ternary_centraliser(ternary_result):
     assert elapsed <= 14400
     digest = hashlib.sha256(result.tables(3).tobytes()).hexdigest()
     print(f"  ternary slice sha256 {digest}")
+    assert stats.candidates == TERNARY_CANDIDATES
+    assert digest == TERNARY_SHA256
 
 
 def test_criterion_03b_ternary_spot_checks(d3, t3, ternary_result, binary_centraliser):

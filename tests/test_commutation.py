@@ -1,6 +1,7 @@
 import os
 import random
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,26 +11,32 @@ from cloneops import (CapExceeded, Domain, Operation, OperationSet, commutes,
                       enumerate_centraliser, enumerate_polymorphisms,
                       family_op, full_relation, graph_of, make_projection,
                       preserves, relation, snow_t, sparse_op)
-from cloneops.commutation import _Grid, _count_dtype, _member_test, preserve_mask
-from cloneops.core import _digit_matrix
+import cloneops.commutation as commutation
+from cloneops.commutation import (_Grid, _count_dtype, _member_test, _product_dtype,
+                                  preserve_mask)
+from cloneops.core import _digit_matrix, _key_width
 
 
 def unary(d, *values):
     return Operation(d, 1, tuple(values))
 
 
-def _survivors(grid):
-    """Boolean mask of the grid's live candidates over all its (triple, extension) pairs."""
-    ti, ei = grid.pairs()
+def _survivors(blocks, grid):
+    """Boolean mask of the live candidates of blocks, grids cut from grid, over
+    all of grid's (triple, extension) pairs; no candidate lies in two blocks."""
     mask = np.zeros(len(grid.base) * len(grid.ext), dtype=bool)
-    mask[ti * len(grid.ext) + ei] = True
+    for block in blocks:
+        ti, ei = block.pairs()
+        mask[ti * len(grid.ext) + ei] = True
+    assert mask.sum() == sum(map(len, blocks))
     return mask
 
 
 def _pattern_mask(tables, member):
     """Mask of the candidate tables that the ternary test of member keeps."""
     _, test = _member_test(member, 3)
-    return _survivors(test(_Grid.of(tables)))
+    grid = _Grid.of(tables)
+    return _survivors(test(grid), grid)
 
 
 def expected_binary_catalog(d3):
@@ -312,7 +319,8 @@ def test_graph_mask_agrees_with_scalar_commutes(case):
     d, f, ell, tables = case
     mask = preserve_mask(tables, graph_of(f), ell)
     # the exact test picked for f agrees on the same candidates as a flat grid
-    assert np.array_equal(_survivors(_member_test(f, ell)[1](_Grid.of(tables))), mask)
+    grid = _Grid.of(tables)
+    assert np.array_equal(_survivors(_member_test(f, ell)[1](grid), grid), mask)
     if f.arity * ell <= 6:      # the scalar scan visits k^(arity * ell) matrices
         for row, ok in zip(tables, mask):
             g = Operation(d, ell, tuple(int(v) for v in row))
@@ -329,6 +337,20 @@ def test_count_dtype_follows_the_exact_bound():
         assert _count_dtype(3, int64_max, ell) == np.int64
         with pytest.raises(CapExceeded):
             _count_dtype(3, int64_max + 1, ell)
+
+
+def test_product_dtype_flips_at_the_float_mantissas():
+    # the exact bound k^(ell r) against 2^24 (float32) and 2^53 (float64)
+    for ell, r in [(1, 23), (2, 11), (3, 7)]:       # 2^23, 2^22, 2^21
+        assert _product_dtype(2, r, ell) == np.float32
+    for ell, r in [(1, 24), (2, 12), (3, 8)]:       # 2^24
+        assert _product_dtype(2, r, ell) == np.float64
+    assert _product_dtype(2, 52, 1) == np.float64
+    assert _product_dtype(2, 53, 1) == np.int64
+    assert _product_dtype(3, 15, 1) == np.float32   # 3^15 < 2^24 < 3^16
+    assert _product_dtype(3, 16, 1) == np.float64
+    assert _product_dtype(3, 11, 3) == np.float64   # 3^33 < 2^53 < 3^34
+    assert _product_dtype(3, 34, 1) == np.int64
 
 
 def test_counting_beyond_int64_is_refused_up_front(monkeypatch, d3):
@@ -399,8 +421,91 @@ def test_grid_filters_match_sweep_k3(members, seed):
     grid = _Grid.of(base, ext, _FREE_K3)
     tables = grid.tables()
     expected = np.ones(len(tables), dtype=bool)
+    blocks = [grid]
     for f in members:
-        grid = _member_test(f, 3)[1](grid)
+        blocks = [part for block in blocks for part in _member_test(f, 3)[1](block)]
         expected &= preserve_mask(tables, graph_of(f), 3)
-        assert np.array_equal(_survivors(grid), expected)
+        assert np.array_equal(_survivors(blocks, grid), expected)
     assert expected.any()   # the projections survive
+
+
+def _grid_over(k, ell, free, rng):
+    """A grid with the given free cells of A^ell (possibly none).
+
+    Its base rows are projections and constants, which commute with many
+    members, copies of them with one cell changed and random tables; its
+    fillings are the base rows' own values in the free cells and random ones.
+    """
+    width = k ** ell
+    cells = _digit_matrix(ell, k, np.uint8)
+    near = np.vstack([cells.T, np.repeat(np.arange(k, dtype=np.uint8)[:, None], width, axis=1)])
+    perturbed = near[rng.integers(0, len(near), 4)].copy()
+    perturbed[np.arange(4), rng.integers(0, width, 4)] = rng.integers(0, k, 4)
+    base = np.vstack([near, perturbed, rng.integers(0, k, (3, width), dtype=np.uint8)])
+    if not free:
+        return _Grid.of(base)
+    ext = np.vstack([base[:, free], rng.integers(0, k, (4, len(free)), dtype=np.uint8)])
+    return _Grid.of(base, ext, free)
+
+
+@st.composite
+def _grid_case(draw, k, ell):
+    """A grid over a random share (none, some or all) of the cells of A^ell as free cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    return _grid_over(k, ell, [c for c in range(k ** ell) if rng.random() < share], rng)
+
+
+def _all_pairs(grid):
+    """The same candidates as a sparse grid, one (triple, extension) pair each."""
+    return _Grid(grid.base, grid.ext, grid.slot, *grid.pairs(), dense=False)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_unary_join_matches_the_pairwise_mask(data):
+    k = data.draw(st.sampled_from([2, 3, 4]))
+    ell = data.draw(st.integers(1, 3))
+    # permutations send many free cells to base cells and back at k=4, ell=3
+    table = data.draw(st.one_of(st.permutations(range(k)),
+                                st.lists(st.integers(0, k - 1), min_size=k, max_size=k)))
+    f = Operation(Domain(k), 1, tuple(table))
+    grid = data.draw(_grid_case(k, ell))
+    expected = preserve_mask(grid.tables(), graph_of(f), ell)
+    blocks = _member_test(f, ell)[1](grid)
+    assert all(block.dense for block in blocks)
+    assert np.array_equal(_survivors(blocks, grid), expected)
+    assert np.array_equal(_survivors(_member_test(f, ell)[1](_all_pairs(grid)), grid), expected)
+
+
+def test_unary_join_keys_wide_signatures():
+    # the permutation moves the first argument between even and odd values, and
+    # the free cells are those with an even first argument: all 64 equations mix
+    # the axes, more than an integer key holds at k=4
+    f = Operation(Domain(4), 1, (1, 2, 3, 0))
+    free = [i for i, c in enumerate(product(range(4), repeat=3)) if c[0] % 2 == 0]
+    assert _key_width(4) < 64
+    grid = _grid_over(4, 3, free, np.random.default_rng(7))
+    expected = preserve_mask(grid.tables(), graph_of(f), 3)
+    blocks = _member_test(f, 3)[1](grid)
+    assert expected.any() and all(block.dense for block in blocks)
+    assert np.array_equal(_survivors(blocks, grid), expected)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_dense_and_sparse_counting_match_the_sweep(data):
+    k = data.draw(st.sampled_from([2, 3]))
+    ell = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(2, 3))
+    ones = data.draw(st.sets(st.integers(0, k ** r - 1), min_size=1, max_size=3))
+    f = Operation(Domain(k), r, tuple(int(i in ones) for i in range(k ** r)))
+    grid = data.draw(_grid_case(k, ell))
+    expected = preserve_mask(grid.tables(), graph_of(f), ell)
+    # every product dtype the bound can pick computes the same counts
+    product_dtype = data.draw(st.sampled_from([np.float32, np.float64, np.int64]))
+    with patch.object(commutation, "_product_dtype", lambda *args: product_dtype):
+        name, test = _member_test(f, ell)
+    assert name == "counting"
+    assert np.array_equal(_survivors(test(grid), grid), expected)
+    assert np.array_equal(_survivors(test(_all_pairs(grid)), grid), expected)
