@@ -9,11 +9,14 @@ scalar checks `preserves` and `commutes`.
 
 Every search runs one driver: blocks of candidates, each a `_Grid`, pass
 through one filter per member or relation, each filter turning a grid into
-a list of grids, and only the survivors are assembled into tables.  A
-polymorphism search sweeps each relation.  A centraliser search decides
-each member by the exact test `_member_test` picks for it once: cell by
-cell for unary members, by pattern counting for {0,1}-valued members with
-at most three ones, and by sweeping its graph otherwise.  Unary and binary
+a list of grids.  The survivors leave the grids as the `core._row_keys` of
+their tables, added up from per-row and per-filling keys without building
+a table, and `OperationSet._of_keys` sorts those keys and decodes each
+distinct table once.  A polymorphism search sweeps each relation.  A
+centraliser search decides each member by the exact test `_member_test`
+picks for it once: cell by cell for unary members, by pattern counting for
+{0,1}-valued members with at most three ones, and by sweeping its graph
+otherwise.  Unary and binary
 candidates are all k^(k^ell) tables, in flat chunks.  Ternary candidates
 are not: every one is a diagonal-compatible triple of binary centraliser
 members (its three identification minors fix the k^3 - k(k-1)(k-2) base
@@ -40,8 +43,9 @@ from math import prod
 import numpy as np
 
 from .core import (_BLOCK_ENTRIES, CapExceeded, Domain, Operation, OperationSet,
-                   Relation, _digit_matrix, _isin_sorted, _row_keys, args_to_index,
-                   check_table_entries, graph_of, index_to_args, sparse_op)
+                   Relation, _digit_matrix, _isin_sorted, _key_weights, _key_width,
+                   _row_keys, args_to_index, check_table_entries, graph_of, index_to_args,
+                   sparse_op)
 
 DEFAULT_BUDGET = 250_000_000
 CANDIDATE_BLOCK = 200_000   # the most candidates a step builds per-candidate arrays for
@@ -225,7 +229,8 @@ class _Grid:
     count or a sweep turns a grid sparse: the live candidates are then the
     pairs zip(ti, ei), and values are gathered per pair.  Either way the
     candidates stay in row-major (t, e) order.  A flat batch of tables is
-    the grid with an empty extension.
+    the grid with an empty extension.  Candidates are assembled into tables
+    only for a sweep (`tables`); the survivors leave as keys (`keys`).
     """
     base: np.ndarray        # (rows, k^ell) tables; their free cells are ignored
     ext: np.ndarray         # (extensions, free cells) fillings of the free cells
@@ -326,6 +331,26 @@ class _Grid:
         if self.slot:
             out[:, list(self.slot)] = self.ext[ei]
         return out
+
+    def keys(self, k: int) -> np.ndarray:
+        """core._row_keys(self.tables(), k), in candidate order.
+
+        A table's integer key is the key of its base row with the free cells
+        weighted 0 plus the key of its filling in the free cells' weights,
+        so it takes one add per live candidate and no table.  Tables wider
+        than _key_width(k) are keyed by their bytes, assembled.
+        """
+        width = self.base.shape[1]
+        if width > _key_width(k):
+            return _row_keys(self.tables(), k)
+        free = list(self.slot)
+        on_base = self.base[self.ti] if self.dense else self.base.copy()
+        on_base[:, free] = 0
+        left = _row_keys(on_base, k)
+        right = (self.ext[self.ei] if self.dense else self.ext) @ _key_weights(k, width)[free]
+        if self.dense:
+            return (left[:, None] + right[None, :]).ravel()
+        return left[self.ti] + right[self.ei]
 
 
 def _pin_cells(k: int, ell: int):
@@ -708,12 +733,12 @@ def _clamp_threads(threads: int) -> int:
     return max(1, min(threads, os.cpu_count() or 1))
 
 
-def _run_filters(grids, filters, threads: int):
+def _run_filters(grids, filters, k: int, threads: int):
     """The survivors of every grid under the filters, applied in turn.
 
-    A filter maps a grid to a list of grids.  Returns the surviving tables,
-    grid after grid, and per filter its (in, out) candidate counts summed
-    over the grids.
+    A filter maps a grid to a list of grids.  Returns the surviving tables'
+    keys (`_Grid.keys`), grid after grid, and per filter its (in, out)
+    candidate counts summed over the grids.
     """
     def worker(grid):
         live, flow = [grid], []
@@ -721,8 +746,8 @@ def _run_filters(grids, filters, threads: int):
             before = sum(map(len, live))
             live = [part for block in live for part in keep(block) if len(part)]
             flow.append((before, sum(map(len, live))))
-        return ([part.tables() for block in live for part in block.split(CANDIDATE_BLOCK)]
-                or [grid.base[:0]]), flow
+        return ([part.keys(k) for block in live for part in block.split(CANDIDATE_BLOCK)]
+                or [_row_keys(grid.base[:0], k)]), flow
 
     if threads <= 1 or len(grids) <= 1:
         parts = [worker(grid) for grid in grids]
@@ -731,7 +756,7 @@ def _run_filters(grids, filters, threads: int):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(worker, grids))
     per_filter = zip(*(flow for _, flow in parts))      # each filter's flow, grid by grid
-    return (np.vstack([rows for tables, _ in parts for rows in tables]),
+    return (np.concatenate([part for keys, _ in parts for part in keys]),
             [tuple(map(sum, zip(*flows))) for flows in per_filter])
 
 
@@ -810,11 +835,11 @@ def enumerate_centraliser(fs: OperationSet, arity: int, budget: int = DEFAULT_BU
     else:
         grids = _ternary_grids(fs, budget, threads, stats)
     stats.candidates = sum(len(grid) for grid in grids)
-    rows, flow = _run_filters(grids, [keep for _, keep in tests], threads)
+    keys, flow = _run_filters(grids, [keep for _, keep in tests], domain.k, threads)
     stats.details["filters"] = [
         {"member": i, "arity": f.arity, "test": name, "in": n_in, "out": n_out}
         for i, (f, (name, _), (n_in, n_out)) in enumerate(zip(members, tests, flow))]
-    result = OperationSet(domain, {arity: rows})
+    result = OperationSet._of_keys(domain, arity, keys)
     stats.survivors = result.count(arity)
     if return_stats:
         return result, stats
@@ -835,7 +860,7 @@ def enumerate_polymorphisms(relations, arity: int, budget: int = DEFAULT_BUDGET,
         if rel.domain != domain:
             raise ValueError("all relations must share the domain")
     threads = _clamp_threads(threads)
-    rows, _ = _run_filters(_table_grids(domain, arity, budget, threads),
+    keys, _ = _run_filters(_table_grids(domain, arity, budget, threads),
                            [partial(_sweep_filter, rel=rel, ell=arity) for rel in relations],
-                           threads)
-    return OperationSet(domain, {arity: rows})
+                           domain.k, threads)
+    return OperationSet._of_keys(domain, arity, keys)

@@ -85,22 +85,36 @@ def _row_keys(rows: np.ndarray, k: int) -> np.ndarray:
     return keys
 
 
+@cache
+def _digit_table(k: int, width: int) -> np.ndarray:
+    """_digit_matrix(width, k) in _row_dtype(k), read-only."""
+    table = _digit_matrix(width, k, _row_dtype(k))
+    table.setflags(write=False)
+    return table
+
+
 def _key_rows(keys: np.ndarray, k: int, width: int) -> np.ndarray:
     """The rows of width entries that _row_keys(rows, k) gives these keys."""
     dtype = _row_dtype(k)
     if keys.dtype.kind == "V":
         return np.ascontiguousarray(keys).view(dtype).reshape(len(keys), width)
+    # the digits are read a chunk at a time, from a table of the k^chunk <= 2^16
+    # chunk values; only a chunk below the leading one divides, by a k^chunk
+    # below k^width, which the keys' type holds
+    chunk = 1
+    while chunk < width and k ** (chunk + 1) <= 1 << 16:
+        chunk += 1
+    table = _digit_table(k, chunk)
     rows = np.empty((len(keys), width), dtype=dtype)
-    # the digits are written a block at a time, column by column
     step = max(_BLOCK_ENTRIES // max(width, 1), 1)
     for start in range(0, len(keys), step):
-        rest = keys[start:start + step]
-        digits = np.empty((width, len(rest)), dtype=dtype)
-        for pos in range(width - 1, -1, -1):
-            quotient = rest // k
-            digits[pos] = rest - quotient * k
-            rest = quotient
-        rows[start:start + step] = digits.T
+        rest, out = keys[start:start + step], rows[start:start + step]
+        pos = width
+        while pos > chunk:
+            quotient = rest // k ** chunk
+            out[:, pos - chunk:pos] = np.take(table, rest - quotient * k ** chunk, axis=0)
+            rest, pos = quotient, pos - chunk
+        out[:, :pos] = np.take(table, rest, axis=0)[:, chunk - pos:]
     return rows
 
 
@@ -354,6 +368,19 @@ class OperationSet:
         self._tables = {arity: _table_rows(arr, domain.k, domain.k ** arity)
                         for arity, arr in sorted(tables_by_arity.items())}
         self._keys: dict[int, np.ndarray] = {}     # _row_keys of the tables, on demand
+
+    @classmethod
+    def _of_keys(cls, domain: Domain, arity: int, keys: np.ndarray) -> "OperationSet":
+        """The operations of one arity whose tables have these keys, unchecked:
+        keys must be _row_keys(tables, domain.k) of k^arity-entry tables over
+        a domain of at most 256 elements, in any order and with repeats.  The
+        sorted distinct keys stay as the set's key cache."""
+        keys = _sorted_distinct(keys)
+        rows = _key_rows(keys, domain.k, domain.k ** arity)
+        rows.setflags(write=False)
+        ops = cls.__new__(cls)
+        ops.domain, ops._tables, ops._keys = domain, {arity: rows}, {arity: keys}
+        return ops
 
     @classmethod
     def from_operations(cls, domain: Domain, ops) -> "OperationSet":

@@ -20,8 +20,8 @@ Out-of-range values are rejected with an error naming line and column.
 
 All tables and tuple lines are written by one vectorised formatter,
 _text_block: the text of a block of rows is built as a uint8 matrix, a row
-of it per line, each value one lookup of its padded text, with a head in
-front of each line (an operation's 'op <name>' ... 'table ' lines).
+of it per line, each value one unit of its text, with a head in front of
+each line (an operation's 'op <name>' ... 'table ' lines).
 emit_operations and emit_relations return it decoded as str;
 operation_set_blocks writes one arity of an OperationSet straight from its
 sorted uint8 table and yields each block of rows as its ASCII bytes,
@@ -34,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Domain, Operation, Relation
+from .core import Domain, Operation, Relation, _digit_matrix
 
 # Table entries formatted per block of operation_set_blocks.
 EMIT_BLOCK_ENTRIES = 1 << 21
@@ -160,28 +160,37 @@ def _value_units(k: int, sep: str) -> np.ndarray:
     return np.frombuffer(text, dtype=np.dtype(f"V{size}"))
 
 
-def _text_block(rows, k: int, head=np.empty((1, 0), dtype=np.uint8)) -> np.ndarray:
-    """head[i] + ' '.join(map(str, rows[i])) + '\n' for each row, as one flat
-    uint8 array.
+def _text_block(rows, k: int, *heads: np.ndarray) -> np.ndarray:
+    """heads[0][i] + heads[1][i] + ... + ' '.join(map(str, rows[i])) + '\n'
+    for each row, as one flat uint8 array.
 
-    rows is a 2-d integer array over range(k), head a 2-d uint8 array with a
-    row for each of them or one row for all.  Each line is laid out in one
-    row of a matrix: the head, then each entry as one unit holding its text,
-    the last with a newline in place of the separating space, in a single
-    lookup.  Only for k > 10 do the texts of the values differ in width;
-    then the zero padding is dropped, and the heads are kept whole.
+    rows is a 2-d integer array over range(k), each head a 2-d uint8 array
+    with a row for each of them or one row for all.  Each line is laid out
+    in one row of a matrix: the heads, then each entry as one unit holding
+    its text, the last with a newline in place of the separating space.
+    For k <= 10 a unit is two bytes, the digit and the separator, so the
+    units are the entries plus one constant, added at once into the matrix
+    read as little-endian uint16.  For k > 10 the texts of the values
+    differ in width: each unit is a lookup of its zero-padded text, the
+    padding is then dropped, and the heads are kept whole.
     """
     rows = np.asarray(rows)
     spaced, ended = _value_units(k, " "), _value_units(k, "\n")
-    lead = head.shape[1]
+    lead = sum(head.shape[1] for head in heads)
     mat = np.empty((rows.shape[0], lead + rows.shape[1] * spaced.itemsize), dtype=np.uint8)
-    mat[:, :lead] = head
+    at = 0
+    for head in heads:
+        mat[:, at:at + head.shape[1]] = head
+        at += head.shape[1]
+    if k <= 10:
+        offsets = np.full(rows.shape[1], ord("0") | ord(" ") << 8, dtype=np.uint16)
+        offsets[-1] = ord("0") | ord("\n") << 8
+        np.add(rows, offsets, out=mat[:, lead:].view("<u2"), casting="unsafe")
+        return mat.reshape(-1)
     text = mat[:, lead:].view(spaced.dtype)
     # fancy indexing casts the indices in chunks; take would copy them all to intp
     text[:, :-1] = spaced[rows[:, :-1]]
     text[:, -1] = ended[rows[:, -1]]
-    if k <= 10:
-        return mat.reshape(-1)
     keep = mat != 0
     keep[:, :lead] = True
     return mat[keep]
@@ -190,26 +199,32 @@ def _text_block(rows, k: int, head=np.empty((1, 0), dtype=np.uint8)) -> np.ndarr
 def _operation_text(names: np.ndarray, rows, k: int, arity: int) -> np.ndarray:
     """The blocks 'op <name>' ... 'table <row>' of operations of one arity,
     names a (len(rows), L) uint8 array of the names' bytes."""
-    after = np.frombuffer(f"\ndomain {k}\narity {arity}\ntable ".encode("ascii"), np.uint8)
-    width = names.shape[1]
-    head = np.empty((len(names), 3 + width + len(after)), dtype=np.uint8)
-    head[:, :3] = np.frombuffer(b"op ", np.uint8)
-    head[:, 3:3 + width] = names
-    head[:, 3 + width:] = after
-    return _text_block(rows, k, head)
+    after = f"\ndomain {k}\narity {arity}\ntable ".encode("ascii")
+    return _text_block(rows, k, np.frombuffer(b"op ", np.uint8)[None, :], names,
+                       np.frombuffer(after, np.uint8)[None, :])
 
 
 def _index_names(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """The names g<lo> ... g<hi-1>, cut into runs of one digit count: for
-    each run its bounds and a (run length, 1 + digits) uint8 array."""
+    each run its bounds and a (run length, 1 + digits) uint8 array.
+
+    The names are laid out a thousand at a time: the last three digits are
+    one fixed block of 000 ... 999, under the upper digits, which are the
+    same for all thousand.
+    """
+    low = _digit_matrix(3, 10, np.uint8) + ord("0")
     while lo < hi:
         digits = len(str(lo))
         end = min(hi, 10 ** digits)
-        names = np.empty((end - lo, 1 + digits), dtype=np.uint8)
-        names[:, 0] = ord("g")
-        powers = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
-        names[:, 1:] = np.arange(lo, end, dtype=np.int64)[:, None] // powers % 10 + ord("0")
-        yield lo, end, names
+        first, last = lo // 1000, (end - 1) // 1000 + 1     # the thousands the run spans
+        names = np.empty((last - first, 1000, 1 + digits), dtype=np.uint8)
+        names[..., 0] = ord("g")
+        names[..., max(1, digits - 2):] = low[:, max(0, 3 - digits):]
+        if digits > 3:
+            powers = 10 ** np.arange(digits - 4, -1, -1, dtype=np.int64)
+            upper = np.arange(first, last, dtype=np.int64)[:, None] // powers % 10 + ord("0")
+            names[..., 1:digits - 2] = upper[:, None, :]
+        yield lo, end, names.reshape(-1, 1 + digits)[lo - first * 1000:end - first * 1000]
         lo = end
 
 

@@ -14,7 +14,7 @@ from cloneops import (CapExceeded, Domain, Operation, OperationSet, commutes,
 import cloneops.commutation as commutation
 from cloneops.commutation import (_Grid, _count_dtype, _member_test, _product_dtype,
                                   preserve_mask)
-from cloneops.core import _digit_matrix, _key_width
+from cloneops.core import _digit_matrix, _key_width, _row_keys
 
 
 def unary(d, *values):
@@ -454,6 +454,33 @@ def _grid_case(draw, k, ell):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     share = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
     return _grid_over(k, ell, [c for c in range(k ** ell) if rng.random() < share], rng)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2),
+                        (4, 3), (6, 3)]),
+       st.sampled_from(["flat", "dense", "sparse"]), st.integers(0, 2 ** 32 - 1))
+def test_grid_keys_match_the_tables_keys(shape, form, seed):
+    # integer keys up to k^ell = 2^64 (k=2, ell=6), byte keys at k=4 and k=6, ell=3
+    k, ell = shape
+    rng = np.random.default_rng(seed)
+    width = k ** ell
+    free = [] if form == "flat" else sorted(
+        rng.choice(width, rng.integers(1, width + 1), replace=False).tolist())
+    # the base rows keep their own values in the free cells
+    grid = _grid_over(k, ell, free, rng)
+    if form == "dense":     # cut each axis on its own
+        grid = grid.keep(rng.random((len(grid.ti), 1)) < 0.7).keep(
+            rng.random((1, len(grid.ei))) < 0.7)
+    elif form == "sparse":  # cut across both axes
+        mask = rng.random(grid.shape) < 0.5
+        mask[0, :2] = False, True
+        grid = grid.keep(mask)
+        assert not grid.dense
+    expected = _row_keys(grid.tables(), k)
+    keys = grid.keys(k)
+    assert keys.dtype == expected.dtype and (keys.dtype.kind == "u") == (width <= _key_width(k))
+    assert np.array_equal(keys, expected)
 
 
 def _all_pairs(grid):

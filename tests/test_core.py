@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cloneops.core as core
 from cloneops import (CapExceeded, Domain, KernelView, Operation, OperationSet, Relation,
@@ -428,6 +428,10 @@ def _keyed_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_keyed_rows())
+# uint8 keys, narrower than the 2^16 values of a decoded chunk of 16 digits
+@example((2, np.array([[1] * 8, [0] * 8, [1, 0, 1, 1, 0, 0, 1, 1]], dtype=np.uint8)))
+# a full chunk of 10 digits under a leading chunk of 1
+@example((3, np.array([[2] * 11, [0] * 10 + [2], [1] + [0] * 10], dtype=np.uint8)))
 def test_row_keys_order_rows_lexicographically(case):
     k, rows = case
     keys = core._row_keys(rows, k)

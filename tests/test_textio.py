@@ -96,6 +96,18 @@ def test_text_block_matches_join(k, width, n, seed):
         assert _text_block(typed, k).tobytes().decode("ascii") == expected
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 12), (995, 1_005), (9_998, 10_003),
+                                    (999_995, 1_000_010)])
+def test_index_names_cross_digit_counts(lo, hi):
+    runs = list(textio._index_names(lo, hi))
+    # one run per digit count, each as long as its bounds say
+    assert [a for a, _, _ in runs] == [lo] + [b for _, b, _ in runs[:-1]]
+    assert runs[-1][1] == hi
+    assert all(len(str(a)) == len(str(b - 1)) == names.shape[1] - 1 for a, b, names in runs)
+    assert [bytes(row).decode("ascii") for _, _, names in runs for row in names] == [
+        f"g{i}" for i in range(lo, hi)]
+
+
 @st.composite
 def _operation_sets(draw):
     k = draw(st.sampled_from([2, 3, 10, 11, 256]))
