@@ -16,18 +16,17 @@ distinct table once.  A polymorphism search sweeps each relation.  A
 centraliser search decides each member by the exact test `_member_test`
 picks for it once: cell by cell for unary members, by pattern counting for
 {0,1}-valued members with at most three ones, and by sweeping its graph
-otherwise.  Unary and binary
-candidates are all k^(k^ell) tables, in flat chunks.  Ternary candidates
-are not: every one is a diagonal-compatible triple of binary centraliser
-members (its three identification minors fix the k^3 - k(k-1)(k-2) base
-cells) together with one filling of the pairwise-distinct free cells, kept
-in that factored form, a dense `_Grid` of triples by fillings.  The unary
-test keeps grids dense, joining the equations that mix the two axes into
-dense sub-grids; on a dense grid pattern counts are matrix products of
-per-triple and per-filling factors.  Only a count or a sweep that cuts
-across both axes leaves a sparse grid of (triple, filling) pairs.  No step
-builds per-candidate arrays for more than CANDIDATE_BLOCK candidates at a
-time.
+otherwise.  Unary and binary candidates are all k^(k^ell) tables, in
+flat chunks.  Ternary candidates are not: every one is a
+diagonal-compatible triple of binary centraliser members (its three
+identification minors fix the k^3 - k(k-1)(k-2) base cells) together
+with one filling of the pairwise-distinct free cells, kept in that
+factored form, a `_Grid` of triples by fillings with a mask of the pairs
+still live.  Per-triple and per-filling columns broadcast over the grid;
+the unary test joins the equations that mix the two axes into
+sub-grids, and pattern counts are matrix products of per-triple and
+per-filling factors, read at the live pairs.  No step builds arrays over
+more than CANDIDATE_BLOCK pairs of a grid at a time.
 
 Candidate and member tables are uint8 rows in the encoding of `core`,
 which also holds their container, `OperationSet`.
@@ -48,7 +47,7 @@ from .core import (_BLOCK_ENTRIES, CapExceeded, Domain, Operation, OperationSet,
                    sparse_op)
 
 DEFAULT_BUDGET = 250_000_000
-CANDIDATE_BLOCK = 200_000   # the most candidates a step builds per-candidate arrays for
+CANDIDATE_BLOCK = 200_000   # the most grid pairs a step builds per-candidate arrays for
 
 
 @dataclass
@@ -221,23 +220,22 @@ class _Grid:
     """Candidate tables in factored form.
 
     Candidate (t, e) is the table base[t] with each free cell c (a key of
-    slot) overwritten by ext[e, slot[c]].  While dense, the live candidates
-    are every pair in ti x ei, laid out as a (len(ti), len(ei)) grid over
-    which per-triple and per-extension values broadcast.  The unary filter
-    keeps grids dense: it cuts one axis at a time and joins the equations
-    across the axes into dense sub-grids.  Only a cut across both axes by a
-    count or a sweep turns a grid sparse: the live candidates are then the
-    pairs zip(ti, ei), and values are gathered per pair.  Either way the
-    candidates stay in row-major (t, e) order.  A flat batch of tables is
-    the grid with an empty extension.  Candidates are assembled into tables
-    only for a sweep (`tables`); the survivors leave as keys (`keys`).
+    slot) overwritten by ext[e, slot[c]].  The candidates lie on the grid
+    ti x ei, a (len(ti), len(ei)) array over which per-triple and
+    per-extension values broadcast; live marks the pairs still in play
+    (None: every pair).  `keep` ANDs a mask into live and drops the triples
+    and extensions with no live pair left, so no row or column of live is
+    all False.  The candidates are the live pairs in row-major (t, e)
+    order.  A flat batch of tables is the grid with an empty extension.
+    Candidates are assembled into tables only for a sweep (`tables`); the
+    survivors leave as keys (`keys`).
     """
     base: np.ndarray        # (rows, k^ell) tables; their free cells are ignored
     ext: np.ndarray         # (extensions, free cells) fillings of the free cells
     slot: dict
     ti: np.ndarray
     ei: np.ndarray
-    dense: bool = True
+    live: np.ndarray | None = None      # (len(ti), len(ei)) bool
 
     @classmethod
     def of(cls, base: np.ndarray, ext: np.ndarray | None = None, free_cells=()) -> "_Grid":
@@ -247,82 +245,67 @@ class _Grid:
                    np.arange(len(base)), np.arange(len(ext)))
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (len(self.ti), len(self.ei)) if self.dense else (len(self.ti),)
+    def shape(self) -> tuple[int, int]:
+        return len(self.ti), len(self.ei)
 
     def __len__(self):
-        return len(self.ti) * len(self.ei) if self.dense else len(self.ti)
-
-    def per_triple(self, values: np.ndarray) -> np.ndarray:
-        """values, one per base row, for the live candidates (broadcastable)."""
-        return values[self.ti][:, None] if self.dense else values[self.ti]
-
-    def per_ext(self, values: np.ndarray) -> np.ndarray:
-        """values, one per extension row, for the live candidates (broadcastable)."""
-        return values[self.ei][None, :] if self.dense else values[self.ei]
+        return len(self.ti) * len(self.ei) if self.live is None else int(self.live.sum())
 
     def column(self, cell: int) -> np.ndarray:
-        """The value g(cell) of each live candidate g (broadcastable)."""
+        """The value g(cell) of each candidate g on the grid (broadcastable)."""
         j = self.slot.get(cell)
         if j is None:
-            return self.per_triple(self.base[:, cell])
-        return self.per_ext(self.ext[:, j])
+            return self.base[self.ti, cell][:, None]
+        return self.ext[self.ei, j][None, :]
 
     def keep(self, mask, carried: dict | None = None) -> "_Grid":
         """The grid of the live candidates under mask.
 
-        mask broadcasts to self.shape or is flat in candidate order.  A mask
-        that keeps everything, or depends on the triple or the extension
-        only, keeps a dense grid dense.  The arrays in carried, aligned with
-        this grid, are cut to the survivors in place.
+        mask broadcasts to self.shape or is flat over the live candidates,
+        in order.  The arrays in carried, broadcastable to self.shape, are
+        cut to the rows and columns kept, in place.
         """
         mask = np.asarray(mask, dtype=bool)
         if mask.all():
             return self
-        carried = {} if carried is None else carried
-        if self.dense:
-            if mask.ndim == 1:
+        if mask.ndim == 1:      # one entry per live candidate, in order
+            if self.live is None:
                 mask = mask.reshape(self.shape)
-            elif mask.ndim == 0:
-                mask = np.zeros((len(self.ti), 1), dtype=bool)
-            if mask.shape[1] == 1:
-                rows = mask[:, 0]
-                for key, arr in carried.items():
-                    if arr.shape[0] == len(rows):
-                        carried[key] = arr[rows]
-                return replace(self, ti=self.ti[rows])
-            if mask.shape[0] == 1:
-                cols = mask[0]
-                for key, arr in carried.items():
-                    if arr.shape[1] == len(cols):
-                        carried[key] = arr[:, cols]
-                return replace(self, ei=self.ei[cols])
-        full = np.broadcast_to(mask, self.shape)
-        for key, arr in carried.items():
-            carried[key] = np.broadcast_to(arr, self.shape)[full]
-        if self.dense:
-            rows, cols = np.nonzero(full)
-            return replace(self, ti=self.ti[rows], ei=self.ei[cols], dense=False)
-        return replace(self, ti=self.ti[full], ei=self.ei[full])
+            else:
+                mask, flat = np.zeros(self.shape, dtype=bool), mask
+                mask[self.live] = flat
+        live = np.atleast_2d(mask) if self.live is None else mask & self.live
+        rows = np.broadcast_to(live.any(axis=1), (len(self.ti),))
+        cols = np.broadcast_to(live.any(axis=0), (len(self.ei),))
+        for key, arr in (carried or {}).items():
+            if arr.shape[0] == len(rows):
+                arr = arr[rows]
+            if arr.shape[1] == len(cols):
+                arr = arr[:, cols]
+            carried[key] = arr
+        if live.shape != self.shape:        # a mask on one axis leaves every pair live
+            live = None
+        else:
+            live = live[np.ix_(rows, cols)]
+            live = None if live.all() else live
+        return replace(self, ti=self.ti[rows], ei=self.ei[cols], live=live)
 
     def split(self, limit: int) -> list["_Grid"]:
-        """This grid's candidates as grids of at most limit candidates each
-        (a dense grid is cut into blocks of whole triples, and no triple has
-        more than limit extensions), a sparse one into runs of pairs."""
-        if len(self) <= limit:
+        """This grid as grids of whole triples, each spanning at most limit
+        pairs (no triple has more than limit extensions), each part's rows
+        of live applied by `keep`."""
+        if len(self.ti) * len(self.ei) <= limit:
             return [self]
-        if self.dense:
-            step = max(1, limit // len(self.ei))
-            return [replace(self, ti=self.ti[at:at + step]) for at in range(0, len(self.ti), step)]
-        return [replace(self, ti=self.ti[at:at + limit], ei=self.ei[at:at + limit])
-                for at in range(0, len(self.ti), limit)]
+        step = max(1, limit // len(self.ei))
+        return [replace(self, ti=self.ti[at:at + step], live=None).keep(
+                    True if self.live is None else self.live[at:at + step])
+                for at in range(0, len(self.ti), step)]
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The (base row, extension row) of each live candidate, in order."""
-        if not self.dense:
-            return self.ti, self.ei
-        return (np.broadcast_to(self.ti[:, None], self.shape).ravel(),
-                np.broadcast_to(self.ei[None, :], self.shape).ravel())
+        rows, cols = np.nonzero(np.ones(self.shape, dtype=bool) if self.live is None
+                                else self.live)
+        return self.ti[rows], self.ei[cols]
 
     def tables(self) -> np.ndarray:
         """The live candidates as value tables, one per row."""
@@ -337,20 +320,18 @@ class _Grid:
 
         A table's integer key is the key of its base row with the free cells
         weighted 0 plus the key of its filling in the free cells' weights,
-        so it takes one add per live candidate and no table.  Tables wider
-        than _key_width(k) are keyed by their bytes, assembled.
+        so it takes one add per pair and no table.  Tables wider than
+        _key_width(k) are keyed by their bytes, assembled.
         """
         width = self.base.shape[1]
         if width > _key_width(k):
             return _row_keys(self.tables(), k)
         free = list(self.slot)
-        on_base = self.base[self.ti] if self.dense else self.base.copy()
+        on_base = self.base[self.ti]
         on_base[:, free] = 0
-        left = _row_keys(on_base, k)
-        right = (self.ext[self.ei] if self.dense else self.ext) @ _key_weights(k, width)[free]
-        if self.dense:
-            return (left[:, None] + right[None, :]).ravel()
-        return left[self.ti] + right[self.ei]
+        right = self.ext[self.ei] @ _key_weights(k, width)[free]
+        keys = _row_keys(on_base, k)[:, None] + right[None, :]
+        return keys.ravel() if self.live is None else keys[self.live]
 
 
 def _pin_cells(k: int, ell: int):
@@ -430,23 +411,20 @@ class _CountLayout:
     per-extension count over the free ones.  Each side is a matrix product
     of a one-hot table of the rows' values with triple_side ((cell, value)
     by count) or ext_side ((free cell, value) by count); the last column of
-    each counts nothing and is set to 1.  Per mask, sparse holds each key's
-    column on both sides (-1 where a side covers none of its cells) and the
-    terms as built; dense expands every product into sums of products of a
-    per-triple factor and a per-extension factor, splitting only the keys
-    counted on both sides, as column indices (left, right; -1 pads) and
-    weights.
+    each counts nothing and is set to 1.  Per mask, products expands every
+    product of cell counts into sums of products of a per-triple factor and
+    a per-extension factor, splitting only the keys counted on both sides,
+    as column indices (left, right; -1 pads) and weights.
     """
     triple_side: np.ndarray
     ext_side: np.ndarray
-    sparse: dict
-    dense: dict
+    products: dict
 
     @classmethod
     def build(cls, super_terms: dict, pin_cells: dict, slot: dict, k: int, ell: int,
               ftype) -> "_CountLayout":
         columns: tuple[list, list] = ([], [])     # per side, the one-hot entries of each count
-        sparse, dense = {}, {}
+        products = {}
         for mask, (keys, terms) in super_terms.items():
             at = []         # per key, its column on each side or -1
             for a, pins in keys:
@@ -462,7 +440,6 @@ class _CountLayout:
                     at[-1].append(len(cols) if entries else -1)
                     if entries:
                         cols.append(entries)
-            sparse[mask] = (at, terms)
             expanded: dict[tuple, int] = {}
             for term, weight in terms.items():
                 left, right, mixed = [], [], []
@@ -479,21 +456,21 @@ class _CountLayout:
                     rhs = right + [e for (_, e), x in zip(mixed, on_ext) if x]
                     split = tuple(sorted(lhs)), tuple(sorted(rhs))
                     expanded[split] = expanded.get(split, 0) + weight
-            dense[mask] = (_padded([left for left, _ in expanded]),
-                           _padded([right for _, right in expanded]),
-                           np.array(list(expanded.values()), ftype))
+            products[mask] = (_padded([left for left, _ in expanded]),
+                              _padded([right for _, right in expanded]),
+                              np.array(list(expanded.values()), ftype))
         one_hot_width = (k ** ell * k, len(slot) * k)
         triple_side, ext_side = (np.zeros((width, len(cols) + 1), ftype)
                                  for width, cols in zip(one_hot_width, columns))
         for side, cols in zip((triple_side, ext_side), columns):
             side[[entry for entries in cols for entry in entries],
                  [col for col, entries in enumerate(cols) for _ in entries]] = 1
-        return cls(triple_side, ext_side, sparse, dense)
+        return cls(triple_side, ext_side, products)
 
     def side_counts(self, grid: _Grid, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every per-triple and per-extension count: for a dense grid one row
-        per live triple and extension, for a sparse one per base and ext row."""
-        rows = (grid.base[grid.ti], grid.ext[grid.ei]) if grid.dense else (grid.base, grid.ext)
+        """Every per-triple and per-extension count, one row per triple and
+        extension of the grid."""
+        rows = grid.base[grid.ti], grid.ext[grid.ei]
         return tuple(_one_hot_counts(values, side, k)
                      for values, side in zip(rows, (self.triple_side, self.ext_side)))
 
@@ -521,9 +498,9 @@ def _padded(index_rows) -> np.ndarray:
                     dtype=np.int64).reshape(len(index_rows), width)
 
 
-def _dense_super(left: np.ndarray, right: np.ndarray, left_cols: np.ndarray,
+def _super_count(left: np.ndarray, right: np.ndarray, left_cols: np.ndarray,
                  right_cols: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
-    """A super-pattern count on a dense grid, from its expanded products.
+    """A super-pattern count on every pair of a grid, from its expanded products.
 
     Each product is a per-triple factor (a product of left's columns) times
     a per-extension factor (of right's); the weighted sum of them is one
@@ -545,33 +522,14 @@ def _dense_super(left: np.ndarray, right: np.ndarray, left_cols: np.ndarray,
     return (lhs @ factors(right, right_cols).T).astype(dtype, copy=False)
 
 
-def _sparse_super(grid: _Grid, left: np.ndarray, right: np.ndarray, at: list,
-                  terms: dict, dtype) -> np.ndarray:
-    """A super-pattern count on a sparse grid: each cell count gathered per pair."""
-    gathered = {}
-    for key in {key for term in terms for key in term}:
-        count = 0
-        for counts, col, index in ((left, at[key][0], grid.ti), (right, at[key][1], grid.ei)):
-            if col >= 0:
-                count = count + counts[index, col].astype(dtype)
-        gathered[key] = count
-    acc = 0
-    for term, weight in terms.items():
-        term_product = gathered[term[0]]
-        for key in term[1:]:
-            term_product = term_product * gathered[key]
-        acc = acc + (weight * term_product if weight > 1 else term_product)
-    return acc
-
-
 def _unary_filter(grid: _Grid, member: Operation, ell: int) -> list[_Grid]:
     """Candidates g with g(f(c_1), ..., f(c_ell)) = f(g(c)) for all cells c, f = member.
 
     Each equation compares two columns, each per triple or per extension.
-    On a dense grid the equations within one axis cut that axis, and the
-    mixed ones are a join: a triple keeps exactly the extensions whose
-    values in them equal its own, so the survivors are one dense sub-grid
-    per signature found on both axes.  A sparse grid is cut pair by pair.
+    The equations within one axis cut that axis, and the mixed ones are a
+    join: a triple keeps exactly the extensions whose values in them equal
+    its own, so the survivors are one sub-grid per signature found on both
+    axes, each with its part of the grid's live mask.
     """
     k = member.domain.k
     by_axes: dict[tuple[bool, bool], list[tuple[int, int]]] = {}
@@ -585,8 +543,6 @@ def _unary_filter(grid: _Grid, member: Operation, ell: int) -> list[_Grid]:
             ok = ok & (part.column(image) == member.row[part.column(cell)])
         return ok
 
-    if not grid.dense:
-        return _cut(grid, partial(holds, equations=sum(by_axes.values(), [])))
     for axes in ((False, False), (True, True)):
         grid = grid.keep(holds(grid, by_axes.get(axes, ())))
     mixed = by_axes.get((False, True), []) + by_axes.get((True, False), [])
@@ -598,7 +554,8 @@ def _unary_filter(grid: _Grid, member: Operation, ell: int) -> list[_Grid]:
         sides = (grid.column(image).ravel(), member.row[grid.column(cell)].ravel())
         on_ext = image in grid.slot
         signatures[0][:, j], signatures[1][:, j] = sides[on_ext], sides[not on_ext]
-    return [replace(grid, ti=grid.ti[rows], ei=grid.ei[cols])
+    return [replace(grid, ti=grid.ti[rows], ei=grid.ei[cols], live=None).keep(
+                True if grid.live is None else grid.live[np.ix_(rows, cols)])
             for rows, cols in _join(*(_row_keys(sig, k) for sig in signatures))]
 
 
@@ -630,13 +587,12 @@ def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, ell: int,
     of products of per-cell counts #{c pinned on the rows of mask : g(c) =
     a}.  On the grid a per-cell count is a per-triple count over the base
     cells plus a per-extension count over the free cells (layout(grid)
-    places them).  On a dense grid n_super is a matrix product of
-    per-triple and per-extension factors, on a sparse one a sum of products
-    of counts gathered per pair.  Patterns are tested cheapest first, in
-    order of falling popcount (each needs the super-pattern counts of its
-    supersets), and the survivors, with the counts computed so far, are
-    compressed after each.  The grid is counted in parts of at most
-    CANDIDATE_BLOCK candidates.
+    places them), and n_super over the whole grid is one matrix product of
+    per-triple and per-extension factors, read at the live pairs only.
+    Patterns are tested cheapest first, in order of falling popcount (each
+    needs the super-pattern counts of its supersets), and the survivors,
+    with the counts computed so far, are compressed after each.  The grid
+    is counted in parts spanning at most CANDIDATE_BLOCK pairs.
     """
     r = len(ones[0])
     masks = range(2 ** ell)
@@ -664,11 +620,7 @@ def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, ell: int,
                     if mask not in supers:
                         if counted is None or counted[0] is not part:
                             counted = part, placed.side_counts(part, k)
-                        if part.dense:
-                            supers[mask] = _dense_super(*counted[1], *placed.dense[mask], dtype)
-                        else:
-                            supers[mask] = _sparse_super(part, *counted[1],
-                                                         *placed.sparse[mask], dtype)
+                        supers[mask] = _super_count(*counted[1], *placed.products[mask], dtype)
                     odd = bin(mask ^ v).count("1") % 2
                     n_v = n_v - supers[mask] if odd else n_v + supers[mask]
             part = part.keep(n_v == part.column(corner[v]).astype(dtype) * total[v], supers)
@@ -678,8 +630,8 @@ def _counting_filter(grid: _Grid, ones: list[tuple[int, ...]], k: int, ell: int,
 
 
 def _cut(grid: _Grid, mask_of) -> list[_Grid]:
-    """The survivors of grid under mask_of, taken a part of at most CANDIDATE_BLOCK
-    candidates at a time."""
+    """The survivors of grid under mask_of, taken a part spanning at most
+    CANDIDATE_BLOCK pairs at a time."""
     return [part.keep(mask_of(part)) for part in grid.split(CANDIDATE_BLOCK)]
 
 

@@ -118,10 +118,8 @@ def _parse_relation_block(toks: _Tokens) -> tuple[str, Domain, int, list[tuple[i
     rows = []
     while True:
         item = toks.peek()
-        if item is None:
-            raise FormatError(1, 1, "relation block not terminated by 'end'")
-        if item[0] == "end":
-            toks.next("'end'")
+        if item is None or item[0] == "end":
+            toks.expect("end")
             break
         rows.append(tuple(toks.integer("tuple entry", lo=0, hi=k) for _ in range(arity)))
     return name, Domain(k), arity, rows
@@ -234,7 +232,8 @@ def operation_set_blocks(ops, arity: int) -> Iterator[bytes | np.ndarray]:
     Yields the '# count N' line, then the operations g0, g1, ... in table
     order, formatted straight from ops.tables(arity), at most
     EMIT_BLOCK_ENTRIES table entries per block, each block a flat uint8
-    array of ASCII text.
+    array of ASCII text.  A block whose names change digit count (g99999,
+    g100000) is yielded as one block per digit count.
     """
     tables = ops.tables(arity)
     k = ops.domain.k
@@ -242,9 +241,8 @@ def operation_set_blocks(ops, arity: int) -> Iterator[bytes | np.ndarray]:
     step = max(1, EMIT_BLOCK_ENTRIES // tables.shape[1])
     for lo in range(0, len(tables), step):
         hi = min(lo + step, len(tables))
-        parts = [_operation_text(names, tables[a:b], k, arity)
-                 for a, b, names in _index_names(lo, hi)]
-        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for a, b, names in _index_names(lo, hi):
+            yield _operation_text(names, tables[a:b], k, arity)
 
 
 def emit_operations(named_ops, count_comment: bool = False) -> str:

@@ -1,11 +1,12 @@
 import os
 import random
+from dataclasses import replace
 from itertools import product
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cloneops import (CapExceeded, Domain, Operation, OperationSet, commutes,
                       enumerate_centraliser, enumerate_polymorphisms,
@@ -407,6 +408,8 @@ _FREE_K3 = [i for i, t in enumerate(product(range(3), repeat=3)) if len(set(t)) 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.one_of(_member(3, [1, 2, 3]), st.just(snow_t(3))), min_size=1, max_size=2),
        st.integers(0, 2 ** 32 - 1))
+# T's count cuts across both axes, then u's join runs on the masked grid
+@example([snow_t(3), family_op("u", (2, 1), Domain(3))], 0)
 def test_grid_filters_match_sweep_k3(members, seed):
     rng = np.random.default_rng(seed)
     cells = np.array(list(product(range(3), repeat=3)), dtype=np.uint8)
@@ -459,7 +462,7 @@ def _grid_case(draw, k, ell):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from([(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2),
                         (4, 3), (6, 3)]),
-       st.sampled_from(["flat", "dense", "sparse"]), st.integers(0, 2 ** 32 - 1))
+       st.sampled_from(["flat", "dense", "masked"]), st.integers(0, 2 ** 32 - 1))
 def test_grid_keys_match_the_tables_keys(shape, form, seed):
     # integer keys up to k^ell = 2^64 (k=2, ell=6), byte keys at k=4 and k=6, ell=3
     k, ell = shape
@@ -472,20 +475,33 @@ def test_grid_keys_match_the_tables_keys(shape, form, seed):
     if form == "dense":     # cut each axis on its own
         grid = grid.keep(rng.random((len(grid.ti), 1)) < 0.7).keep(
             rng.random((1, len(grid.ei))) < 0.7)
-    elif form == "sparse":  # cut across both axes
+        assert grid.live is None
+    elif form == "masked":  # cut across both axes
         mask = rng.random(grid.shape) < 0.5
-        mask[0, :2] = False, True
+        mask[:2, :2] = [[False, True], [True, True]]
         grid = grid.keep(mask)
-        assert not grid.dense
+        assert grid.live is not None
+        assert grid.live.any(axis=0).all() and grid.live.any(axis=1).all()
     expected = _row_keys(grid.tables(), k)
     keys = grid.keys(k)
     assert keys.dtype == expected.dtype and (keys.dtype.kind == "u") == (width <= _key_width(k))
     assert np.array_equal(keys, expected)
+    # two triples a part: the parts keep the candidates in order and are cut like keep
+    parts = grid.split(max(1, 2 * len(grid.ei)))
+    assert np.array_equal(np.concatenate([part.keys(k) for part in parts]), keys)
+    for part in parts:
+        assert part.live is None or not part.live.all() and (
+            part.live.any(axis=0).all() and part.live.any(axis=1).all())
 
 
 def _all_pairs(grid):
-    """The same candidates as a sparse grid, one (triple, extension) pair each."""
-    return _Grid(grid.base, grid.ext, grid.slot, *grid.pairs(), dense=False)
+    """The same candidates as a grid with an all-True live mask."""
+    return replace(grid, live=np.ones(grid.shape, dtype=bool))
+
+
+def _cut_across(grid, seed):
+    """grid cut by a random mask over its (triple, extension) pairs."""
+    return grid.keep(np.random.default_rng(seed).random(grid.shape) < 0.5)
 
 
 @settings(max_examples=120, deadline=None)
@@ -500,9 +516,12 @@ def test_unary_join_matches_the_pairwise_mask(data):
     grid = data.draw(_grid_case(k, ell))
     expected = preserve_mask(grid.tables(), graph_of(f), ell)
     blocks = _member_test(f, ell)[1](grid)
-    assert all(block.dense for block in blocks)
+    assert all(block.live is None for block in blocks)
     assert np.array_equal(_survivors(blocks, grid), expected)
     assert np.array_equal(_survivors(_member_test(f, ell)[1](_all_pairs(grid)), grid), expected)
+    masked = _cut_across(grid, data.draw(st.integers(0, 2 ** 32 - 1)))
+    assert np.array_equal(_survivors(_member_test(f, ell)[1](masked), grid),
+                          expected & _survivors([masked], grid))
 
 
 def test_unary_join_keys_wide_signatures():
@@ -515,13 +534,13 @@ def test_unary_join_keys_wide_signatures():
     grid = _grid_over(4, 3, free, np.random.default_rng(7))
     expected = preserve_mask(grid.tables(), graph_of(f), 3)
     blocks = _member_test(f, 3)[1](grid)
-    assert expected.any() and all(block.dense for block in blocks)
+    assert expected.any() and all(block.live is None for block in blocks)
     assert np.array_equal(_survivors(blocks, grid), expected)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
-def test_dense_and_sparse_counting_match_the_sweep(data):
+def test_counting_with_and_without_a_live_mask_matches_the_sweep(data):
     k = data.draw(st.sampled_from([2, 3]))
     ell = data.draw(st.integers(1, 3))
     r = data.draw(st.integers(2, 3))
@@ -536,3 +555,5 @@ def test_dense_and_sparse_counting_match_the_sweep(data):
     assert name == "counting"
     assert np.array_equal(_survivors(test(grid), grid), expected)
     assert np.array_equal(_survivors(test(_all_pairs(grid)), grid), expected)
+    masked = _cut_across(grid, data.draw(st.integers(0, 2 ** 32 - 1)))
+    assert np.array_equal(_survivors(test(masked), grid), expected & _survivors([masked], grid))

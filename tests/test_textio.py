@@ -68,8 +68,10 @@ def test_missing_keyword():
 
 
 def test_unterminated_relation():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as err:
         parse_relations("rel r\ndomain 2\narity 1\ntuples\n0\n")
+    # reported at the last token, as for any other end of input
+    assert (err.value.line, err.value.col) == (5, 1)
 
 
 def test_multi_block_file(d3):
@@ -141,7 +143,12 @@ def test_operation_set_blocks_match_emit_operations(case):
     named = [(f"g{i}", op) for i, op in enumerate(ops.members(arity))]
     assert b"".join(blocks).decode("ascii") == emit_operations(named, count_comment=True)
     rows_per_block = max(1, block // ops.tables(arity).shape[1])
-    assert len(blocks) == 1 + -(-ops.count(arity) // rows_per_block)
+    count = ops.count(arity)
+    starts = range(0, count, rows_per_block)
+    # a block is yielded in one piece per digit count of its names
+    crossings = sum(lo < 10 ** d < min(lo + rows_per_block, count)
+                    for lo in starts for d in range(1, len(str(count)) + 1))
+    assert len(blocks) == 1 + len(starts) + crossings
 
 
 def test_operation_set_blocks_of_empty_slice(d3):
