@@ -7,12 +7,23 @@ subuniverse_closure runs it on tuples in A^m.  clone_fragment runs it on
 value tables in A^(k^n), seeded with the n projections: the n-ary part of
 the clone generated by F is the subuniverse of A^(k^n) that the
 projections generate under F.  Each round applies every operation only to
-the argument combinations that involve a row found in the round before, as
-numpy gathers over blocks of combinations; the rows a block finds are told
-from the known ones by their keys (`core._row_keys`), kept sorted.  A round
-is sized before it starts, and one that would gather more than
-CLOSURE_WORK_CAP table entries raises CapExceeded; so does a closure that
-knows more than cap rows.  These two checks bound every path.
+the argument combinations that involve a row found in the round before; the
+rows a block of combinations gives are told from the known ones by their
+keys (`core._row_keys`), kept sorted.  The operations of one arity are
+applied in one of two ways, chosen once by the bytes each reads per
+combination.  The flat gather reads each table at the indices that the
+rows' cells spell, m entries per table.  Support images read a table as a
+default value d, its most common entry, and its support S, the points where
+it is not d.  The image of a combination is then d except at the cells
+where its rows spell a point p of S, and those cells are the AND over the
+arguments j of a bitset of the cells where row j holds p_j: ceil(m / 64)
+uint64 words per point.  So operations that are d almost everywhere, like
+T, are applied in a few words per combination.  The combinations are
+joined one argument at a time, and a prefix whose AND is already empty at
+every point is dropped with all its extensions, which all map to the
+defaults.  A round is sized before it starts, and one that would gather
+more than CLOSURE_WORK_CAP table entries raises CapExceeded; so does a
+closure that knows more than cap rows.  These two checks bound every path.
 
 For zero-absorbing {0,1}-valued generators (any argument 0 forces value 0)
 clone_fragment usually stops after the first round.  That round applies
@@ -37,20 +48,126 @@ FRAGMENT_CAP = 1_000_000
 CLOSURE_WORK_CAP = 10 ** 9      # table entries gathered in one closure round
 
 
-def _fresh_combos(known: int, start: int, arity: int, block: int):
-    """Blocks of index tuples in range(known)^arity with some entry >= start.
+def _fresh_combos(known: int, start: int, arity: int):
+    """The index tuples in range(known)^arity with some entry >= start, as
+    one list of arity ranges per group, the group's tuples being their product.
 
     Tuples are grouped by the position p of their first entry >= start, so
-    each one is produced exactly once.
+    each one is in exactly one group; empty groups are left out.
     """
     for p in range(arity):
-        radices = [start] * p + [known - start] + [known] * (arity - p - 1)
-        total = prod(radices)
-        for lo in range(0, total, block):
-            flat = np.arange(lo, min(lo + block, total), dtype=np.int64)
-            combos = np.stack(np.unravel_index(flat, radices), axis=1)
-            combos[:, p] += start
-            yield combos
+        if p and not start:
+            return
+        yield [range(start)] * p + [range(start, known)] + [range(known)] * (arity - p - 1)
+
+
+def _gathered_images(tables: np.ndarray, rows: np.ndarray, ranges: list, k: int):
+    """Yield, a block at a time, the keys of the images of the rows' index
+    tuples in the product of ranges under every table: the tables' entries
+    at the flat indices that the rows' columns spell."""
+    m = rows.shape[1]
+    radices = [len(r) for r in ranges]
+    offsets = np.array([r.start for r in ranges], dtype=np.int64)
+    total = prod(radices)
+    block = max(1, _BLOCK_ENTRIES // (m * max(len(tables), 1)))
+    for lo in range(0, total, block):
+        flat = np.arange(lo, min(lo + block, total), dtype=np.int64)
+        combos = np.stack(np.unravel_index(flat, radices), axis=1) + offsets
+        idx = rows[combos[:, 0]].astype(np.int64)
+        for j in range(1, len(ranges)):
+            idx *= k
+            idx += rows[combos[:, j]]
+        yield _row_keys(tables[:, idx].reshape(-1, m), k)
+
+
+class _Support:
+    """The tables of one arity as a default value, the most common entry,
+    and the support, the points where they differ from it.  The points of
+    all tables are held together, table by table: ends[t] is one past
+    table t's last point."""
+
+    def __init__(self, tables: np.ndarray, k: int, arity: int):
+        counts = np.stack([np.count_nonzero(tables == v, axis=1) for v in range(k)], axis=1)
+        self.defaults = counts.argmax(axis=1).astype(tables.dtype)
+        sizes = tables.shape[1] - counts.max(axis=1)
+        self.ends = np.cumsum(sizes)
+        self.size = int(sizes.sum())
+        self.tables, self.arity, self.k = tables, arity, k
+
+    def cheaper(self, m: int) -> bool:
+        """Whether a combination's support images, a uint64 bitset of
+        ceil(m / 64) words per point and argument, take fewer bytes than
+        the m entries gathered per table and argument."""
+        return 8 * self.size * -(-m // 64) < len(self.defaults) * m
+
+    def locate(self) -> None:
+        """Find the points: points holds a row of arguments per point, and
+        values the table's value there."""
+        table, flat = np.nonzero(self.tables != self.defaults[:, None])
+        self.points = np.stack(np.unravel_index(flat, (self.k,) * self.arity), axis=1)
+        self.values = self.tables[table, flat]
+
+
+def _cell_bits(rows: np.ndarray, k: int) -> np.ndarray:
+    """Per row and value, the row's cells that hold the value as a bitset:
+    a (rows, k, ceil(m / 64)) uint64 array, cell i in bit i % 64 of word i // 64."""
+    words = -(-rows.shape[1] // 64)
+    packed = np.zeros((len(rows), k, 8 * words), dtype=np.uint8)
+    packed[:, :, :-(-rows.shape[1] // 8)] = np.packbits(
+        rows[:, None, :] == np.arange(k, dtype=rows.dtype)[:, None], axis=2, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _lit_masks(cols: list[np.ndarray]):
+    """Yield, a block at a time, AND_j cols[j][i_j] over the index tuples i
+    in the product of the cols' rows, leaving out every tuple whose AND is
+    empty at every point: cols[j] holds a (points, words) bitset per row.
+
+    A prefix whose AND is already empty at every point is left out with all
+    its extensions, and then one all-zero mask is yielded in their place.
+    """
+    points, words = cols[0].shape[1:]
+    empty = False
+
+    def extend(masks, j):
+        nonlocal empty
+        lit = masks.reshape(len(masks), -1).any(axis=1)
+        empty = empty or not lit.all()
+        masks = masks[lit]
+        if j == len(cols):
+            if len(masks):
+                yield masks
+            return
+        step = max(1, _BLOCK_ENTRIES // max(len(cols[j]) * points * words, 1))
+        for lo in range(0, len(masks), step):
+            block = masks[lo:lo + step, None] & cols[j]
+            yield from extend(block.reshape(block.shape[0] * block.shape[1], points, words), j + 1)
+
+    yield from extend(cols[0], 1)
+    if empty:
+        yield np.zeros((1, points, words), dtype=np.uint64)
+
+
+def _support_images(support: _Support, masks: np.ndarray, k: int, m: int) -> np.ndarray:
+    """The keys of the images that the masks give, one per table and
+    distinct mask of its points: the table's default, and at the cells of
+    the mask of each of its points, that point's value."""
+    keys = []
+    begin, words = 0, masks.shape[2]
+    for table, end in enumerate(support.ends):
+        if begin == end:
+            own = np.zeros((1, 0, words), dtype=np.uint64)
+        else:
+            own = np.ascontiguousarray(masks[:, begin:end]).reshape(len(masks), -1)
+            own = _sorted_distinct(own.view(f"V{own.shape[1] * 8}").ravel())
+            own = own.view(np.uint64).reshape(-1, end - begin, words)
+        cells = np.unpackbits(own.view(np.uint8), axis=2, count=m, bitorder="little")
+        image = np.full((len(own), m), support.defaults[table], dtype=np.uint8)
+        for p in range(end - begin):
+            image[cells[:, p].view(bool)] = support.values[begin + p]
+        keys.append(_row_keys(image, k))
+        begin = end
+    return np.concatenate(keys)
 
 
 def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None):
@@ -61,10 +178,20 @@ def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None)
     last round finds none.  Raises CapExceeded once more than cap rows are
     known, or before a round that would gather more than CLOSURE_WORK_CAP
     entries.
+
+    The operations of an arity are applied by support images where
+    _Support.cheaper says so, and by the flat gather otherwise.
     """
     k, m = ops.domain.k, seed.shape[1]
     seen = _sorted_distinct(_row_keys(seed, k))     # the known rows' keys
     rows = _key_rows(seen, k, m)
+    supports = {}
+    for arity in ops.arities():
+        support = _Support(ops.tables(arity), k, arity)
+        if support.cheaper(m):
+            support.locate()
+            supports[arity] = support
+    bits = _cell_bits(rows, k) if supports else None
     start = 0
     while start < len(rows):
         known = len(rows)
@@ -75,23 +202,29 @@ def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None)
                               f"over the work cap of {CLOSURE_WORK_CAP}")
         fresh = []
         for arity in ops.arities():
-            tables = ops.tables(arity)
-            block = max(1, _BLOCK_ENTRIES // (m * max(len(tables), 1)))
-            for combos in _fresh_combos(known, start, arity, block):
-                idx = rows[combos[:, 0]].astype(np.int64)
-                for j in range(1, arity):
-                    idx *= k
-                    idx += rows[combos[:, j]]
-                keys = _sorted_distinct(_row_keys(tables[:, idx].reshape(-1, m), k))
-                keys = keys[~_isin_sorted(seen, keys)]
-                if len(keys):
-                    seen = np.insert(seen, np.searchsorted(seen, keys), keys)
-                    fresh.append(_key_rows(keys, k, m))
-                if cap is not None and len(seen) > cap:
-                    raise CapExceeded(f"fragment size {len(seen)} exceeds the cap of {cap}")
+            support = supports.get(arity)
+            if support is not None:
+                # one gather of the points' bitsets per argument
+                cols = [bits[:, support.points[:, j]] for j in range(arity)]
+            for ranges in _fresh_combos(known, start, arity):
+                if support is None:
+                    images = _gathered_images(ops.tables(arity), rows, ranges, k)
+                else:
+                    images = (_support_images(support, masks, k, m) for masks in _lit_masks(
+                        [c[r.start:r.stop] for c, r in zip(cols, ranges)]))
+                for keys in images:
+                    keys = _sorted_distinct(keys)
+                    keys = keys[~_isin_sorted(seen, keys)]
+                    if len(keys):
+                        seen = np.insert(seen, np.searchsorted(seen, keys), keys)
+                        fresh.append(_key_rows(keys, k, m))
+                    if cap is not None and len(seen) > cap:
+                        raise CapExceeded(f"fragment size {len(seen)} exceeds the cap of {cap}")
         start = known
         if fresh:
             rows = np.concatenate([rows, *fresh])
+            if supports:
+                bits = np.concatenate([bits, _cell_bits(rows[known:], k)])
         yield rows, start
 
 
@@ -130,9 +263,15 @@ def _spike_closed(fresh: np.ndarray) -> bool:
 
 def clone_fragment(generators: OperationSet, arity: int,
                    cap: int = FRAGMENT_CAP) -> OperationSet:
-    """The arity-ary part of the clone generated by the given operations."""
+    """The arity-ary part of the clone generated by the given operations.
+
+    Raises ValueError for an arity or a cap below 1, and CapExceeded once
+    the fragment would have more than cap members.
+    """
     if arity < 1:
         raise ValueError("fragment arity must be positive")
+    if cap < 1:
+        raise ValueError(f"the fragment cap must be at least 1, got {cap}")
     rounds = _closure_rounds(_projection_rows(generators.domain.k, arity), generators, cap)
     rows, start = next(rounds)
     if not (_spike_applicable(generators) and _spike_closed(rows[start:])):

@@ -15,20 +15,26 @@ the whole domain.  But an atom with one unbound variable v, b bound
 positions and fewer than k^(b+1) rows pins v, fewer than k values per bound
 prefix on average, and v comes next (generic join one variable at a time:
 Ngo, Porat, Ré, Rudra, PODS 2012; Veldhuizen, ICDT 2014).  v is read off
-the atom's rows by looking up each row's bound prefix, as a range of the
-sorted keys of the atom's rows with v's position last, when that relation
-has fewer rows than the table times k; otherwise, as for every other
-variable, each row is extended by all k values.  After each extension the
-rows are filtered by every atom whose variables are now all bound, in one
-keyed lookup per relation: the atoms over a relation are held as one matrix
-of variable ids, and the keys of the completed atoms' columns
-(`core._row_keys`, the row read as a base-k number) are looked up among the
-keys of the relation's sorted rows, for a block of rows and atoms at a time.
-The pinning candidates and the columns still needed are read off the same
-matrices.  Existential columns that no remaining atom mentions are then
-dropped and repeated rows removed.  Any table that would exceed
-EVAL_TABLE_BYTES, including the extensions by unconstrained free variables,
-raises CapExceeded before it is built.
+the atom's rows, read with v's position last, by looking up each row's
+bound prefix, when that relation has fewer rows than the table times k;
+otherwise, as for every other variable, each row is extended by all k
+values.  After each extension the rows are filtered by every atom whose
+variables are now all bound, in one keyed lookup per relation: the atoms
+over a relation are held as one matrix of variable ids, and the keys of the
+completed atoms' columns (`core._row_keys`, the row read as a base-k
+number) are looked up among the keys of the relation's rows, for a block of
+rows and atoms at a time.  The keys of a relation's rows in one column
+order are indexed once (`_Index`).  When they are integers and their key
+space of k^width keys has at most 8 keys per row, the index is a bitmap
+over that space, which takes no more bytes than uint64 keys would: a key is
+looked up by one read, and a prefix's rows are one row of k entries of the
+bitmap.  Otherwise, for wide keys (the row's bytes) and sparse relations,
+it is the sorted keys, searched by bisection, and a prefix's rows are a
+range of them.  The pinning candidates and the columns still needed are
+read off the same matrices.  Existential columns that no remaining atom
+mentions are then dropped and repeated rows removed.  Any table that would
+exceed EVAL_TABLE_BYTES, including the extensions by unconstrained free
+variables, raises CapExceeded before it is built.
 """
 from __future__ import annotations
 
@@ -43,6 +49,9 @@ from .core import (CapExceeded, Domain, Relation, _isin_sorted, _last_entries, _
 
 EVAL_TABLE_BYTES = 1 << 26
 FILTER_BLOCK_ROWS = 1 << 16
+# a bitmap index may span this many keys per row: its bytes are then at
+# most those of uint64 keys
+BITMAP_KEYS_PER_ROW = 8
 
 
 @dataclass(frozen=True)
@@ -116,9 +125,70 @@ def _check_table_size(count: int, width: int, itemsize: int) -> None:
                           f"over the cap of {EVAL_TABLE_BYTES}")
 
 
-def _holds(keys: np.ndarray, table: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the table rows whose entries in the columns of every atom form
-    one of the sorted keys; cols holds a row of column positions per atom.
+class _Index:
+    """The keys (core._row_keys) of a relation's rows read in one column
+    order, for membership tests and for lookups of the last entry after a
+    prefix of the others.
+
+    Integer keys whose key space of k^width keys has at most
+    BITMAP_KEYS_PER_ROW keys per row are held as a bitmap over that space,
+    present[key]; the others, wide keys and sparse relations, as the sorted
+    keys.
+    """
+
+    def __init__(self, keys: np.ndarray, k: int, width: int, is_sorted: bool):
+        self.k, self.present, self.keys = k, None, None
+        self._per_prefix = None     # a bitmap's row count per prefix, on first use
+        if keys.dtype.kind == "u" and k ** width <= BITMAP_KEYS_PER_ROW * len(keys):
+            self.present = np.zeros(k ** width, dtype=bool)
+            self.present[keys] = True
+        else:
+            self.keys = keys if is_sorted else np.sort(keys)
+
+    def contains(self, probe: np.ndarray) -> np.ndarray:
+        """Mask of the probe keys that are keys of the rows."""
+        if self.present is not None:
+            return self.present[probe]
+        return _isin_sorted(self.keys, probe)
+
+    def find(self, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each prefix, a row of all entries but the last: where the
+        rows that start with it are, and how many there are.  For a bitmap
+        the place is the prefix's key, the row of k entries of present that
+        holds them; for sorted keys, the position of the first."""
+        if self.present is not None:
+            if self._per_prefix is None:
+                self._per_prefix = np.zeros(len(self.present) // self.k,
+                                            dtype=np.min_scalar_type(self.k))
+                for hits in self.present.reshape(-1, self.k).T:
+                    self._per_prefix += hits
+            at = _row_keys(prefixes, self.k)
+            return at, self._per_prefix[at]
+        # the rows between (prefix, 0) and (prefix, k - 1)
+        bounds = np.empty((len(prefixes), prefixes.shape[1] + 1), dtype=prefixes.dtype)
+        bounds[:, :-1] = prefixes
+        bounds[:, -1] = 0
+        at = np.searchsorted(self.keys, _row_keys(bounds, self.k), "left")
+        bounds[:, -1] = self.k - 1
+        return at, np.searchsorted(self.keys, _row_keys(bounds, self.k), "right") - at
+
+    def last_entries(self, at: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The last entries of the rows that find placed at at, counts[i]
+        of them at at[i]: prefix by prefix, each prefix's in increasing
+        order."""
+        if self.present is not None:
+            hits = np.take(self.present.reshape(-1, self.k), at, axis=0)
+            return (np.flatnonzero(hits) % self.k).astype(_row_dtype(self.k))
+        # the j-th row of prefix i is keys[at[i] + j]
+        counts = counts.astype(np.intp)
+        before = np.cumsum(counts) - counts
+        return _last_entries(self.keys[np.repeat(at - before, counts)
+                                       + np.arange(counts.sum())], self.k)
+
+
+def _holds(index: _Index, table: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the table rows whose entries in the columns of every atom are
+    a row of the index; cols holds a row of column positions per atom.
 
     The rows are looked up in blocks, at most FILTER_BLOCK_ROWS keys at a
     time, so the temporaries stay small next to the table.
@@ -130,7 +200,7 @@ def _holds(keys: np.ndarray, table: np.ndarray, cols: np.ndarray, k: int) -> np.
     for start in range(0, len(table), step):
         probe = _row_keys(np.take(table[start:start + step], flat, axis=1)
                           .reshape(-1, arity), k)
-        hits = _isin_sorted(keys, probe).reshape(-1, atoms)
+        hits = index.contains(probe).reshape(-1, atoms)
         mask[start:start + len(hits)] = hits.all(axis=1)
     return mask
 
@@ -144,55 +214,41 @@ def _pin_bound(size: int, k: int) -> int:
     return bound
 
 
-def _lookup_keys(rows: np.ndarray, vars_: tuple[str, ...], var: str, k: int) -> np.ndarray:
-    """The sorted keys of the atom's relation rows reordered for looking up
-    var: the positions of the other variables first, var's first position
-    last.
-
-    Rows whose entries differ at var's positions satisfy no assignment and
-    are left out, so the keys stay distinct.
-    """
-    at = [i for i, v in enumerate(vars_) if v == var]
-    if len(at) > 1:
-        rows = rows[(rows[:, at[1:]] == rows[:, at[:1]]).all(axis=1)]
-    order = [i for i, v in enumerate(vars_) if v != var] + at[:1]
-    if order == list(range(len(vars_))):
-        return _row_keys(rows, k)
-    return np.sort(_row_keys(rows[:, order], k))
+def _lookup_order(vars_: tuple[str, ...], var: str) -> tuple[int, ...]:
+    """The atom's positions in the order for looking up var: the positions
+    of the other variables first, var's first position last.  var's other
+    positions are left out."""
+    return tuple(i for i, v in enumerate(vars_) if v != var) + (vars_.index(var),)
 
 
-def _extend_by_lookup(table: np.ndarray, probe: list[int], keys: np.ndarray,
+def _extend_by_lookup(table: np.ndarray, probe: list[int], index: _Index,
                       k: int) -> np.ndarray:
-    """Each table row followed by every last entry of the rows, given by
-    their sorted keys, that start with the table row's entries in the probe
-    columns.
+    """Each table row followed by every last entry of the index's rows
+    that start with the table row's entries in the probe columns.
 
-    Works in blocks, like _holds.  Raises CapExceeded before the extended
-    table is built when it would exceed EVAL_TABLE_BYTES.
+    Raises CapExceeded before the extended table is built when it would
+    exceed EVAL_TABLE_BYTES.  The table is extended in blocks of at most
+    FILTER_BLOCK_ROWS output rows.
     """
     count, width = table.shape
-    # the rows starting with a prefix lie between (prefix, 0) and (prefix, k - 1)
-    first = np.empty(count, dtype=np.int64)
-    ends = np.empty(count, dtype=np.int64)
+    at, counts = None, np.empty(count, dtype=np.min_scalar_type(k))
     for start in range(0, count, FILTER_BLOCK_ROWS):
-        block = slice(start, start + FILTER_BLOCK_ROWS)
-        bounds = np.empty((len(table[block]), len(probe) + 1), dtype=table.dtype)
-        bounds[:, :-1] = table[block, probe]
-        bounds[:, -1] = 0
-        first[block] = np.searchsorted(keys, _row_keys(bounds, k), "left")
-        bounds[:, -1] = k - 1
-        ends[block] = np.searchsorted(keys, _row_keys(bounds, k), "right")
-    ends -= first                   # the match count of each table row
-    np.cumsum(ends, out=ends)       # one past its last output row
-    total = int(ends[-1]) if count else 0
+        found, counts[start:start + FILTER_BLOCK_ROWS] = index.find(
+            table[start:start + FILTER_BLOCK_ROWS, probe])
+        if at is None:
+            at = np.empty(count, dtype=found.dtype)
+        at[start:start + FILTER_BLOCK_ROWS] = found
+    total = int(counts.sum())
     _check_table_size(total, width + 1, table.itemsize)
-    first[1:] -= ends[:-1]          # output row j of table row i reads keys[first[i] + j]
     grown = np.empty((total, width + 1), dtype=table.dtype)
-    for start in range(0, total, FILTER_BLOCK_ROWS):
-        out = np.arange(start, min(start + FILTER_BLOCK_ROWS, total))
-        source = np.searchsorted(ends, out, "right")
-        grown[out[0]:out[-1] + 1, :width] = table[source]
-        grown[out[0]:out[-1] + 1, width] = _last_entries(keys[first[source] + out], k)
+    step = max(FILTER_BLOCK_ROWS // max(int(counts.max(initial=0)), 1), 1)
+    out = 0
+    for start in range(0, count, step):
+        repeats = counts[start:start + step]
+        size = int(repeats.sum())
+        grown[out:out + size, :width] = np.repeat(table[start:start + step], repeats, axis=0)
+        grown[out:out + size, width] = index.last_entries(at[start:start + step], repeats)
+        out += size
     return grown
 
 
@@ -205,7 +261,21 @@ class _Atoms:
         self.min_bound = _pin_bound(len(rel), k)
         # rows per bound prefix of b positions, as len(rel) / k^b for each b
         self.per_prefix = np.array([len(rel) / k ** b for b in range(rel.arity + 1)])
-        self.keys = None        # the relation's row keys, made on first use
+        self.indexes: dict[tuple[int, ...], _Index] = {}    # by column order, on first use
+
+    def index(self, order: tuple[int, ...], k: int) -> _Index:
+        """The index of the relation's rows read in this column order.  A
+        position the order leaves out must hold the same entry as the
+        order's last position; rows that differ there are left out."""
+        if order not in self.indexes:
+            rows = self.rel.rows
+            other = [i for i in range(self.rel.arity) if i not in order]
+            if other:
+                rows = rows[(rows[:, other] == rows[:, order[-1:]]).all(axis=1)]
+            identity = order == tuple(range(self.rel.arity))
+            keys = _row_keys(rows if identity else rows[:, order], k)
+            self.indexes[order] = _Index(keys, k, len(order), identity)
+        return self.indexes[order]
 
 
 def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) -> Relation:
@@ -270,15 +340,14 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
                 # a lookup only adds rows that satisfy its atom
                 check = complete if looked_up is None else complete & (group.places != looked_up)
                 if check.any():
-                    if group.keys is None:
-                        group.keys = _row_keys(group.rel.rows, k)
+                    index = group.index(tuple(range(group.rel.arity)), k)
                     # as many atoms at a time as gather FILTER_BLOCK_ROWS entries
                     # from the whole table, or one; each block drops its failing
                     # rows, and the table they leave, before the next
                     cols_of = column[group.ids[check]]
                     while len(cols_of) and len(table):
                         size = max(FILTER_BLOCK_ROWS // (len(table) * cols_of.shape[1]), 1)
-                        table = table[_holds(group.keys, table, cols_of[:size], k)]
+                        table = table[_holds(index, table, cols_of[:size], k)]
                         cols_of = cols_of[size:]
                 group.ids, group.places = group.ids[~complete], group.places[~complete]
                 known = known[~complete]
@@ -312,13 +381,12 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
             var = int(added.argmin())       # the first variable of the default order not added
         else:
             _, var, place = pin_key
-            rel = pin.rel
-            if count * k > len(rel):
+            if count * k > len(pin.rel):
                 looked_up = place
                 vars_ = formula.atoms[place][1]
                 table = _extend_by_lookup(
                     table, [int(column[rank[v]]) for v in vars_ if v != order[var]],
-                    _lookup_keys(rel.rows, vars_, order[var], k), k)
+                    pin.index(_lookup_order(vars_, order[var]), k), k)
         if looked_up is None:
             _check_table_size(count * k, width + 1, table.itemsize)
             grown = np.empty((count, k, width + 1), dtype=dtype)

@@ -134,6 +134,18 @@ def test_clone_work_cap_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: ") and "work cap" in captured.err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_clone_cap_below_one_exit_code(snow_files, cap, monkeypatch, capsys):
+    # no fragment has fewer than 1 member: refused before any round
+    monkeypatch.setattr(clonegen, "_closure_rounds", None)
+    capsys.readouterr()
+    assert run(["clone", "--ops", str(snow_files["t"]), "--arity", "2",
+                "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the fragment cap must be at least 1, got {cap}\n"
+    assert captured.out == ""
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.pp"
     bad.write_text("domains 3\n")

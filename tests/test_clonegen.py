@@ -1,7 +1,8 @@
 import hashlib
 import random
-from itertools import product
+from itertools import islice, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -175,7 +176,7 @@ def test_fallback_continues_the_first_round(gen, arity, count, monkeypatch):
     gens = OperationSet.from_operations(gen.domain, [gen])
     assert clonegen._spike_applicable(gens)
     assert clone_fragment(gens, arity).count(arity) == count
-    # (known, start, arity, block): round 1 once, then rounds from start > 0
+    # (known, start, arity): round 1 once, then rounds from start > 0
     assert [c[1] for c in calls].count(0) == 1
     assert any(c[1] > 0 for c in calls)
 
@@ -284,3 +285,46 @@ def test_closure_agrees_with_naive_fixpoint(case):
     seed, ops = case
     closure = subuniverse_closure(seed, ops)
     assert set(closure.tuples) == _naive_closure(seed, list(ops.members()))
+
+
+@st.composite
+def _image_cases(draw):
+    """Generators of arity 1..3, each sparse (a default and a few other
+    points), dense or constant, and a seed of rows over m cells, m within
+    one 64-bit word or over several; which arities take support images."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    d = Domain(k)
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        arity = draw(st.integers(1, 3))
+        points = list(product(range(k), repeat=arity))
+        kind = draw(st.sampled_from(["sparse", "dense", "constant"]))
+        default = draw(st.integers(0, k - 1))
+        values = {}
+        if kind == "sparse":
+            values = draw(st.dictionaries(st.sampled_from(points), st.integers(0, k - 1),
+                                          max_size=3))
+        elif kind == "dense":
+            values = dict(zip(points, draw(st.lists(st.integers(0, k - 1), min_size=len(points),
+                                                    max_size=len(points)))))
+        gens.append(Operation(d, arity, tuple(values.get(p, default) for p in points)))
+    m = draw(st.sampled_from([1, 2, 5, 63, 64, 65, 130]))
+    seed = draw(st.sets(st.tuples(*[st.integers(0, k - 1)] * m), min_size=1, max_size=2))
+    support_arities = draw(st.sets(st.integers(1, 3)))
+    return OperationSet.from_operations(d, gens), seed, support_arities
+
+
+@settings(max_examples=80, deadline=None)
+@given(_image_cases())
+def test_support_images_equal_gathered_images(case):
+    ops, seed, support_arities = case
+    rows = np.array(sorted(seed), dtype=np.uint8)
+    runs = []
+    for chosen in [lambda support, m: False,
+                   lambda support, m: support.arity in support_arities]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clonegen._Support, "cheaper", chosen)
+            # the rows new in each of the first two rounds
+            runs.append([{r.tobytes() for r in new[start:]}
+                         for new, start in islice(clonegen._closure_rounds(rows, ops), 2)])
+    assert runs[0] == runs[1]

@@ -13,7 +13,7 @@ from cloneops import (CapExceeded, Domain, Operation, PPFormula, RelationEnv,
                       parse_formula, parse_relations, relation, snow_f,
                       snow_pp_formula, snow_t)
 from cloneops.cli import run
-from cloneops.core import _key_width
+from cloneops.core import _key_width, _row_dtype, _row_keys
 
 
 def brute_eval(formula, env, values=None):
@@ -124,12 +124,58 @@ def _lookup_spy(monkeypatch):
     calls = []
     extend = ppformula._extend_by_lookup
 
-    def spy(table, probe, keys, k):
-        grown = extend(table, probe, keys, k)
+    def spy(table, probe, index, k):
+        grown = extend(table, probe, index, k)
         calls.append((table, probe, grown))
         return grown
     monkeypatch.setattr(ppformula, "_extend_by_lookup", spy)
     return calls
+
+
+@st.composite
+def _index_cases(draw):
+    """A relation of some width over k values, on either side of the bitmap
+    density rule (k=300 at width 8: void keys), and a table to test its
+    atoms against and to extend by looking up a prefix of its rows."""
+    k, width = draw(st.sampled_from([(2, 1), (2, 3), (3, 2), (3, 3), (300, 1), (300, 2),
+                                     (300, 8)]))
+    values = st.sampled_from([0, 1, k - 1]) if k == 300 else st.integers(0, k - 1)
+    row = st.tuples(*[values] * width)
+    rows = sorted(draw(st.sets(row, max_size=min(k ** width, 40))))
+    if rows and draw(st.booleans()):
+        rows = sorted(set(rows) | {r[:-1] + (v,) for r in rows for v in range(k)})
+    table_width = draw(st.integers(max(width - 1, 1), width + 2))
+    table = draw(st.lists(st.tuples(*[values] * table_width), max_size=30))
+    cols = draw(st.lists(st.lists(st.integers(0, table_width - 1), min_size=width,
+                                  max_size=width), min_size=1, max_size=3))
+    probe = draw(st.lists(st.integers(0, table_width - 1), min_size=width - 1,
+                          max_size=width - 1))
+    return k, rows, np.array(table, dtype=_row_dtype(k)).reshape(-1, table_width), cols, probe
+
+
+@settings(max_examples=150, deadline=None)
+@given(_index_cases())
+def test_bitmap_and_sorted_index_agree(case):
+    k, rows, table, cols, probe = case
+    width = len(cols[0])
+    dtype = _row_dtype(k)
+    arr = np.array(rows, dtype=dtype).reshape(len(rows), width)
+    present = set(rows)
+    holds = [all(tuple(int(v) for v in r[c]) in present for c in cols) for r in table]
+    grown = [list(r) + [v] for r in table.tolist() for v in range(k)
+             if tuple(r[c] for c in probe) + (v,) in present]
+    kinds = set()
+    # the rule as it is, then every index sorted, then every integer-keyed one a bitmap
+    for per_row in [ppformula.BITMAP_KEYS_PER_ROW, 0, k ** width]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ppformula, "BITMAP_KEYS_PER_ROW", per_row)
+            index = ppformula._Index(_row_keys(arr, k), k, width, True)
+        kinds.add(index.present is not None)
+        got = ppformula._holds(index, table, np.array(cols), k)
+        assert got.tolist() == holds
+        assert ppformula._extend_by_lookup(table, probe, index, k).tolist() == grown
+    assert kinds == ({False, True} if rows and _row_keys(arr, k).dtype.kind == "u"
+                     else {False})
 
 
 def _chain(k):
@@ -344,9 +390,9 @@ def test_batched_filter_matches_brute_force(monkeypatch):
     filters = []
     holds = ppformula._holds
 
-    def spy(keys, table, cols, k):
+    def spy(index, table, cols, k):
         filters.append((k, *cols.shape))
-        return holds(keys, table, cols, k)
+        return holds(index, table, cols, k)
     monkeypatch.setattr(ppformula, "_holds", spy)
     lookups = _lookup_spy(monkeypatch)
     cases = [(2, (6,), 200, 7, (0, 1)),
