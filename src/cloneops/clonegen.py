@@ -41,8 +41,8 @@ from math import prod
 import numpy as np
 
 from .core import (_BLOCK_ENTRIES, CapExceeded, Operation, OperationSet, Relation,
-                   _digit_matrix, _isin_sorted, _key_rows, _row_keys, _sorted_distinct,
-                   check_table_entries)
+                   _digit_matrix, _isin_sorted, _key_rows, _row_dtype, _row_keys,
+                   _sorted_distinct, check_table_entries)
 
 FRAGMENT_CAP = 1_000_000
 CLOSURE_WORK_CAP = 10 ** 9      # table entries gathered in one closure round
@@ -80,6 +80,21 @@ def _gathered_images(tables: np.ndarray, rows: np.ndarray, ranges: list, k: int)
         yield _row_keys(tables[:, idx].reshape(-1, m), k)
 
 
+def _value_counts(tables: np.ndarray, k: int) -> np.ndarray:
+    """How often each table takes each value: a (tables, k) array, counted
+    in one pass over the entries, at most _BLOCK_ENTRIES of them at a time."""
+    n = tables.shape[1]
+    counts = np.zeros((len(tables), k), dtype=np.min_scalar_type(n))
+    step, width = max(_BLOCK_ENTRIES // max(n, 1), 1), min(max(n, 1), _BLOCK_ENTRIES)
+    for lo in range(0, len(tables), step):
+        for col in range(0, n, width):
+            block = tables[lo:lo + step, col:col + width].astype(np.int64)
+            block += np.arange(len(block))[:, None] * k     # table t's value v counts at t*k + v
+            block = np.bincount(block.ravel(), minlength=len(block) * k)
+            counts[lo:lo + step] += block.reshape(-1, k).astype(counts.dtype)
+    return counts
+
+
 class _Support:
     """The tables of one arity as a default value, the most common entry,
     and the support, the points where they differ from it.  The points of
@@ -87,7 +102,7 @@ class _Support:
     table t's last point."""
 
     def __init__(self, tables: np.ndarray, k: int, arity: int):
-        counts = np.stack([np.count_nonzero(tables == v, axis=1) for v in range(k)], axis=1)
+        counts = _value_counts(tables, k)
         self.defaults = counts.argmax(axis=1).astype(tables.dtype)
         sizes = tables.shape[1] - counts.max(axis=1)
         self.ends = np.cumsum(sizes)
@@ -162,7 +177,7 @@ def _support_images(support: _Support, masks: np.ndarray, k: int, m: int) -> np.
             own = _sorted_distinct(own.view(f"V{own.shape[1] * 8}").ravel())
             own = own.view(np.uint64).reshape(-1, end - begin, words)
         cells = np.unpackbits(own.view(np.uint8), axis=2, count=m, bitorder="little")
-        image = np.full((len(own), m), support.defaults[table], dtype=np.uint8)
+        image = np.full((len(own), m), support.defaults[table], dtype=_row_dtype(k))
         for p in range(end - begin):
             image[cells[:, p].view(bool)] = support.values[begin + p]
         keys.append(_row_keys(image, k))

@@ -241,7 +241,9 @@ def _extend_by_lookup(table: np.ndarray, probe: list[int], index: _Index,
     total = int(counts.sum())
     _check_table_size(total, width + 1, table.itemsize)
     grown = np.empty((total, width + 1), dtype=table.dtype)
-    step = max(FILTER_BLOCK_ROWS // max(int(counts.max(initial=0)), 1), 1)
+    # a block's last entries read counts.max() sorted keys per row, or k bitmap entries
+    per_row = max(int(counts.max(initial=0)), k if index.present is not None else 1)
+    step = max(FILTER_BLOCK_ROWS // per_row, 1)
     out = 0
     for start in range(0, count, step):
         repeats = counts[start:start + step]

@@ -11,6 +11,7 @@ from cloneops import (CapExceeded, Domain, Operation, OperationSet,
                       clone_fragment, fragment_contains, full_relation,
                       graph_of, make_constant, make_projection, snow_f, snow_t,
                       sparse_op, subuniverse_closure, enumerate_centraliser)
+from cloneops.core import _row_dtype, _sorted_distinct
 from cloneops.textio import operation_set_blocks
 
 
@@ -328,3 +329,41 @@ def test_support_images_equal_gathered_images(case):
             runs.append([{r.tobytes() for r in new[start:]}
                          for new, start in islice(clonegen._closure_rounds(rows, ops), 2)])
     assert runs[0] == runs[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_support_images_at_k300_equal_gathered_images(data):
+    # OperationSet holds uint8 tables only, so the helpers run here on
+    # big-endian uint16 tables directly: values of 256 and more, integer
+    # keys up to m = 7 cells and byte keys past that
+    k = 300
+    dtype = _row_dtype(k)
+    pool = [0, 1, 255, 256, 299]
+    arity = data.draw(st.integers(1, 2))
+    tables = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        table = np.full(k ** arity, data.draw(st.sampled_from(pool)), dtype=dtype)
+        points = data.draw(st.dictionaries(st.tuples(*[st.sampled_from(pool)] * arity),
+                                           st.sampled_from(pool), max_size=3))
+        for point, value in points.items():
+            table[np.ravel_multi_index(point, (k,) * arity)] = value
+        tables.append(table)
+    tables = np.array(tables, dtype=dtype)
+    m = data.draw(st.sampled_from([1, 7, 8, 65]))
+    rows = np.array(data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=m, max_size=m),
+                                       min_size=1, max_size=3)), dtype=dtype)
+    support = clonegen._Support(tables, k, arity)
+    for table, default in zip(tables, support.defaults):
+        values, counts = np.unique(table, return_counts=True)
+        assert default == values[counts.argmax()]
+    assert support.size == sum(np.count_nonzero(t != d) for t, d in zip(tables, support.defaults))
+    support.locate()
+    ranges = [range(len(rows))] * arity
+    gathered = np.concatenate(list(clonegen._gathered_images(tables, rows, ranges, k)))
+    bits = clonegen._cell_bits(rows, k)
+    cols = [bits[:, support.points[:, j]] for j in range(arity)]
+    supported = np.concatenate([clonegen._support_images(support, masks, k, m)
+                                for masks in clonegen._lit_masks(cols)])
+    assert gathered.dtype == supported.dtype
+    assert np.array_equal(_sorted_distinct(gathered), _sorted_distinct(supported))
