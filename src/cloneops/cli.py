@@ -6,17 +6,18 @@ check failed, 2 input or parse error, 3 a resource cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 from typing import Iterable
 
 from . import __version__
 from .core import CapExceeded, OperationSet, graph_of
-from .commutation import enumerate_centraliser
-from .clonegen import clone_fragment
+from .commutation import DEFAULT_BUDGET, enumerate_centraliser
+from .clonegen import FRAGMENT_CAP, clone_fragment
 from .ppformula import RelationEnv, emit_smt, emit_text, eval_formula, parse_formula
 from .snow import snow_f, snow_pp_formula, snow_t, verify_separation
-from .synthesis import dedup_rows, synthesize_ppdef, validation_details
+from .synthesis import ROW_BUDGET, dedup_rows, synthesize_ppdef, validation_details
 from .textio import (FormatError, emit_operations, emit_relations,
                      operation_set_blocks, parse_operations, parse_relations,
                      parse_tuple_lists)
@@ -164,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["full", "witness"], default="full")
     p.add_argument("--report")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int,
+                   default=inspect.signature(verify_separation).parameters["samples"].default)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_snow)
 
@@ -173,14 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=int, required=True)
     p.add_argument("--out")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=250_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_centraliser)
 
     p = sub.add_parser("clone", help="generate an n-ary clone fragment")
     p.add_argument("--ops", required=True)
     p.add_argument("--arity", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=FRAGMENT_CAP)
     p.set_defaults(func=cmd_clone)
 
     p = sub.add_parser("ppdef", help="synthesize a primitive positive definition")
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--smt")
     p.add_argument("--validate")
-    p.add_argument("--row-budget", type=int, default=100_000_000)
+    p.add_argument("--row-budget", type=int, default=ROW_BUDGET)
     p.set_defaults(func=cmd_ppdef)
 
     p = sub.add_parser("eval-formula", help="evaluate a formula over named relations")

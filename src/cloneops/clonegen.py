@@ -21,18 +21,12 @@ uint64 words per point.  So operations that are d almost everywhere, like
 T, are applied in a few words per combination.  The combinations are
 joined one argument at a time, and a prefix whose AND is already empty at
 every point is dropped with all its extensions, which all map to the
-defaults.  A round is sized before it starts, and one that would gather
-more than CLOSURE_WORK_CAP table entries raises CapExceeded; so does a
-closure that knows more than cap rows.  These two checks bound every path.
-
-For zero-absorbing {0,1}-valued generators (any argument 0 forces value 0)
-clone_fragment usually stops after the first round.  That round applies
-every generator to every tuple of projections, so it finds the generators'
-variable identifications.  If each new one is 0 or a single point mapped to
-1, a composition involving it vanishes outside that point: it is that
-member again or the constant zero.  The first round is then closed if it
-found nothing new or found the zero.  Otherwise the same closure goes on
-from the rows it holds.
+defaults.  Each round charges one counter before it builds anything: the
+entries of each gather and the words of each AND block and of the points'
+bitsets.  It raises CapExceeded once the round would build more than
+CLOSURE_WORK_CAP of them, and so does a closure whose known rows would
+hold more than core.TABLE_ENTRY_CAP entries, checked before they grow, or
+that knows more than cap rows.  These checks bound every path.
 """
 from __future__ import annotations
 
@@ -45,7 +39,22 @@ from .core import (_BLOCK_ENTRIES, CapExceeded, Operation, OperationSet, Relatio
                    _sorted_distinct, check_table_entries)
 
 FRAGMENT_CAP = 1_000_000
-CLOSURE_WORK_CAP = 10 ** 9      # table entries gathered in one closure round
+CLOSURE_WORK_CAP = 10 ** 9      # entries gathered and AND words built in one closure round
+
+
+class _Work:
+    """The entries one closure round has built, charged before each block."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def charge(self, entries: int) -> None:
+        """Count a block about to be built; raise CapExceeded once the
+        round's entries would exceed CLOSURE_WORK_CAP."""
+        self.entries += entries
+        if self.entries > CLOSURE_WORK_CAP:
+            raise CapExceeded(f"a closure round would build {self.entries} entries, "
+                              f"over the work cap of {CLOSURE_WORK_CAP}")
 
 
 def _fresh_combos(known: int, start: int, arity: int):
@@ -61,14 +70,16 @@ def _fresh_combos(known: int, start: int, arity: int):
         yield [range(start)] * p + [range(start, known)] + [range(known)] * (arity - p - 1)
 
 
-def _gathered_images(tables: np.ndarray, rows: np.ndarray, ranges: list, k: int):
+def _gathered_images(tables: np.ndarray, rows: np.ndarray, ranges: list, k: int, work: _Work):
     """Yield, a block at a time, the keys of the images of the rows' index
     tuples in the product of ranges under every table: the tables' entries
-    at the flat indices that the rows' columns spell."""
+    at the flat indices that the rows' columns spell.  All of them are
+    charged to work before the first block is gathered."""
     m = rows.shape[1]
     radices = [len(r) for r in ranges]
     offsets = np.array([r.start for r in ranges], dtype=np.int64)
     total = prod(radices)
+    work.charge(len(tables) * total * m)
     block = max(1, _BLOCK_ENTRIES // (m * max(len(tables), 1)))
     for lo in range(0, total, block):
         flat = np.arange(lo, min(lo + block, total), dtype=np.int64)
@@ -133,10 +144,11 @@ def _cell_bits(rows: np.ndarray, k: int) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def _lit_masks(cols: list[np.ndarray]):
+def _lit_masks(cols: list[np.ndarray], work: _Work):
     """Yield, a block at a time, AND_j cols[j][i_j] over the index tuples i
     in the product of the cols' rows, leaving out every tuple whose AND is
     empty at every point: cols[j] holds a (points, words) bitset per row.
+    The words of each AND block are charged to work.
 
     A prefix whose AND is already empty at every point is left out with all
     its extensions, and then one all-zero mask is yielded in their place.
@@ -155,7 +167,9 @@ def _lit_masks(cols: list[np.ndarray]):
             return
         step = max(1, _BLOCK_ENTRIES // max(len(cols[j]) * points * words, 1))
         for lo in range(0, len(masks), step):
-            block = masks[lo:lo + step, None] & cols[j]
+            part = masks[lo:lo + step, None]
+            work.charge(len(part) * len(cols[j]) * points * words)
+            block = part & cols[j]
             yield from extend(block.reshape(block.shape[0] * block.shape[1], points, words), j + 1)
 
     yield from extend(cols[0], 1)
@@ -191,8 +205,8 @@ def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None)
     seed is a (rows, m) uint8 array.  Yields (rows, start) after each round:
     the rows known so far, of which rows[start:] are new in that round; the
     last round finds none.  Raises CapExceeded once more than cap rows are
-    known, or before a round that would gather more than CLOSURE_WORK_CAP
-    entries.
+    known, before the known rows would hold more than TABLE_ENTRY_CAP
+    entries, and before a round would build more than CLOSURE_WORK_CAP.
 
     The operations of an arity are applied by support images where
     _Support.cheaper says so, and by the flat gather otherwise.
@@ -209,28 +223,26 @@ def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None)
     bits = _cell_bits(rows, k) if supports else None
     start = 0
     while start < len(rows):
-        known = len(rows)
-        work = sum((known ** a - start ** a) * len(ops.tables(a)) * m
-                   for a in ops.arities())
-        if work > CLOSURE_WORK_CAP:
-            raise CapExceeded(f"a closure round would gather {work} entries, "
-                              f"over the work cap of {CLOSURE_WORK_CAP}")
+        known, work = len(rows), _Work()
         fresh = []
         for arity in ops.arities():
             support = supports.get(arity)
             if support is not None:
                 # one gather of the points' bitsets per argument
+                work.charge(arity * len(bits) * len(support.points) * bits.shape[2])
                 cols = [bits[:, support.points[:, j]] for j in range(arity)]
             for ranges in _fresh_combos(known, start, arity):
                 if support is None:
-                    images = _gathered_images(ops.tables(arity), rows, ranges, k)
+                    images = _gathered_images(ops.tables(arity), rows, ranges, k, work)
                 else:
                     images = (_support_images(support, masks, k, m) for masks in _lit_masks(
-                        [c[r.start:r.stop] for c, r in zip(cols, ranges)]))
+                        [c[r.start:r.stop] for c, r in zip(cols, ranges)], work))
                 for keys in images:
                     keys = _sorted_distinct(keys)
                     keys = keys[~_isin_sorted(seen, keys)]
                     if len(keys):
+                        check_table_entries((len(seen) + len(keys)) * m,
+                                            f"a closure of {len(seen) + len(keys)} rows")
                         seen = np.insert(seen, np.searchsorted(seen, keys), keys)
                         fresh.append(_key_rows(keys, k, m))
                     if cap is not None and len(seen) > cap:
@@ -249,49 +261,20 @@ def _projection_rows(k: int, arity: int) -> np.ndarray:
     return _digit_matrix(arity, k, np.uint8).T
 
 
-def _spike_applicable(generators: OperationSet) -> bool:
-    """Whether every generator is {0,1}-valued and zero-absorbing.
-
-    A table is zero-absorbing iff all its ones lie in the block of argument
-    tuples with no zero entry.
-    """
-    k = generators.domain.k
-    for arity in generators.arities():
-        tables = generators.tables(arity)
-        if tables.max(initial=0) > 1:
-            return False
-        shaped = tables.reshape((len(tables),) + (k,) * arity)
-        nonzero_args = shaped[(slice(None),) + (slice(1, None),) * arity]
-        if np.count_nonzero(nonzero_args) != np.count_nonzero(tables):
-            return False
-    return True
-
-
-def _spike_closed(fresh: np.ndarray) -> bool:
-    """Whether the first round's fresh rows, under zero-absorbing {0,1}-valued
-    generators, already close the fragment: each is 0 or a single point
-    mapped to 1, and the constant zero is among them unless there are none.
-    """
-    sums = fresh.sum(axis=1, dtype=np.int64)
-    return bool((sums <= 1).all() and (len(sums) == 0 or (sums == 0).any()))
-
-
 def clone_fragment(generators: OperationSet, arity: int,
                    cap: int = FRAGMENT_CAP) -> OperationSet:
     """The arity-ary part of the clone generated by the given operations.
 
     Raises ValueError for an arity or a cap below 1, and CapExceeded once
-    the fragment would have more than cap members.
+    the fragment would have more than cap members or outgrow the closure's
+    other caps (see _closure_rounds).
     """
     if arity < 1:
         raise ValueError("fragment arity must be positive")
     if cap < 1:
         raise ValueError(f"the fragment cap must be at least 1, got {cap}")
-    rounds = _closure_rounds(_projection_rows(generators.domain.k, arity), generators, cap)
-    rows, start = next(rounds)
-    if not (_spike_applicable(generators) and _spike_closed(rows[start:])):
-        for rows, _ in rounds:
-            pass
+    for rows, _ in _closure_rounds(_projection_rows(generators.domain.k, arity), generators, cap):
+        pass
     return OperationSet(generators.domain, {arity: rows})
 
 

@@ -33,7 +33,7 @@ from .core import CapExceeded, Domain, Operation, OperationSet, graph_of, sparse
 from .clonegen import clone_fragment, fragment_contains
 from .ppformula import PPFormula, eval_formula
 
-WITNESS_SAMPLE_CAP = 1_000_000_000
+WITNESS_SAMPLE_CAP = 1_000_000_000     # bytes of drawn sample cells
 FULL_EVAL_MAX_K = 4
 FRAGMENT_MAX_MAPS = 10_000_000
 
@@ -348,8 +348,9 @@ def verify_separation(k: int, mode: str = "full", samples: int = 100_000,
     Full mode evaluates the formula exhaustively (k <= 4); witness mode checks
     the explicit witness squares and samples the completeness direction.
     Witness mode needs samples >= 1 and seed >= 0 (ValueError otherwise)
-    and raises CapExceeded, before any work, when the k^(k-1)*(k-1)*samples
-    samples exceed WITNESS_SAMPLE_CAP.  Full mode ignores the seed.
+    and raises CapExceeded, before any work, when the cells it may draw,
+    6*(k-1)*samples*(n^2-n) bytes for n = k-1, exceed WITNESS_SAMPLE_CAP.
+    Full mode ignores the seed.
     """
     _check_k(k)
     if mode not in ("full", "witness"):
@@ -359,12 +360,14 @@ def verify_separation(k: int, mode: str = "full", samples: int = 100_000,
             raise ValueError(f"witness mode needs at least 1 sample per tuple, got {samples}")
         if seed < 0:
             raise ValueError(f"witness mode needs a non-negative seed, got {seed}")
-        # each argument tuple x is paired with the k-1 values other than f(x)
-        total = k ** (k - 1) * (k - 1) * samples
+        # draws are made only under the at most six patterned anti-diagonals
+        # x, each paired with the k-1 values y other than f(x)
+        n = k - 1
+        total = 6 * n * samples * (n * n - n)
         if total > WITNESS_SAMPLE_CAP:
             raise CapExceeded(
-                f"witness sampling of {k ** (k - 1) * (k - 1)} refuted tuples x {samples} "
-                f"samples = {total} exceeds {WITNESS_SAMPLE_CAP}")
+                f"witness sampling may draw {total} bytes ({6 * n} refuted tuples x {samples} "
+                f"samples x {n * n - n} cells), over the cap of {WITNESS_SAMPLE_CAP}")
     inst = snow_instance(k)
     report = SeparationReport(k=k, mode=mode, params={"seed": seed, "samples": samples})
 

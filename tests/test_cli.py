@@ -207,8 +207,8 @@ def test_witness_negative_seed_exit_code(capsys):
 
 
 def test_witness_sample_cap_exit_code(capsys):
-    # k=7: 705,894 refuted tuples x 100,000 default samples
-    assert run(["verify-snow", "--k", "7", "--mode", "witness"]) == 3
+    # k=7: up to 36 refuted tuples x 10^6 samples x 30 drawn cells
+    assert run(["verify-snow", "--k", "7", "--mode", "witness", "--samples", "1000000"]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""

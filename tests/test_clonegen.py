@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import cloneops.clonegen as clonegen
 from cloneops import (CapExceeded, Domain, Operation, OperationSet,
-                      clone_fragment, fragment_contains, full_relation,
+                      clone_fragment, commutes, fragment_contains, full_relation,
                       graph_of, make_constant, make_projection, snow_f, snow_t,
                       sparse_op, subuniverse_closure, enumerate_centraliser)
-from cloneops.core import _row_dtype, _sorted_distinct
+from cloneops.core import TABLE_ENTRY_CAP, _row_dtype, _sorted_distinct
 from cloneops.textio import operation_set_blocks
 
 
@@ -35,6 +35,22 @@ def test_fragment_of_wide_tables(t3_set):
     assert text.startswith(b"# count 67\n")
     assert hashlib.sha256(text).hexdigest() == (
         "ba5e1b10a193b27b3eb2588cddab79c0e5863091a748847e6eed12ac4e69196b")
+
+
+def test_quaternary_fragment_at_k4():
+    # one arity past the separating one at k=4: round 1 finds all 61 non-projections
+    d4 = Domain(4)
+    t4 = OperationSet.from_operations(d4, [snow_t(4)])
+    frag = clone_fragment(t4, 4)
+    text = b"".join(operation_set_blocks(frag, 4))
+    assert text.startswith(b"# count 65\n")
+    assert hashlib.sha256(text).hexdigest() == (
+        "56da1481e82674cb67afe2ef7ad9d076d13debc90014243f6bda317e5d8a1d0d")
+    # an independent engine: every member commutes, by the scalar test,
+    # with all 17 unary operations that commute with T
+    unary = list(enumerate_centraliser(t4, 1).members(1))
+    assert len(unary) == 17
+    assert all(commutes(u, op) for op in frag.members(4) for u in unary)
 
 
 def test_fragment_of_identity(d3):
@@ -87,38 +103,12 @@ def test_fragment_structure_at_separating_arity():
         assert not fragment_contains(frag, snow_f(k))
 
 
-def test_spike_agrees_with_generic_worklist(d3, t3_set, monkeypatch):
-    spike = clone_fragment(t3_set, 2)
-    monkeypatch.setattr(clonegen, "_spike_applicable", lambda gens: False)
-    generic = clone_fragment(t3_set, 2)
-    assert spike == generic
-
-
 def test_spike_generator_composing_to_zero(d3):
     # u(u(x)) is constant zero, but no variable identification of u is
     u = Operation(d3, 1, (0, 0, 1))
     frag = clone_fragment(OperationSet.from_operations(d3, [u]), 1)
     assert frag == OperationSet.from_operations(
         d3, [make_projection(d3, 1, 1), u, make_constant(d3, 1, 0)])
-
-
-def test_spike_applicable_matches_definition():
-    # {0,1}-valued, and 0 wherever some argument is 0
-    rng = random.Random(7)
-    for _ in range(200):
-        k = rng.choice([2, 3])
-        d = Domain(k)
-        gens = []
-        for _ in range(rng.randint(1, 3)):
-            arity = rng.randint(1, 3)
-            table = [0 if 0 in args and rng.random() < 0.9 else rng.choice([0, 1, 1, k - 1])
-                     for args in product(range(k), repeat=arity)]
-            gens.append(Operation(d, arity, tuple(table)))
-        expected = all(set(g.table) <= {0, 1}
-                       and all(v == 0 for args, v in zip(product(range(k), repeat=g.arity),
-                                                         g.table) if 0 in args)
-                       for g in gens)
-        assert clonegen._spike_applicable(OperationSet.from_operations(d, gens)) == expected
 
 
 def test_generic_path_on_non_spike_generator():
@@ -133,22 +123,38 @@ def test_generic_path_on_non_spike_generator():
 def test_closure_work_cap_raises_before_gathering(monkeypatch):
     d2 = Domain(2)
     maximum = OperationSet.from_operations(d2, [Operation(d2, 2, (0, 1, 1, 1))])
-    calls = []
-    fresh_combos = clonegen._fresh_combos
-    monkeypatch.setattr(clonegen, "_fresh_combos",
-                        lambda *a: calls.append(a) or fresh_combos(*a))
+    gathered = []
+    gathered_images = clonegen._gathered_images
+    monkeypatch.setattr(clonegen, "_gathered_images", lambda *a: (
+        gathered.append(keys) or keys for keys in gathered_images(*a)))
     # round 1 gathers 2^2 combinations x 1 operation x 4 entries = 16,
-    # round 2 (3 rows, 1 new) gathers (3^2 - 2^2) x 4 = 20
+    # round 2 (3 rows, 1 new) gathers (3^2 - 2^2) x 4 = 20, as 12 and then 8
     monkeypatch.setattr(clonegen, "CLOSURE_WORK_CAP", 15)
     with pytest.raises(CapExceeded, match="work cap"):
         clone_fragment(maximum, 2)
-    assert calls == []
+    assert gathered == []
     monkeypatch.setattr(clonegen, "CLOSURE_WORK_CAP", 19)
     with pytest.raises(CapExceeded, match="work cap"):
         clone_fragment(maximum, 2)
-    assert calls
+    assert gathered
     monkeypatch.setattr(clonegen, "CLOSURE_WORK_CAP", 20)
     assert clone_fragment(maximum, 2).count(2) == 3
+
+
+def test_support_image_closure_charges_its_and_blocks(t3_set, monkeypatch):
+    # T at k=3 is applied by support images only: 2 points, 81-cell rows in 2 words
+    monkeypatch.setattr(clonegen, "_gathered_images", None)
+    charges = []
+    charge = clonegen._Work.charge
+    monkeypatch.setattr(clonegen._Work, "charge",
+                        lambda self, n: charges.append(n) or charge(self, n))
+    monkeypatch.setattr(clonegen, "CLOSURE_WORK_CAP", 100)
+    with pytest.raises(CapExceeded, match="work cap"):
+        clone_fragment(t3_set, 4)
+    # the points' bitsets of the 4 projections, 4 arguments x 4 rows x 2
+    # points x 2 words, fit; the first AND block, 4 x 4 pairs x 2 x 2
+    # words, is refused before it is built
+    assert charges == [64, 64]
 
 
 def test_fragment_cap(t3_set):
@@ -157,12 +163,15 @@ def test_fragment_cap(t3_set):
 
 
 def test_identification_tables_checked_before_allocating(t3_set, monkeypatch):
-    # the 3^12 x 12 projection rows fit; 12^4 identifications x 3^12 entries exceed the work cap
-    calls = []
-    monkeypatch.setattr(clonegen, "_fresh_combos", lambda *a: calls.append(a) or iter(()))
-    with pytest.raises(CapExceeded, match="work cap"):
+    # the 3^12 x 12 projection rows fit, but rows of 3^12 entries outgrow
+    # the entry cap after 18 members: refused before the known rows grow
+    built = []
+    key_rows = clonegen._key_rows
+    monkeypatch.setattr(clonegen, "_key_rows", lambda keys, k, m: built.append(len(keys)) or
+                        key_rows(keys, k, m))
+    with pytest.raises(CapExceeded, match=r"a closure of \d+ rows has \d+ entries, over the cap"):
         clone_fragment(t3_set, 12)
-    assert calls == []
+    assert sum(built) * 3 ** 12 <= TABLE_ENTRY_CAP
 
 
 @pytest.mark.parametrize("gen, arity, count", [
@@ -170,12 +179,12 @@ def test_identification_tables_checked_before_allocating(t3_set, monkeypatch):
     (snow_t(3), 3, 16),
 ])
 def test_fallback_continues_the_first_round(gen, arity, count, monkeypatch):
+    # zero-absorbing {0,1}-valued generators whose fragments need more rounds
     calls = []
     fresh_combos = clonegen._fresh_combos
     monkeypatch.setattr(clonegen, "_fresh_combos",
                         lambda *a: calls.append(a) or fresh_combos(*a))
     gens = OperationSet.from_operations(gen.domain, [gen])
-    assert clonegen._spike_applicable(gens)
     assert clone_fragment(gens, arity).count(arity) == count
     # (known, start, arity): round 1 once, then rounds from start > 0
     assert [c[1] for c in calls].count(0) == 1
@@ -187,7 +196,6 @@ def test_spike_stop_needs_single_points(d3):
     g = sparse_op(d3, 2, {(1, 1): 1, (2, 2): 1})
     zero = make_constant(d3, 1, 0)
     gens = OperationSet.from_operations(d3, [g, zero])
-    assert clonegen._spike_applicable(gens)
     assert clone_fragment(gens, 1) == OperationSet.from_operations(d3, [
         make_projection(d3, 1, 1), zero,
         Operation(d3, 1, (0, 1, 1)), Operation(d3, 1, (0, 1, 0))])
@@ -242,18 +250,6 @@ def _zero_absorbing_generators(draw):
     return OperationSet.from_operations(d, gens), draw(st.integers(1, 2))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_zero_absorbing_generators())
-def test_spike_agrees_with_closure_loop(case):
-    gens, n = case
-    assert clonegen._spike_applicable(gens)
-    spike = clone_fragment(gens, n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clonegen, "_spike_applicable", lambda gens: False)
-        generic = clone_fragment(gens, n)
-    assert spike == generic
-
-
 def _naive_closure(seed, ops):
     """Reference: apply every operation to every combination until nothing is new."""
     closed = set(seed)
@@ -264,6 +260,16 @@ def _naive_closure(seed, ops):
         if fresh <= closed:
             return closed
         closed |= fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(_zero_absorbing_generators())
+def test_zero_absorbing_fragment_agrees_with_naive_fixpoint(case):
+    gens, n = case
+    k = gens.domain.k
+    projections = [tuple(args[i] for args in product(range(k), repeat=n)) for i in range(n)]
+    expected = _naive_closure(projections, list(gens.members()))
+    assert {op.table for op in clone_fragment(gens, n).members(n)} == expected
 
 
 @st.composite
@@ -360,10 +366,12 @@ def test_support_images_at_k300_equal_gathered_images(data):
     assert support.size == sum(np.count_nonzero(t != d) for t, d in zip(tables, support.defaults))
     support.locate()
     ranges = [range(len(rows))] * arity
-    gathered = np.concatenate(list(clonegen._gathered_images(tables, rows, ranges, k)))
+    work = clonegen._Work()
+    gathered = np.concatenate(list(clonegen._gathered_images(tables, rows, ranges, k, work)))
+    assert work.entries == len(tables) * len(rows) ** arity * m
     bits = clonegen._cell_bits(rows, k)
     cols = [bits[:, support.points[:, j]] for j in range(arity)]
     supported = np.concatenate([clonegen._support_images(support, masks, k, m)
-                                for masks in clonegen._lit_masks(cols)])
+                                for masks in clonegen._lit_masks(cols, work)])
     assert gathered.dtype == supported.dtype
     assert np.array_equal(_sorted_distinct(gathered), _sorted_distinct(supported))

@@ -222,12 +222,13 @@ def test_witness_sample_cap_raises_before_any_draw(monkeypatch):
         raise AssertionError("samples were drawn before the cap check")
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     monkeypatch.setattr(snow, "snow_instance", no_draws)
-    with pytest.raises(CapExceeded):
-        verify_separation(7, "witness")     # 705,894 refuted tuples x 100,000
-    with pytest.raises(CapExceeded):
-        verify_separation(5, "witness", samples=snow.WITNESS_SAMPLE_CAP // 2500 + 1)
-    # acceptance criterion 7 and the k=5 demo stay under the cap
-    assert 5 ** 4 * 4 * 100_000 <= snow.WITNESS_SAMPLE_CAP
+    # at most 6 x (k-1) refuted tuples draw samples x (n^2 - n) cells each
+    with pytest.raises(CapExceeded, match=r"bytes \(.*\), over the cap"):
+        verify_separation(7, "witness", samples=snow.WITNESS_SAMPLE_CAP // (36 * 30) + 1)
+    with pytest.raises(CapExceeded, match=r"bytes \(.*\), over the cap"):
+        verify_separation(5, "witness", samples=snow.WITNESS_SAMPLE_CAP // (24 * 12) + 1)
+    # acceptance criterion 7, the k=5 demo and k=7 at the default samples fit
+    assert 6 * 6 * 100_000 * 30 <= snow.WITNESS_SAMPLE_CAP
 
 
 def _formula_positions(k):
