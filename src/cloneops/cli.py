@@ -25,18 +25,22 @@ from .textio import (FormatError, emit_operations, emit_relations,
 
 def _write(path: str | None, text: str | Iterable):
     """Write text, or each chunk of an iterable in turn, to path or stdout:
-    str chunks encoded as UTF-8, bytes-like chunks as they are."""
+    str chunks encoded as UTF-8, bytes-like chunks as they are.  A chunk is
+    let go once written, before the next one is made."""
     chunks = [text] if isinstance(text, str) else text
-    data = (chunk.encode("utf-8") if isinstance(chunk, str) else chunk for chunk in chunks)
     if path is None:
         sys.stdout.flush()
-        for chunk in data:
-            sys.stdout.buffer.write(chunk)
+        _write_chunks(sys.stdout.buffer, chunks)
         sys.stdout.buffer.flush()
     else:
         with open(path, "wb") as out:
-            for chunk in data:
-                out.write(chunk)
+            _write_chunks(out, chunks)
+
+
+def _write_chunks(out, chunks):
+    for chunk in chunks:
+        out.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        del chunk
 
 
 def _load_operation_set(path: str) -> OperationSet:

@@ -139,8 +139,10 @@ def _cell_bits(rows: np.ndarray, k: int) -> np.ndarray:
     a (rows, k, ceil(m / 64)) uint64 array, cell i in bit i % 64 of word i // 64."""
     words = -(-rows.shape[1] // 64)
     packed = np.zeros((len(rows), k, 8 * words), dtype=np.uint8)
-    packed[:, :, :-(-rows.shape[1] // 8)] = np.packbits(
-        rows[:, None, :] == np.arange(k, dtype=rows.dtype)[:, None], axis=2, bitorder="little")
+    # one value at a time: a (rows, m) bool temporary, not one of k bytes per entry
+    for v in range(k):
+        packed[:, v, :-(-rows.shape[1] // 8)] = np.packbits(rows == v, axis=1,
+                                                            bitorder="little")
     return packed.view(np.uint64)
 
 

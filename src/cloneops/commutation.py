@@ -11,10 +11,12 @@ Every search runs one driver: blocks of candidates, each a `_Grid`, pass
 through one filter per member or relation, each filter turning a grid into
 a list of grids.  The survivors leave the grids as the `core._row_keys` of
 their tables, added up from per-row and per-filling keys without building
-a table, and `OperationSet._of_keys` sorts those keys and decodes each
-distinct table once.  A polymorphism search sweeps each relation.  A
-centraliser search decides each member by the exact test `_member_test`
-picks for it once: cell by cell for unary members, by pattern counting for
+a table.  `OperationSet._of_keys` sorts those keys in place and keeps
+them as the result; its tables are decoded only when asked for, and
+`textio` writes the result a block of decoded keys at a time.  A
+polymorphism search sweeps each relation.  A centraliser search decides
+each member by the exact test `_member_test` picks for it once: cell by
+cell for unary members, by pattern counting for
 {0,1}-valued members with at most three ones, and by sweeping its graph
 otherwise.  Unary and binary candidates are all k^(k^ell) tables, in
 flat chunks.  Ternary candidates are not: every one is a

@@ -14,6 +14,9 @@ base-k number, most significant entry first, in an unsigned integer of at
 most 64 bits when k^width <= 2^64; wider rows are keyed by their bytes,
 whose order the big-endian entries make lexicographic value order.  Either
 way key order is lexicographic row order and equal keys mean equal rows.
+The sorted keys are themselves a stored form: an operation set built from
+a search's keys keeps only them, and decodes its tables (`_key_rows`)
+when they are asked for.
 """
 from __future__ import annotations
 
@@ -133,10 +136,15 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     A sort and a mask of equal neighbours: np.unique hashes integer keys,
     which is tens of times slower for uint64.
     """
-    keys = np.sort(keys)
-    distinct = np.ones(len(keys), dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]
-    return keys[distinct]
+    return _drop_repeats(np.sort(keys))
+
+
+def _drop_repeats(keys: np.ndarray) -> np.ndarray:
+    """Sorted keys without their repeats: keys itself when there are none."""
+    repeated = keys[1:] == keys[:-1]
+    if not repeated.any():
+        return keys
+    return keys[np.concatenate(([True], ~repeated))]
 
 
 def _isin_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -355,9 +363,13 @@ class Relation:
 class OperationSet:
     """Operations over one domain, grouped by arity, canonically sorted.
 
-    Tables are held as read-only uint8 rows (one per operation, sorted
-    lexicographically, no duplicates), so domains have at most 256
-    elements; Operation objects are materialised on demand.
+    Each arity is held as its tables, read-only uint8 rows (one per
+    operation, sorted lexicographically, no duplicates), or as their sorted
+    distinct `_row_keys`, or both; so domains have at most 256 elements.
+    A set built from rows computes their keys on first use; a set built
+    from keys (`_of_keys`) decodes its tables on the first call of tables(),
+    and counts, tests membership and is written (textio) from the keys
+    alone.  Operation objects are materialised on demand.
     """
 
     def __init__(self, domain: Domain, tables_by_arity: dict[int, np.ndarray]):
@@ -367,19 +379,24 @@ class OperationSet:
         self.domain = domain
         self._tables = {arity: _table_rows(arr, domain.k, domain.k ** arity)
                         for arity, arr in sorted(tables_by_arity.items())}
+        self._arities = tuple(self._tables)
         self._keys: dict[int, np.ndarray] = {}     # _row_keys of the tables, on demand
 
     @classmethod
     def _of_keys(cls, domain: Domain, arity: int, keys: np.ndarray) -> "OperationSet":
         """The operations of one arity whose tables have these keys, unchecked:
         keys must be _row_keys(tables, domain.k) of k^arity-entry tables over
-        a domain of at most 256 elements, in any order and with repeats.  The
-        sorted distinct keys stay as the set's key cache."""
-        keys = _sorted_distinct(keys)
-        rows = _key_rows(keys, domain.k, domain.k ** arity)
-        rows.setflags(write=False)
+        a domain of at most 256 elements, in any order and with repeats.
+
+        The set takes keys over: it sorts them in place, and only copies
+        them to drop repeats when there are any.  Its tables are decoded
+        on the first call of tables().
+        """
+        keys.sort()
+        keys = _drop_repeats(keys)
+        keys.setflags(write=False)
         ops = cls.__new__(cls)
-        ops.domain, ops._tables, ops._keys = domain, {arity: rows}, {arity: keys}
+        ops.domain, ops._arities, ops._tables, ops._keys = domain, (arity,), {}, {arity: keys}
         return ops
 
     @classmethod
@@ -392,30 +409,46 @@ class OperationSet:
         return cls(domain, grouped)
 
     def arities(self) -> tuple[int, ...]:
-        return tuple(self._tables)
+        return self._arities
 
     def tables(self, arity: int) -> np.ndarray:
-        return self._tables.get(arity, np.empty((0, self.domain.k ** arity), dtype=np.uint8))
+        """The tables of one arity, a read-only (count, k^arity) uint8 array."""
+        if arity not in self._tables:
+            if arity not in self._keys:
+                return np.empty((0, self.domain.k ** arity), dtype=np.uint8)
+            rows = _key_rows(self._keys[arity], self.domain.k, self.domain.k ** arity)
+            rows.setflags(write=False)
+            self._tables[arity] = rows
+        return self._tables[arity]
+
+    def row_keys(self, arity: int) -> np.ndarray:
+        """The _row_keys of tables(arity), sorted and read-only, computed
+        from the tables on first use unless the set was built from them."""
+        if arity not in self._keys:
+            keys = _row_keys(self.tables(arity), self.domain.k)
+            keys.setflags(write=False)
+            self._keys[arity] = keys
+        return self._keys[arity]
 
     def count(self, arity: int | None = None) -> int:
-        if arity is not None:
-            return len(self.tables(arity))
-        return sum(len(t) for t in self._tables.values())
+        if arity is None:
+            return sum(map(self.count, self._arities))
+        if arity in self._keys:
+            return len(self._keys[arity])
+        return len(self.tables(arity))
 
     def members(self, arity: int | None = None):
         """The operations in (arity, table) order."""
-        arities = [arity] if arity is not None else list(self._tables)
+        arities = [arity] if arity is not None else self._arities
         for a in arities:
             for row in self.tables(a):
                 yield Operation._of_row(self.domain, a, row)
 
     def __contains__(self, op: Operation) -> bool:
-        if op.domain != self.domain or op.arity not in self._tables:
+        if op.domain != self.domain or op.arity not in self._arities:
             return False
-        k = self.domain.k
-        if op.arity not in self._keys:
-            self._keys[op.arity] = _row_keys(self._tables[op.arity], k)
-        return bool(_isin_sorted(self._keys[op.arity], _row_keys(op.row[None, :], k))[0])
+        probe = _row_keys(op.row[None, :], self.domain.k)
+        return bool(_isin_sorted(self.row_keys(op.arity), probe)[0])
 
     def __len__(self):
         return self.count()
@@ -425,11 +458,11 @@ class OperationSet:
             return NotImplemented
         return (self.domain == other.domain
                 and self.arities() == other.arities()
-                and all(np.array_equal(self._tables[a], other._tables[a])
-                        for a in self._tables))
+                and all(np.array_equal(self.row_keys(a), other.row_keys(a))
+                        for a in self._arities))
 
     def __repr__(self):
-        parts = ", ".join(f"{a}-ary: {len(t)}" for a, t in self._tables.items())
+        parts = ", ".join(f"{a}-ary: {self.count(a)}" for a in self._arities)
         return f"OperationSet(k={self.domain.k}, {parts or 'empty'})"
 
 

@@ -145,6 +145,13 @@ class _Index:
         else:
             self.keys = keys if is_sorted else np.sort(keys)
 
+    @classmethod
+    def of_bitmap(cls, present: np.ndarray, k: int) -> "_Index":
+        """The index whose bitmap is present, a 1-d bool array over the key space."""
+        index = cls.__new__(cls)
+        index.k, index.present, index.keys, index._per_prefix = k, present, None, None
+        return index
+
     def contains(self, probe: np.ndarray) -> np.ndarray:
         """Mask of the probe keys that are keys of the rows."""
         if self.present is not None:
@@ -270,13 +277,19 @@ class _Atoms:
         position the order leaves out must hold the same entry as the
         order's last position; rows that differ there are left out."""
         if order not in self.indexes:
-            rows = self.rel.rows
-            other = [i for i in range(self.rel.arity) if i not in order]
-            if other:
-                rows = rows[(rows[:, other] == rows[:, order[-1:]]).all(axis=1)]
-            identity = order == tuple(range(self.rel.arity))
-            keys = _row_keys(rows if identity else rows[:, order], k)
-            self.indexes[order] = _Index(keys, k, len(order), identity)
+            identity = tuple(range(self.rel.arity))
+            base = self.indexes.get(identity)
+            if sorted(order) == list(identity) and base is not None and base.present is not None:
+                # permuting the columns permutes the axes of the identity bitmap
+                present = base.present.reshape((k,) * len(order)).transpose(order)
+                self.indexes[order] = _Index.of_bitmap(np.ascontiguousarray(present).ravel(), k)
+            else:
+                rows = self.rel.rows
+                other = [i for i in identity if i not in order]
+                if other:
+                    rows = rows[(rows[:, other] == rows[:, order[-1:]]).all(axis=1)]
+                keys = _row_keys(rows if order == identity else rows[:, order], k)
+                self.indexes[order] = _Index(keys, k, len(order), order == identity)
         return self.indexes[order]
 
 

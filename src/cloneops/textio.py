@@ -23,9 +23,9 @@ _text_block: the text of a block of rows is built as a uint8 matrix, a row
 of it per line, each value one unit of its text, with a head in front of
 each line (an operation's 'op <name>' ... 'table ' lines).
 emit_operations and emit_relations return it decoded as str;
-operation_set_blocks writes one arity of an OperationSet straight from its
-sorted uint8 table and yields each block of rows as its ASCII bytes,
-without building an Operation or a str per member.
+operation_set_blocks writes one arity of an OperationSet from its sorted
+row keys, decoding one block of tables at a time, and yields each block as
+its ASCII bytes, without building an Operation or a str per member.
 """
 from __future__ import annotations
 
@@ -34,10 +34,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Domain, Operation, Relation, _digit_matrix
+from .core import Domain, Operation, Relation, _digit_matrix, _key_rows
 
-# Table entries formatted per block of operation_set_blocks.
-EMIT_BLOCK_ENTRIES = 1 << 21
+# Table entries formatted per block of operation_set_blocks: about 1.7 MB of
+# text for 27-entry tables.
+EMIT_BLOCK_ENTRIES = 1 << 19
 
 
 class FormatError(ValueError):
@@ -230,19 +231,23 @@ def operation_set_blocks(ops, arity: int) -> Iterator[bytes | np.ndarray]:
     """The bytes emit_operations gives for ops' members of one arity, in blocks.
 
     Yields the '# count N' line, then the operations g0, g1, ... in table
-    order, formatted straight from ops.tables(arity), at most
-    EMIT_BLOCK_ENTRIES table entries per block, each block a flat uint8
-    array of ASCII text.  A block whose names change digit count (g99999,
-    g100000) is yielded as one block per digit count.
+    order, at most EMIT_BLOCK_ENTRIES table entries per block, each block a
+    flat uint8 array of ASCII text.  Each block's tables are decoded from
+    ops.row_keys(arity) just before they are formatted, so no more than one
+    block of tables and its text are built at a time.  A block whose names
+    change digit count (g99999, g100000) is yielded as one block per digit
+    count.
     """
-    tables = ops.tables(arity)
-    k = ops.domain.k
-    yield f"# count {len(tables)}\n".encode("ascii")
-    step = max(1, EMIT_BLOCK_ENTRIES // tables.shape[1])
-    for lo in range(0, len(tables), step):
-        hi = min(lo + step, len(tables))
+    keys = ops.row_keys(arity)
+    k, width = ops.domain.k, ops.domain.k ** arity
+    yield f"# count {len(keys)}\n".encode("ascii")
+    step = max(1, EMIT_BLOCK_ENTRIES // width)
+    for lo in range(0, len(keys), step):
+        hi = min(lo + step, len(keys))
+        rows = _key_rows(keys[lo:hi], k, width)
         for a, b, names in _index_names(lo, hi):
-            yield _operation_text(names, tables[a:b], k, arity)
+            yield _operation_text(names, rows[a - lo:b - lo], k, arity)
+        del rows
 
 
 def emit_operations(named_ops, count_comment: bool = False) -> str:

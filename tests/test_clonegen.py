@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import islice, product
 
 import numpy as np
@@ -375,3 +376,33 @@ def test_support_images_at_k300_equal_gathered_images(data):
                                 for masks in clonegen._lit_masks(cols, work)])
     assert gathered.dtype == supported.dtype
     assert np.array_equal(_sorted_distinct(gathered), _sorted_distinct(supported))
+
+
+@pytest.mark.parametrize("k", [2, 3, 256])
+def test_cell_bits_match_one_comparison_of_all_values(k):
+    rng = np.random.default_rng(k)
+    rows = rng.integers(0, k, size=(5, 130), dtype=np.uint8)
+    rows[0] = np.arange(130) % k
+    expected = np.packbits(rows[:, None, :] == np.arange(k, dtype=np.uint8)[:, None],
+                           axis=2, bitorder="little")
+    packed = clonegen._cell_bits(rows, k).view(np.uint8)
+    assert packed.shape == (5, k, 24)       # 130 cells in three 64-bit words
+    assert np.array_equal(packed[:, :, :17], expected)
+    assert not packed[:, :, 17:].any()
+
+
+def test_cell_bits_of_wide_rows_at_k256_stay_small():
+    # 4 seed rows of 40,000 cells under a unary operation with one point off
+    # its default: 9 rows, whose bitsets take 9 x 256 x 625 words (11.5 MB);
+    # comparing every row entry with all 256 values at once took 41 MB more
+    d256 = Domain(256)
+    ops = OperationSet.from_operations(d256, [sparse_op(d256, 1, {(7,): 3})])
+    seed = np.random.default_rng(0).integers(0, 256, size=(4, 40_000), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        closure = subuniverse_closure(seed, ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(closure) == 9
+    assert peak < 32_000_000

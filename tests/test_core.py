@@ -470,3 +470,18 @@ def test_operation_set_members_and_membership(k, arity):
         assert (Operation(dom, arity, row) in ops) == any(
             np.array_equal(row, t) for t in ops.tables(arity))
     assert Operation(dom, 1, [0] * k) not in ops
+
+
+@pytest.mark.parametrize("k, arity", [(2, 2), (3, 3), (4, 3)])
+def test_key_built_set_decodes_its_tables_once(k, arity):
+    rng = np.random.default_rng(arity)
+    rows = rng.integers(0, k, size=(30, k ** arity), dtype=np.uint8)
+    keys = core._row_keys(rng.permutation(np.vstack([rows, rows[::3]])), k)
+    ops = OperationSet._of_keys(Domain(k), arity, keys)
+    tables = ops.tables(arity)
+    assert np.array_equal(tables, np.unique(rows, axis=0))
+    assert np.array_equal(tables, core._key_rows(ops.row_keys(arity), k, k ** arity))
+    assert not tables.flags.writeable and not ops.row_keys(arity).flags.writeable
+    assert ops.tables(arity) is tables
+    assert ops == OperationSet(Domain(k), {arity: rows})
+    assert ops.tables(arity + 1).shape == (0, k ** (arity + 1))

@@ -178,6 +178,35 @@ def test_bitmap_and_sorted_index_agree(case):
                      else {False})
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_permuted_index_from_identity_bitmap_equals_index_from_rows(data):
+    k = data.draw(st.integers(2, 4))
+    arity = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * arity), min_size=1,
+                              max_size=40))
+    rel = relation(Domain(k), arity, rows)
+    order = tuple(data.draw(st.permutations(range(arity))))
+    no_atoms = np.zeros((0, arity), dtype=np.uint8), np.zeros(0, dtype=np.uint8)
+    from_rows = ppformula._Atoms(rel, *no_atoms, k).index(order, k)
+    derived = ppformula._Atoms(rel, *no_atoms, k)
+    identity = derived.index(tuple(range(arity)), k)
+    with pytest.MonkeyPatch.context() as mp:
+        if identity.present is not None:
+            # derived from the bitmap alone, without reading a row
+            mp.setattr(ppformula, "_row_keys", None)
+        index = derived.index(order, k)
+    assert (index.present is None) == (from_rows.present is None)
+    if index.present is None:
+        assert np.array_equal(index.keys, from_rows.keys)
+    else:
+        assert index.present.flags.c_contiguous
+        assert np.array_equal(index.present, from_rows.present)
+        prefixes = np.array(rows, dtype=_row_dtype(k))[:, :arity - 1]
+        assert all(np.array_equal(a, b) for a, b in zip(index.find(prefixes),
+                                                        from_rows.find(prefixes)))
+
+
 def _chain(k):
     """∃b S(a, b) ∧ S(b, c) over the successor relation of Z/k."""
     dom = Domain(k)

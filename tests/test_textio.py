@@ -9,7 +9,7 @@ from cloneops import (Domain, FormatError, Operation, OperationSet,
                       emit_operations, emit_relations, full_relation, graph_of,
                       make_projection, parse_operations, parse_relations,
                       parse_tuple_lists, relation, snow_t)
-from cloneops.core import _row_dtype
+from cloneops.core import _row_dtype, _row_keys
 from cloneops.textio import _text_block, operation_set_blocks
 
 
@@ -116,8 +116,15 @@ def _operation_sets(draw):
     arity = draw(st.integers(1, 2))
     n = draw(st.sampled_from([1, 2, 5, 9, 10, 11, 101]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ops = OperationSet(Domain(k), {arity: rng.integers(0, k, size=(n, k ** arity))})
     width = k ** arity
+    tables = rng.integers(0, k, size=(n, width))
+    if draw(st.booleans()):
+        ops = OperationSet(Domain(k), {arity: tables})
+    else:
+        # built from the tables' keys, shuffled, with some of them repeated
+        rows = tables.astype(np.uint8)
+        rows = rng.permutation(np.vstack([rows, rows[rng.integers(0, n, size=n // 2 + 1)]]))
+        ops = OperationSet._of_keys(Domain(k), arity, _row_keys(rows, k))
     # one block, a row per block, blocks of two rows plus a partial one, and
     # blocks of seven rows, which hold g7-g13 and g98-g104
     block = draw(st.sampled_from([textio.EMIT_BLOCK_ENTRIES, 1, 2 * width + 1, 7 * width]))
@@ -149,6 +156,24 @@ def test_operation_set_blocks_match_emit_operations(case):
     crossings = sum(lo < 10 ** d < min(lo + rows_per_block, count)
                     for lo in starts for d in range(1, len(str(count)) + 1))
     assert len(blocks) == 1 + len(starts) + crossings
+
+
+@pytest.mark.parametrize("k, arity", [(3, 3), (4, 3)])     # integer keys; byte keys
+def test_key_built_set_is_counted_tested_and_written_undecoded(k, arity):
+    rng = np.random.default_rng(k)
+    rows = rng.integers(0, k, size=(40, k ** arity), dtype=np.uint8)
+    keys = _row_keys(rng.permutation(np.vstack([rows, rows[:7]])), k)
+    ops = OperationSet._of_keys(Domain(k), arity, keys)
+    with mock.patch.object(textio, "EMIT_BLOCK_ENTRIES", 3 * k ** arity):
+        text = b"".join(operation_set_blocks(ops, arity)).decode("ascii")
+    member = Operation(Domain(k), arity, rows[5])
+    assert ops.count() == ops.count(arity) == len(ops) == 40
+    assert ops.arities() == (arity,) and member in ops
+    assert repr(ops) == f"OperationSet(k={k}, {arity}-ary: 40)"
+    assert ops._tables == {}
+    named = [(f"g{i}", Operation(Domain(k), arity, row))
+             for i, row in enumerate(np.unique(rows, axis=0))]
+    assert text == emit_operations(named, count_comment=True)
 
 
 def test_operation_set_blocks_of_empty_slice(d3):
