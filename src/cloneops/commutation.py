@@ -694,24 +694,39 @@ def _run_filters(grids, filters, k: int, threads: int):
     keys (`_Grid.keys`), grid after grid, and per filter its (in, out)
     candidate counts summed over the grids.
     """
-    def worker(grid):
+    def survivors(grid):
         live, flow = [grid], []
         for keep in filters:
             before = sum(map(len, live))
             live = [part for block in live for part in keep(block) if len(part)]
             flow.append((before, sum(map(len, live))))
-        return ([part.keys(k) for block in live for part in block.split(CANDIDATE_BLOCK)]
-                or [_row_keys(grid.base[:0], k)]), flow
+        return live, flow
+
+    def collect(map_):
+        found = list(map_(survivors, grids))
+        # the keys are written once, block by block, into one array of their total length
+        blocks = [block for live, _ in found for block in live]
+        starts = np.cumsum([0] + [len(block) for block in blocks])
+        keys = np.empty(starts[-1], dtype=_row_keys(grids[0].base[:0], k).dtype)
+
+        def write(job):
+            block, start = job
+            for part in block.split(CANDIDATE_BLOCK):
+                part_keys = part.keys(k)
+                keys[start:start + len(part_keys)] = part_keys
+                start += len(part_keys)
+
+        list(map_(write, zip(blocks, starts[:-1].tolist())))
+        return keys, [flow for _, flow in found]
 
     if threads <= 1 or len(grids) <= 1:
-        parts = [worker(grid) for grid in grids]
+        keys, grid_flows = collect(map)
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(worker, grids))
-    per_filter = zip(*(flow for _, flow in parts))      # each filter's flow, grid by grid
-    return (np.concatenate([part for keys, _ in parts for part in keys]),
-            [tuple(map(sum, zip(*flows))) for flows in per_filter])
+            keys, grid_flows = collect(pool.map)
+    per_filter = zip(*grid_flows)       # each filter's flow, grid by grid
+    return keys, [tuple(map(sum, zip(*flows))) for flows in per_filter]
 
 
 def _table_grids(domain: Domain, arity: int, budget: int, threads: int) -> list[_Grid]:

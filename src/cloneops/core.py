@@ -79,12 +79,16 @@ def _row_keys(rows: np.ndarray, k: int) -> np.ndarray:
     if width > _key_width(k):
         rows = np.ascontiguousarray(rows)
         return rows.view(f"V{width * rows.itemsize}").ravel()
-    weights = _key_weights(k, width)
-    keys = np.empty(len(rows), dtype=weights.dtype)
-    # matmul casts its whole operand to the weights' type: a block at a time
+    keys = np.empty(len(rows), dtype=_key_weights(k, width).dtype)
+    # Horner's rule, one multiply-add per column over a block of rows at a
+    # time; a column is read with the rows' strides, so any memory order works
     step = max(_BLOCK_ENTRIES // max(width, 1), 1)
     for start in range(0, len(rows), step):
-        np.matmul(rows[start:start + step], weights, out=keys[start:start + step])
+        block, out = rows[start:start + step], keys[start:start + step]
+        out.fill(0)
+        for column in block.T:
+            out *= k
+            out += column
     return keys
 
 

@@ -1,3 +1,4 @@
+import gc
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import cloneops.clonegen as clonegen
 from cloneops import (Domain, Operation, emit_operations, emit_relations,
                       parse_formula, parse_operations, parse_relations, relation,
                       sparse_op)
+from cloneops import cli
 from cloneops.cli import run
 
 
@@ -174,6 +176,35 @@ def test_cli_import_leaves_out_the_thread_pool():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_package_import_pauses_the_collector(enabled):
+    # what numpy and cloneops build while imported lives until exit, so the
+    # collector stays off for the import and is then left as it was
+    script = ("import gc, sys\n"
+              "runs = []\n"
+              "gc.callbacks.append(lambda phase, info: phase == 'start' and runs.append(info))\n"
+              f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
+              "import cloneops\n"
+              "print(len(runs), gc.isenabled())\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    runs, left_enabled = out.stdout.split()
+    assert int(runs) <= 1
+    assert left_enabled == str(enabled)
+
+
+def test_main_freezes_the_heap_and_exits_with_the_run_code(snow_files, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["cloneops", "centraliser", "--ops", str(snow_files["t"]),
+                                      "--arity", "2", "--budget", "10"])
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == 3
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_domain_beyond_uint8_exit_code(tmp_path, capsys):

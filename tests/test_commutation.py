@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from unittest.mock import patch
@@ -386,6 +387,29 @@ def test_ternary_filter_counts_for_t_and_u(d3):
     assert stats.survivors == result.count(3) == 524_291
     flow = [(f["arity"], f["test"], f["in"], f["out"]) for f in stats.details["filters"]]
     assert flow == [(1, "unary", 5_977_800, 524_413), (4, "counting", 524_413, 524_291)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ternary_survivor_keys_are_held_once(d3, monkeypatch, threads):
+    # the 524,291 uint64 keys (4.19 MB) are held once: the peak leaves room for
+    # the temporaries of one block of keys, not for a second copy of them all
+    fs = OperationSet.from_operations(d3, [snow_t(3), family_op("u", (2, 1), d3)])
+    run_filters, seen = commutation._run_filters, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            keys, flow = run_filters(*args)
+            seen.append((tracemalloc.get_traced_memory()[1], keys.nbytes))
+        finally:
+            tracemalloc.stop()
+        return keys, flow
+
+    monkeypatch.setattr(commutation, "_run_filters", traced)
+    assert enumerate_centraliser(fs, 3, threads=threads).count(3) == 524_291
+    peak, key_bytes = seen[-1]
+    assert key_bytes == 524_291 * 8
+    assert peak < 1.25 * key_bytes
 
 
 def test_binary_filter_counts(t3_set):
