@@ -222,7 +222,8 @@ def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None)
         if support.cheaper(m):
             support.locate()
             supports[arity] = support
-    bits = _cell_bits(rows, k) if supports else None
+    # the rows' cell bitsets, one array per round that found rows
+    bits = [_cell_bits(rows, k)] if supports else []
     start = 0
     while start < len(rows):
         known, work = len(rows), _Work()
@@ -230,9 +231,10 @@ def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None)
         for arity in ops.arities():
             support = supports.get(arity)
             if support is not None:
-                # one gather of the points' bitsets per argument
-                work.charge(arity * len(bits) * len(support.points) * bits.shape[2])
-                cols = [bits[:, support.points[:, j]] for j in range(arity)]
+                # one gather of the points' bitsets per argument and round
+                work.charge(arity * known * len(support.points) * bits[0].shape[2])
+                cols = [np.concatenate([part[:, support.points[:, j]] for part in bits])
+                        for j in range(arity)]
             for ranges in _fresh_combos(known, start, arity):
                 if support is None:
                     images = _gathered_images(ops.tables(arity), rows, ranges, k, work)
@@ -253,7 +255,7 @@ def _closure_rounds(seed: np.ndarray, ops: OperationSet, cap: int | None = None)
         if fresh:
             rows = np.concatenate([rows, *fresh])
             if supports:
-                bits = np.concatenate([bits, _cell_bits(rows[known:], k)])
+                bits.append(_cell_bits(rows[known:], k))
         yield rows, start
 
 

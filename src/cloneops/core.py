@@ -72,12 +72,12 @@ def _row_keys(rows: np.ndarray, k: int) -> np.ndarray:
 
     A row of width <= _key_width(k) entries is keyed by its base-k number,
     in the type of _key_weights (uint64 at most); a wider one by its bytes
-    (a void scalar).  Key order is lexicographic row order, and equal keys
-    mean equal rows.
+    (a void scalar), read as _row_dtype(k) whatever the rows' byte order.
+    Key order is lexicographic row order, and equal keys mean equal rows.
     """
     width = rows.shape[1]
     if width > _key_width(k):
-        rows = np.ascontiguousarray(rows)
+        rows = np.ascontiguousarray(rows, dtype=_row_dtype(k))
         return rows.view(f"V{width * rows.itemsize}").ravel()
     keys = np.empty(len(rows), dtype=_key_weights(k, width).dtype)
     # Horner's rule, one multiply-add per column over a block of rows at a

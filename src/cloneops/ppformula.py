@@ -18,12 +18,12 @@ Ngo, Porat, Ré, Rudra, PODS 2012; Veldhuizen, ICDT 2014).  v is read off
 the atom's rows, read with v's position last, by looking up each row's
 bound prefix, when that relation has fewer rows than the table times k;
 otherwise, as for every other variable, each row is extended by all k
-values.  After each extension the rows are filtered by every atom whose
-variables are now all bound, in one keyed lookup per relation: the atoms
-over a relation are held as one matrix of variable ids, and the keys of the
-completed atoms' columns (`core._row_keys`, the row read as a base-k
-number) are looked up among the keys of the relation's rows, for a block of
-rows and atoms at a time.  The keys of a relation's rows in one column
+values.  The extended rows are filtered by every atom whose variables are
+then all bound, in one keyed lookup per relation: the atoms over a relation
+are held as one matrix of variable ids, and the keys of the completed
+atoms' columns (`core._row_keys`, the row read as a base-k number) are
+looked up among the keys of the relation's rows, for a block of rows and
+atoms at a time.  The keys of a relation's rows in one column
 order are indexed once (`_Index`).  When they are integers and their key
 space of k^width keys has at most 8 keys per row, the index is a bitmap
 over that space, which takes no more bytes than uint64 keys would: a key is
@@ -32,9 +32,22 @@ bitmap.  Otherwise, for wide keys (the row's bytes) and sparse relations,
 it is the sorted keys, searched by bisection, and a prefix's rows are a
 range of them.  The pinning candidates and the columns still needed are
 read off the same matrices.  Existential columns that no remaining atom
-mentions are then dropped and repeated rows removed.  Any table that would
-exceed EVAL_TABLE_BYTES, including the extensions by unconstrained free
-variables, raises CapExceeded before it is built.
+mentions are then dropped and repeated rows removed.
+
+Each extension step is one pipeline over blocks of rows.  The variable,
+lookup or not, the atoms it completes and the columns that stay are chosen
+for the whole table; then each block of table rows whose extension has at
+most FILTER_BLOCK_ROWS rows is extended, filtered, cut to the columns that
+stay and deduplicated, and written into one output array sized for the
+whole extension, which ends cut to the rows written; rows repeated across
+blocks are removed at the end.  So a step holds its input table, its
+output and one block of the extension, never the whole extension: at k=4
+the 262,144 x 12 extension of the snow formula's lookup is never built, and
+its 64-row result is all the step keeps.  A table of one block is extended
+as one block, with no output array.  Any extension that would exceed
+EVAL_TABLE_BYTES, including those by unconstrained free variables, raises
+CapExceeded before its first block is built: a lookup counts its rows
+first.
 """
 from __future__ import annotations
 
@@ -197,19 +210,12 @@ def _holds(index: _Index, table: np.ndarray, cols: np.ndarray, k: int) -> np.nda
     """Mask of the table rows whose entries in the columns of every atom are
     a row of the index; cols holds a row of column positions per atom.
 
-    The rows are looked up in blocks, at most FILTER_BLOCK_ROWS keys at a
-    time, so the temporaries stay small next to the table.
+    Every row's keys for every atom are looked up at once, so the caller
+    passes a block of rows and few enough atoms.
     """
     atoms, arity = cols.shape
-    flat = cols.ravel()
-    step = max(FILTER_BLOCK_ROWS // atoms, 1)
-    mask = np.empty(len(table), dtype=bool)
-    for start in range(0, len(table), step):
-        probe = _row_keys(np.take(table[start:start + step], flat, axis=1)
-                          .reshape(-1, arity), k)
-        hits = index.contains(probe).reshape(-1, atoms)
-        mask[start:start + len(hits)] = hits.all(axis=1)
-    return mask
+    probe = _row_keys(np.take(table, cols.ravel(), axis=1).reshape(-1, arity), k)
+    return index.contains(probe).reshape(-1, atoms).all(axis=1)
 
 
 def _pin_bound(size: int, k: int) -> int:
@@ -228,37 +234,92 @@ def _lookup_order(vars_: tuple[str, ...], var: str) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(vars_) if v != var) + (vars_.index(var),)
 
 
+def _lookup_size(table: np.ndarray, probe: list[int], index: _Index,
+                 k: int) -> tuple[int, int]:
+    """The rows that extending the table by lookup gives, and a bound on
+    the rows and the entries of the index one table row reads: the most
+    last entries of one prefix, and k for a bitmap, whose last entries
+    read a row of k entries.  The prefixes are counted FILTER_BLOCK_ROWS
+    rows at a time."""
+    total, most = 0, 0
+    for start in range(0, len(table), FILTER_BLOCK_ROWS):
+        _, counts = index.find(table[start:start + FILTER_BLOCK_ROWS, probe])
+        total += int(counts.sum())
+        most = max(most, int(counts.max(initial=0)))
+    return total, max(most, k if index.present is not None else 1)
+
+
 def _extend_by_lookup(table: np.ndarray, probe: list[int], index: _Index,
                       k: int) -> np.ndarray:
     """Each table row followed by every last entry of the index's rows
-    that start with the table row's entries in the probe columns.
-
-    Raises CapExceeded before the extended table is built when it would
-    exceed EVAL_TABLE_BYTES.  The table is extended in blocks of at most
-    FILTER_BLOCK_ROWS output rows.
-    """
-    count, width = table.shape
-    at, counts = None, np.empty(count, dtype=np.min_scalar_type(k))
-    for start in range(0, count, FILTER_BLOCK_ROWS):
-        found, counts[start:start + FILTER_BLOCK_ROWS] = index.find(
-            table[start:start + FILTER_BLOCK_ROWS, probe])
-        if at is None:
-            at = np.empty(count, dtype=found.dtype)
-        at[start:start + FILTER_BLOCK_ROWS] = found
-    total = int(counts.sum())
-    _check_table_size(total, width + 1, table.itemsize)
-    grown = np.empty((total, width + 1), dtype=table.dtype)
-    # a block's last entries read counts.max() sorted keys per row, or k bitmap entries
-    per_row = max(int(counts.max(initial=0)), k if index.present is not None else 1)
-    step = max(FILTER_BLOCK_ROWS // per_row, 1)
-    out = 0
-    for start in range(0, count, step):
-        repeats = counts[start:start + step]
-        size = int(repeats.sum())
-        grown[out:out + size, :width] = np.repeat(table[start:start + step], repeats, axis=0)
-        grown[out:out + size, width] = index.last_entries(at[start:start + step], repeats)
-        out += size
+    that start with the table row's entries in the probe columns, in one
+    pass: the caller passes a block of rows and has charged the whole
+    extension (_lookup_size)."""
+    at, counts = index.find(table[:, probe])
+    grown = np.empty((int(counts.sum()), table.shape[1] + 1), dtype=table.dtype)
+    grown[:, :-1] = np.repeat(table, counts, axis=0)
+    grown[:, -1] = index.last_entries(at, counts)
     return grown
+
+
+def _extend_by_domain(table: np.ndarray, k: int) -> np.ndarray:
+    """Each table row followed by each of the k values, in increasing order."""
+    count, width = table.shape
+    grown = np.empty((count, k, width + 1), dtype=table.dtype)
+    grown[:, :, :width] = table[:, None, :]
+    grown[:, :, width] = np.arange(k, dtype=table.dtype)
+    return grown.reshape(count * k, width + 1)
+
+
+def _distinct(rows: np.ndarray, k: int) -> np.ndarray:
+    """The distinct rows, sorted; one row of no entries stands for any."""
+    return _unique_rows(rows, k) if rows.shape[1] else rows[:1]
+
+
+def _extend_block(block: np.ndarray, extend, filters: list, keep: np.ndarray,
+                  k: int) -> np.ndarray:
+    """The block's extension (extend(block)) filtered, cut to the keep
+    columns and, if that drops any, deduplicated; filters holds, per
+    relation, its index and a row of the extension's columns per atom."""
+    rows = extend(block)
+    for index, cols in filters:
+        # as many atoms at a time as gather FILTER_BLOCK_ROWS entries, or
+        # one; each drops its failing rows before the next
+        while len(cols) and len(rows):
+            atoms = max(FILTER_BLOCK_ROWS // (len(rows) * cols.shape[1]), 1)
+            rows = rows[_holds(index, rows, cols[:atoms], k)]
+            cols = cols[atoms:]
+    if len(keep) < rows.shape[1]:
+        rows = _distinct(rows[:, keep], k)
+    return rows
+
+
+def _extension_step(table: np.ndarray, extend, per_row: int, total: int, filters: list,
+                    keep: np.ndarray, k: int) -> np.ndarray:
+    """The table extended by one variable, filtered by the atoms the
+    variable completes, cut to the keep columns and rid of repeated rows.
+
+    extend maps a block of table rows to their extension, at most per_row
+    rows per table row and total in all.  The table is taken a block at a
+    time, as many rows as extend to at most FILTER_BLOCK_ROWS rows (or
+    one), and each block's result (_extend_block) is written into one
+    output array of total rows, then cut to the rows written; so no more
+    than a block of the extension is held at once.  Rows that repeat
+    across blocks are removed from the output at the end.
+    """
+    step = max(FILTER_BLOCK_ROWS // per_row, 1)
+    if len(table) <= step:
+        return _extend_block(table, extend, filters, keep, k)
+    out = np.empty((total, len(keep)), dtype=_row_dtype(k))
+    size = 0
+    for start in range(0, len(table), step):
+        rows = _extend_block(table[start:start + step], extend, filters, keep, k)
+        out[size:size + len(rows)] = rows
+        size += len(rows)
+    if len(keep) <= table.shape[1]:     # a column was dropped
+        return _distinct(out[:size], k)
+    out.resize((size, len(keep)), refcheck=False)
+    return out
 
 
 class _Atoms:
@@ -344,32 +405,13 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
     # one row per partial assignment of the variables in cols
     table = np.zeros((1, 0), dtype=dtype)
     cols = np.zeros(0, dtype=id_dtype)
-    looked_up = None        # the place of the atom whose lookup added the last variable
-    while True:
-        needed = free.copy()
+    while not added.all():
         pin, pin_key = None, None
         for group in groups:
-            known = added[group.ids]
-            complete = known.all(axis=1)
-            if complete.any():
-                # a lookup only adds rows that satisfy its atom
-                check = complete if looked_up is None else complete & (group.places != looked_up)
-                if check.any():
-                    index = group.index(tuple(range(group.rel.arity)), k)
-                    # as many atoms at a time as gather FILTER_BLOCK_ROWS entries
-                    # from the whole table, or one; each block drops its failing
-                    # rows, and the table they leave, before the next
-                    cols_of = column[group.ids[check]]
-                    while len(cols_of) and len(table):
-                        size = max(FILTER_BLOCK_ROWS // (len(table) * cols_of.shape[1]), 1)
-                        table = table[_holds(index, table, cols_of[:size], k)]
-                        cols_of = cols_of[size:]
-                group.ids, group.places = group.ids[~complete], group.places[~complete]
-                known = known[~complete]
             ids = group.ids
             if not len(ids):
                 continue
-            needed[ids] = True
+            known = added[ids]
             # the atoms whose unbound positions all hold one variable pin it
             unbound = ids[np.arange(len(ids)), known.argmin(axis=1)]
             bound = known.sum(axis=1)
@@ -383,34 +425,45 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
                    int(group.places[best]))
             if pin is None or key < pin_key:
                 pin, pin_key = group, key
-        keep = np.flatnonzero(needed[cols])
-        if len(keep) < len(cols):
-            cols = cols[keep]
-            table = _unique_rows(table[:, keep], k) if len(keep) else table[:1, :0]
-            column[cols] = np.arange(len(cols))
-        if added.all():
-            break
         count, width = table.shape
-        looked_up = None
+        looked_up = None    # the place of the atom whose lookup adds var
         if pin is None:
             var = int(added.argmin())       # the first variable of the default order not added
         else:
             _, var, place = pin_key
             if count * k > len(pin.rel):
                 looked_up = place
-                vars_ = formula.atoms[place][1]
-                table = _extend_by_lookup(
-                    table, [int(column[rank[v]]) for v in vars_ if v != order[var]],
-                    pin.index(_lookup_order(vars_, order[var]), k), k)
         if looked_up is None:
-            _check_table_size(count * k, width + 1, table.itemsize)
-            grown = np.empty((count, k, width + 1), dtype=dtype)
-            grown[:, :, :width] = table[:, None, :]
-            grown[:, :, width] = np.arange(k, dtype=dtype)
-            table = grown.reshape(count * k, width + 1)
+            total, per_row = count * k, k
+            extend = lambda block: _extend_by_domain(block, k)
+        else:
+            vars_ = formula.atoms[looked_up][1]
+            probe = [int(column[rank[v]]) for v in vars_ if v != order[var]]
+            index = pin.index(_lookup_order(vars_, order[var]), k)
+            total, per_row = _lookup_size(table, probe, index, k)
+            extend = lambda block: _extend_by_lookup(block, probe, index, k)
+        _check_table_size(total, width + 1, dtype.itemsize)
+        added[var] = True
         column[var] = width
         cols = np.append(cols, np.array(var, dtype=id_dtype))
-        added[var] = True
+        # the atoms var completes filter the extension, but for the one
+        # looked up, which only adds rows that satisfy it; the columns of
+        # existential variables that no other atom holds are dropped
+        needed = free.copy()
+        filters = []
+        for group in groups:
+            complete = added[group.ids].all(axis=1)
+            if complete.any():
+                check = complete if looked_up is None else complete & (group.places != looked_up)
+                if check.any():
+                    filters.append((group.index(tuple(range(group.rel.arity)), k),
+                                    column[group.ids[check]]))
+                group.ids, group.places = group.ids[~complete], group.places[~complete]
+            needed[group.ids] = True
+        keep = np.flatnonzero(needed[cols])
+        table = _extension_step(table, extend, per_row, total, filters, keep, k)
+        cols = cols[keep]
+        column[cols] = np.arange(len(cols))
     alpha = formula.alpha or range(1, len(formula.free_vars) + 1)
     columns = [column[rank[formula.free_vars[a - 1]]] for a in alpha]
     return Relation(formula.domain, formula.output_arity, table[:, columns])

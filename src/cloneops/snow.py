@@ -19,6 +19,8 @@ tuple from its own stream seeded by (seed, position of x, y), so its draws
 depend on no other tuple.  Every other refuted tuple is decided without
 draws: no atom over the square can be 1 on it, so all of its samples
 satisfy the formula or none does, and its count is exact for any draws.
+The argument tuples that no pattern lies under are all decided alike, so
+one of them is decided for all, and the checks visit at most nine tuples.
 """
 from __future__ import annotations
 
@@ -274,12 +276,33 @@ def _count_satisfying(inst: SnowInstance, patterns, x: tuple[int, ...], y: int,
     return len(cells) if sat else 0
 
 
+def _tuple_classes(k: int, inst: SnowInstance, patterns) -> list[tuple[int, tuple, int]]:
+    """The argument tuples x the witness checks decide, as (position of x
+    in product order, x, how many tuples x stands for).
+
+    The anti-diagonals of the patterns, up and down stand for themselves,
+    in product order.  Last, when there are any others, the first other
+    tuple stands for all of them: no pattern lies under any of them, x^n
+    is p1 or p2 only for x = (1..n) and reversed only for (n..1), the
+    anti-diagonals of p1 and p2, and f is 0 on them, so _count_satisfying
+    gives each of them the same counts.
+    """
+    special = set().union(*patterns) | {inst.up, inst.down}
+    position = lambda x: sum(v * k ** i for i, v in enumerate(reversed(x)))
+    classes = [(position(x), x, 1) for x in sorted(special)]
+    if len(special) < k ** inst.n:
+        other = next(x for x in product(range(k), repeat=inst.n) if x not in special)
+        classes.append((position(other), other, k ** inst.n - len(special)))
+    return classes
+
+
 def _witness_soundness(k: int, inst: SnowInstance) -> CheckResult:
     """Exact check that every graph tuple has an explicit witness square.
 
     For (up, 1) and (down, 1) the witnesses are p1 and p2; for every other
     argument tuple x the square holding x on the anti-diagonal and 0
-    elsewhere witnesses (x, 0).
+    elsewhere witnesses (x, 0).  The tuples no pattern lies under are
+    checked as one class (_tuple_classes).
     """
     patterns = _atom_patterns(inst)
     others = _off_diagonal(inst.arrows)
@@ -287,13 +310,13 @@ def _witness_soundness(k: int, inst: SnowInstance) -> CheckResult:
     witnesses = {inst.up: inst.p1, inst.down: inst.p2}
     graph_size = k ** inst.n
     bad = 0
-    for x in product(range(k), repeat=inst.n):
+    for _, x, weight in _tuple_classes(k, inst, patterns):
         square = witnesses.get(x)
         if square is None:
             y, cells = 0, zero
         else:
             y, cells = 1, np.array([[square[p] for p in others]], dtype=np.uint8)
-        bad += _count_satisfying(inst, patterns, x, y, cells) == 0
+        bad += weight * (_count_satisfying(inst, patterns, x, y, cells) == 0)
     if bad:
         return CheckResult("soundness-witnesses", "FAIL",
                            f"{bad} of {graph_size} graph tuples have no witness")
@@ -314,7 +337,8 @@ def _witness_completeness(k: int, inst: SnowInstance, samples: int,
     (samples, n^2 - n) uint8 block from np.random.default_rng([seed, i, y]),
     i the position of x in product order.  Every other refuted tuple stands
     for samples undrawn rows: its atoms are constant, and all samples
-    satisfy or none does.
+    satisfy or none does.  The tuples no pattern lies under are decided as
+    one class (_tuple_classes), so the work does not grow with k^(k-1).
     """
     patterns = _atom_patterns(inst)
     patterned = set().union(*patterns)          # at most six anti-diagonals
@@ -323,17 +347,17 @@ def _witness_completeness(k: int, inst: SnowInstance, samples: int,
     graph_members = {inst.up: 1, inst.down: 1}
     violations = 0
     tuples_checked = 0
-    for i, x in enumerate(product(range(k), repeat=inst.n)):
+    for i, x, weight in _tuple_classes(k, inst, patterns):
         fx = graph_members.get(x, 0)
         for y in range(k):
             if y == fx:
                 continue  # in graph(f): nothing to refute
-            tuples_checked += 1
+            tuples_checked += weight
             cells = undrawn
             if x in patterned:
                 cells = np.random.default_rng([seed, i, y]).integers(
                     0, k, size=(samples, width), dtype=np.uint8)
-            violations += _count_satisfying(inst, patterns, x, y, cells)
+            violations += weight * _count_satisfying(inst, patterns, x, y, cells)
     if violations:
         return CheckResult("completeness-sampling", "FAIL",
                            f"{violations} satisfying samples outside the graph")

@@ -405,4 +405,4 @@ def test_cell_bits_of_wide_rows_at_k256_stay_small():
     finally:
         tracemalloc.stop()
     assert len(closure) == 9
-    assert peak < 32_000_000
+    assert peak < 16_000_000

@@ -443,8 +443,10 @@ def test_row_keys_order_rows_lexicographically(case):
         assert (keys[i] == keys[j]) == (tuples[i] == tuples[j])
     assert np.array_equal(core._key_rows(keys, k, rows.shape[1]), rows)
     assert core._last_entries(keys, k).tolist() == rows[:, -1].tolist()
-    # the keys do not depend on the rows' memory order
+    # the keys do not depend on the rows' memory order, nor on their byte
+    # order: a pickled big-endian array may come back in native order
     assert np.array_equal(core._row_keys(np.asfortranarray(rows), k), keys)
+    assert np.array_equal(core._row_keys(rows.astype(rows.dtype.newbyteorder("=")), k), keys)
     wider = np.zeros((len(rows), 2 * rows.shape[1]), dtype=rows.dtype)
     wider[:, 1::2] = rows
     assert np.array_equal(core._row_keys(wider[:, 1::2], k), keys)

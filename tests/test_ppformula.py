@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from itertools import product
@@ -362,7 +363,9 @@ def test_eval_snow_k4_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(got) == 64
-    assert peak < 20 * 2 ** 20
+    # the 262,144 x 11 table the lookup of y extends is read a block at a
+    # time: its 262,144 x 12 extension is never built whole
+    assert peak < 9 * 2 ** 20
 
 
 def test_eval_cap_raises_before_allocating():
@@ -380,6 +383,43 @@ def test_eval_cap_raises_before_allocating():
     # the largest table made fits the cap; the next one, 3 * 15/14 times
     # larger, is never allocated
     assert peak < 2 * ppformula.EVAL_TABLE_BYTES
+
+
+def test_lookup_cap_raises_before_any_block(monkeypatch):
+    # x0..x3 take 16^4 rows; U pins v after x1..x3, 15 values for each, and
+    # that extension (983,040 rows of 5 entries, where extending by all 16
+    # values would take 1,048,576) is refused before any block is looked up
+    dom = Domain(16)
+    env = {"D": full_relation(dom, 1),
+           "U": relation(dom, 4, [t for t in product(range(16), repeat=4) if t[3]])}
+    phi = PPFormula(dom, ("x0", "x1", "x2", "x3", "v"), (),
+                    (("D", ("x0",)), ("D", ("x1",)), ("D", ("x2",)), ("D", ("x3",)),
+                     ("U", ("x1", "x2", "x3", "v"))))
+    cap = 1 << 20
+    monkeypatch.setattr(ppformula, "EVAL_TABLE_BYTES", cap)
+    calls = _lookup_spy(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="table of 983040 partial assignments to 5 "):
+            eval_formula(phi, env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not calls
+    assert peak < 2 * cap
+
+
+def test_pickled_env_keys_its_rows_as_a_fresh_one():
+    # numpy gives back the big-endian rows of k=300 in native byte order;
+    # the 8-entry rows of R are keyed by their bytes
+    dom = Domain(300)
+    env = RelationEnv({"A": relation(dom, 1, [(255,), (256,), (0,)]),
+                       "R": relation(dom, 8, [(255,) * 7 + (256,), (0,) * 7 + (1,),
+                                              (256,) * 7 + (255,)])})
+    phi = PPFormula(dom, ("a", "b"), (), (("A", ("a",)), ("R", ("a",) * 7 + ("b",))))
+    fresh = eval_formula(phi, env)
+    assert fresh.tuples == ((0, 1), (255, 256), (256, 255))
+    assert eval_formula(phi, pickle.loads(pickle.dumps(env))) == fresh
 
 
 def test_eval_matches_brute_force():

@@ -208,6 +208,16 @@ def test_witness_draws_only_where_a_pattern_can_read_them(monkeypatch):
     assert {seed for seed, i, y in keys} == {1}
 
 
+def test_witness_k8_report():
+    # 2,097,152 argument tuples, decided in five classes: four patterned
+    # anti-diagonals and one for all the others
+    lines = verify_separation(8, "witness", samples=1000).render().splitlines()
+    assert lines[2:] == [
+        "PASS soundness-witnesses: all 2097152 graph tuples witnessed",
+        "PASS completeness-sampling: no violation in 14680064x1000 samples",
+        "SKIP separation: fragment enumeration out of budget for k=8"]
+
+
 def test_witness_k3_report_text():
     assert verify_separation(3, "witness", samples=2000, seed=1).render() == (
         f"# cloneops {cloneops.__version__} separation report\n"
