@@ -13,7 +13,7 @@ a list of grids.  The survivors leave the grids as the `core._row_keys` of
 their tables, added up from per-row and per-filling keys without building
 a table.  `OperationSet._of_keys` sorts those keys in place and keeps
 them as the result; its tables are decoded only when asked for, and
-`textio` writes the result a block of decoded keys at a time.  A
+`textio` writes the result straight from the keys, a block at a time.  A
 polymorphism search sweeps each relation.  A centraliser search decides
 each member by the exact test `_member_test` picks for it once: cell by
 cell for unary members, by pattern counting for

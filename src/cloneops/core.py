@@ -200,6 +200,15 @@ def _digit_matrix(width: int, k: int, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def _restored_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Unpickled rows as a read-only array of _row_dtype(k): numpy gives
+    big-endian rows (k > 256) back in native byte order, and equality,
+    hashes and keys read the rows' bytes."""
+    rows = rows.astype(_row_dtype(k), copy=False)
+    rows.setflags(write=False)
+    return rows
+
+
 def _entry_array(data, k: int) -> np.ndarray:
     """data as an array of _row_dtype(k); it is data itself when that already is one.
 
@@ -310,6 +319,10 @@ class Operation:
     def __hash__(self):
         return hash((self.domain, self.arity, self.row.tobytes()))
 
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.row = _restored_rows(self.row, self.domain.k)
+
     def __repr__(self):
         t = list(self.table) if len(self.row) <= 32 else f"<{len(self.row)} entries>"
         return f"Operation(k={self.domain.k}, arity={self.arity}, table={t})"
@@ -358,6 +371,10 @@ class Relation:
 
     def __hash__(self):
         return hash((self.domain, self.arity, self.rows.tobytes()))
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.rows = _restored_rows(self.rows, self.domain.k)
 
     def __repr__(self):
         ts = list(self.tuples) if len(self) <= 16 else f"<{len(self)} tuples>"

@@ -18,27 +18,41 @@ Relation blocks:
 
 Out-of-range values are rejected with an error naming line and column.
 
-All tables and tuple lines are written by one vectorised formatter,
-_text_block: the text of a block of rows is built as a uint8 matrix, a row
-of it per line, each value one unit of its text, with a head in front of
-each line (an operation's 'op <name>' ... 'table ' lines).
-emit_operations and emit_relations return it decoded as str;
-operation_set_blocks writes one arity of an OperationSet from its sorted
-row keys, decoding one block of tables at a time, and yields each block as
-its ASCII bytes, without building an Operation or a str per member.
+All tables and tuple lines are written by one vectorised formatter: each
+line is a fixed-width record, a row of a uint8 matrix, holding its head (an
+operation's 'op <name>' ... 'table ' lines) and then its entries, written a
+chunk of entries at a time.  A chunk of c entries over range(k), where c
+is the most with k^c <= CHUNK_TEXTS, takes its text from a constant table
+of the text of all k^c chunks (_chunk_texts), picked by the chunk's value:
+a remainder of the row's base-k number, or a Horner pass over the chunk's
+columns.  For k > 10 each value's text is zero-padded to the width of
+k - 1's and the padding is dropped once the records are filled.
+emit_operations and emit_relations format rows and return the text as str.
+operation_set_blocks writes one arity of an OperationSet straight from its
+sorted row keys, the names' digits picked in the same way from a table of
+000 ... 999: a block of records at a time, into one buffer the job reuses,
+without decoding a table or building an Operation or a str per member.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import groupby
 from typing import Iterator
 
 import numpy as np
 
-from .core import Domain, Operation, Relation, _digit_matrix, _key_rows
+from .core import Domain, Operation, Relation, _digit_matrix
 
-# Table entries formatted per block of operation_set_blocks: about 1.7 MB of
-# text for 27-entry tables.
-EMIT_BLOCK_ENTRIES = 1 << 19
+# Table entries formatted per block of operation_set_blocks: about 210 kB of
+# records for 27-entry tables, so the buffer and the block's temporaries
+# stay well under 1 MiB (2^16 also wrote the {T, u} slice faster than 2^15
+# or 2^17 on a 2-core Xeon VM).
+EMIT_BLOCK_ENTRIES = 1 << 16
+# The most texts in a chunk table: c entries with k^c <= CHUNK_TEXTS (and at
+# least one) form a chunk.  Kept small, as the tables stay in a job's memory:
+# 30 kB for k = 3, where tables of 2^16 texts, 1.2 MB each, wrote faster but
+# raised the {T, u} job's peak RSS.
+CHUNK_TEXTS = 4096
 
 
 class FormatError(ValueError):
@@ -151,12 +165,90 @@ def parse_tuple_lists(text: str) -> list[tuple[str, Domain, list[tuple[int, ...]
     return out
 
 
-def _value_units(k: int, sep: str) -> np.ndarray:
-    """The text of each of 0..k-1 and sep, zero-padded to a power-of-two
-    byte count: a 1-d array of that void type, one unit per value."""
-    size = 1 << len(str(k - 1)).bit_length()
-    text = b"".join(f"{v}{sep}".encode("ascii").ljust(size, b"\0") for v in range(k))
-    return np.frombuffer(text, dtype=np.dtype(f"V{size}"))
+def _chunk_entries(k: int) -> int:
+    """The entries of a chunk over range(k): the most c with k^c <= CHUNK_TEXTS, at least 1."""
+    c = 1
+    while k ** (c + 1) <= CHUNK_TEXTS:
+        c += 1
+    return c
+
+
+def _entry_width(k: int, sep: bytes = b" ") -> int:
+    """The bytes an entry over range(k) and its separator take in a record."""
+    return len(str(k - 1)) + len(sep)
+
+
+@cache
+def _chunk_texts(k: int, entries: int, sep: bytes, end: bytes) -> np.ndarray:
+    """The text of each row of `entries` values over range(k), in table
+    order: each value followed by sep, the last by end (of sep's length),
+    zero-padded to _entry_width(k, sep) bytes per value.  A read-only 1-d
+    array of k^entries void scalars, one text each."""
+    units = np.zeros((2, k, _entry_width(k, sep)), dtype=np.uint8)
+    for v in range(k):
+        for unit, after in zip(units, (sep, end)):
+            text = str(v).encode("ascii") + after
+            unit[v, :len(text)] = np.frombuffer(text, np.uint8)
+    digits = _digit_matrix(entries, k, np.intp)
+    texts = np.empty((len(digits), entries, units.shape[2]), dtype=np.uint8)
+    texts[:, :-1] = units[0][digits[:, :-1]]
+    texts[:, -1] = units[1][digits[:, -1]]
+    texts = texts.reshape(len(digits), -1).view(f"V{entries * units.shape[2]}").reshape(-1)
+    texts.setflags(write=False)
+    return texts
+
+
+def _put_entries(records: np.ndarray, at: int, values: np.ndarray, k: int, entries: int,
+                 sep: bytes = b" ", end: bytes = b"\n") -> None:
+    """Write the text of rows of `entries` values over range(k), one row per
+    record, into records[:, at:at + entries * _entry_width(k, sep)].
+
+    values holds the rows, as a 2-d integer array, or their base-k numbers,
+    as a 1-d one.  The entries are cut into chunks of _chunk_entries(k)
+    from the last one, so only the first chunk may be short, and each
+    chunk's value picks its text from _chunk_texts.  Chunks of one width
+    and ending are read together, from the last: the last chunk, the full
+    ones before it, the short first one.  A number's chunks are its
+    remainders; a row's come from one Horner pass over the c columns of its
+    chunks.
+    """
+    size, unit = _chunk_entries(k), _entry_width(k, sep)
+    last = entries - min(size, entries)
+    short = last % size
+    for lo, hi, after in ((last, entries, end), (short, last, sep), (0, short, sep)):
+        if lo == hi:
+            continue
+        width = min(size, hi - lo)
+        if values.ndim == 2:
+            columns = values[:, lo:hi].reshape(len(values), -1, width)
+            chunks = columns[..., 0].astype(np.intp)
+            for t in range(1, width):
+                chunks *= k
+                chunks += columns[..., t]
+        else:
+            chunks = np.empty((len(values), (hi - lo) // width), dtype=values.dtype)
+            for j in range(chunks.shape[1] - 1, -1, -1):
+                if not lo + j:      # the first chunk: what is left of the number
+                    chunks[:, j] = values
+                    break
+                # a floor division by a constant is several times faster than % in numpy
+                rest = values // k ** width
+                chunks[:, j] = values - rest * k ** width
+                values = rest
+        texts = _chunk_texts(k, width, sep, after)
+        # gathered as void scalars, one per text: a take of whole texts is
+        # several times faster than indexing a matrix of their bytes
+        records[:, at + lo * unit:at + hi * unit].view(texts.dtype)[...] = np.take(texts, chunks)
+
+
+def _flat_text(records: np.ndarray, lead: int, k: int) -> np.ndarray:
+    """The records as one flat uint8 array of text: for k > 10 without the
+    zero padding of the entries, which start at column lead."""
+    if k <= 10:
+        return records.reshape(-1)
+    keep = records != 0
+    keep[:, :lead] = True
+    return records[keep]
 
 
 def _text_block(rows, k: int, *heads: np.ndarray) -> np.ndarray:
@@ -164,67 +256,28 @@ def _text_block(rows, k: int, *heads: np.ndarray) -> np.ndarray:
     for each row, as one flat uint8 array.
 
     rows is a 2-d integer array over range(k), each head a 2-d uint8 array
-    with a row for each of them or one row for all.  Each line is laid out
-    in one row of a matrix: the heads, then each entry as one unit holding
-    its text, the last with a newline in place of the separating space.
-    For k <= 10 a unit is two bytes, the digit and the separator, so the
-    units are the entries plus one constant, added at once into the matrix
-    read as little-endian uint16.  For k > 10 the texts of the values
-    differ in width: each unit is a lookup of its zero-padded text, the
-    padding is then dropped, and the heads are kept whole.
+    with a row for each of them or one row for all.  Each line is one
+    record: the heads, then the entries written by _put_entries.
     """
     rows = np.asarray(rows)
-    spaced, ended = _value_units(k, " "), _value_units(k, "\n")
     lead = sum(head.shape[1] for head in heads)
-    mat = np.empty((rows.shape[0], lead + rows.shape[1] * spaced.itemsize), dtype=np.uint8)
+    records = np.empty((rows.shape[0], lead + rows.shape[1] * _entry_width(k)), dtype=np.uint8)
     at = 0
     for head in heads:
-        mat[:, at:at + head.shape[1]] = head
+        records[:, at:at + head.shape[1]] = head
         at += head.shape[1]
-    if k <= 10:
-        offsets = np.full(rows.shape[1], ord("0") | ord(" ") << 8, dtype=np.uint16)
-        offsets[-1] = ord("0") | ord("\n") << 8
-        np.add(rows, offsets, out=mat[:, lead:].view("<u2"), casting="unsafe")
-        return mat.reshape(-1)
-    text = mat[:, lead:].view(spaced.dtype)
-    # fancy indexing casts the indices in chunks; take would copy them all to intp
-    text[:, :-1] = spaced[rows[:, :-1]]
-    text[:, -1] = ended[rows[:, -1]]
-    keep = mat != 0
-    keep[:, :lead] = True
-    return mat[keep]
+    # a block of rows at a time, which bounds the chunk values held
+    step = max(1, EMIT_BLOCK_ENTRIES // rows.shape[1])
+    for start in range(0, len(rows), step):
+        _put_entries(records[start:start + step], lead, rows[start:start + step], k,
+                     rows.shape[1])
+    return _flat_text(records, lead, k)
 
 
-def _operation_text(names: np.ndarray, rows, k: int, arity: int) -> np.ndarray:
-    """The blocks 'op <name>' ... 'table <row>' of operations of one arity,
-    names a (len(rows), L) uint8 array of the names' bytes."""
-    after = f"\ndomain {k}\narity {arity}\ntable ".encode("ascii")
-    return _text_block(rows, k, np.frombuffer(b"op ", np.uint8)[None, :], names,
-                       np.frombuffer(after, np.uint8)[None, :])
-
-
-def _index_names(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The names g<lo> ... g<hi-1>, cut into runs of one digit count: for
-    each run its bounds and a (run length, 1 + digits) uint8 array.
-
-    The names are laid out a thousand at a time: the last three digits are
-    one fixed block of 000 ... 999, under the upper digits, which are the
-    same for all thousand.
-    """
-    low = _digit_matrix(3, 10, np.uint8) + ord("0")
-    while lo < hi:
-        digits = len(str(lo))
-        end = min(hi, 10 ** digits)
-        first, last = lo // 1000, (end - 1) // 1000 + 1     # the thousands the run spans
-        names = np.empty((last - first, 1000, 1 + digits), dtype=np.uint8)
-        names[..., 0] = ord("g")
-        names[..., max(1, digits - 2):] = low[:, max(0, 3 - digits):]
-        if digits > 3:
-            powers = 10 ** np.arange(digits - 4, -1, -1, dtype=np.int64)
-            upper = np.arange(first, last, dtype=np.int64)[:, None] // powers % 10 + ord("0")
-            names[..., 1:digits - 2] = upper[:, None, :]
-        yield lo, end, names.reshape(-1, 1 + digits)[lo - first * 1000:end - first * 1000]
-        lo = end
+def _after_name(k: int, arity: int) -> np.ndarray:
+    """The bytes between an operation's name and its table entries,
+    '\ndomain k\narity n\ntable ', as a uint8 array."""
+    return np.frombuffer(f"\ndomain {k}\narity {arity}\ntable ".encode("ascii"), np.uint8)
 
 
 def operation_set_blocks(ops, arity: int) -> Iterator[bytes | np.ndarray]:
@@ -232,22 +285,41 @@ def operation_set_blocks(ops, arity: int) -> Iterator[bytes | np.ndarray]:
 
     Yields the '# count N' line, then the operations g0, g1, ... in table
     order, at most EMIT_BLOCK_ENTRIES table entries per block, each block a
-    flat uint8 array of ASCII text.  Each block's tables are decoded from
-    ops.row_keys(arity) just before they are formatted, so no more than one
-    block of tables and its text are built at a time.  A block whose names
-    change digit count (g99999, g100000) is yielded as one block per digit
-    count.
+    flat uint8 array of ASCII text.  Each block is formatted straight from
+    ops.row_keys(arity) into records of one buffer, allocated once and sized
+    for the longest names; the records of each name length are a view of
+    it.  So a block is valid only until the next one is asked for.  A block
+    whose names change digit count (g99999, g100000) is yielded as one block
+    per digit count.
     """
     keys = ops.row_keys(arity)
     k, width = ops.domain.k, ops.domain.k ** arity
     yield f"# count {len(keys)}\n".encode("ascii")
+    if keys.dtype.kind == "V":
+        keys = keys.view(np.uint8).reshape(len(keys), width)   # a byte key is its table
+    before, after = np.frombuffer(b"op g", np.uint8), _after_name(k, arity)
+    table = width * _entry_width(k)
     step = max(1, EMIT_BLOCK_ENTRIES // width)
+    longest = len(str(max(len(keys) - 1, 0)))
+    buffer = np.empty(min(step, len(keys)) * (len(before) + longest + len(after) + table),
+                      dtype=np.uint8)
+    digits = 0
     for lo in range(0, len(keys), step):
         hi = min(lo + step, len(keys))
-        rows = _key_rows(keys[lo:hi], k, width)
-        for a, b, names in _index_names(lo, hi):
-            yield _operation_text(names, rows[a - lo:b - lo], k, arity)
-        del rows
+        while lo < hi:
+            if len(str(lo)) != digits:
+                digits = len(str(lo))
+                lead = len(before) + digits + len(after)
+                records = buffer[:len(buffer) // (lead + table) * (lead + table)]
+                records = records.reshape(-1, lead + table)
+                records[:, :len(before)] = before
+                records[:, lead - len(after):lead] = after
+            end = min(hi, 10 ** digits)
+            block = records[:end - lo]
+            _put_entries(block, len(before), np.arange(lo, end), 10, digits, b"", b"")
+            _put_entries(block, lead, keys[lo:end], k, width)
+            yield _flat_text(block, lead, k)
+            lo = end
 
 
 def emit_operations(named_ops, count_comment: bool = False) -> str:
@@ -258,7 +330,9 @@ def emit_operations(named_ops, count_comment: bool = False) -> str:
             named_ops, key=lambda pair: (pair[1].domain.k, pair[1].arity, len(pair[0]))):
         names, group_ops = zip(*group)
         names = np.frombuffer(b"".join(names), np.uint8).reshape(len(names), width)
-        parts.append(_operation_text(names, [op.row for op in group_ops], k, arity))
+        parts.append(_text_block([op.row for op in group_ops], k,
+                                 np.frombuffer(b"op ", np.uint8)[None, :], names,
+                                 _after_name(k, arity)[None, :]))
     return b"".join(parts).decode("utf-8") or "\n"
 
 

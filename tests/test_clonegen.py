@@ -32,7 +32,7 @@ def test_fragment_of_wide_tables(t3_set):
     # 81-entry tables at k=3, past the 40 entries an integer key holds: the
     # closure tells them apart by their bytes
     frag = clone_fragment(t3_set, 4)
-    text = b"".join(operation_set_blocks(frag, 4))
+    text = b"".join(map(bytes, operation_set_blocks(frag, 4)))
     assert text.startswith(b"# count 67\n")
     assert hashlib.sha256(text).hexdigest() == (
         "ba5e1b10a193b27b3eb2588cddab79c0e5863091a748847e6eed12ac4e69196b")
@@ -43,7 +43,7 @@ def test_quaternary_fragment_at_k4():
     d4 = Domain(4)
     t4 = OperationSet.from_operations(d4, [snow_t(4)])
     frag = clone_fragment(t4, 4)
-    text = b"".join(operation_set_blocks(frag, 4))
+    text = b"".join(map(bytes, operation_set_blocks(frag, 4)))
     assert text.startswith(b"# count 65\n")
     assert hashlib.sha256(text).hexdigest() == (
         "56da1481e82674cb67afe2ef7ad9d076d13debc90014243f6bda317e5d8a1d0d")

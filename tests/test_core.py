@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import product
 
@@ -361,6 +362,18 @@ def test_operation_equality_does_not_depend_on_the_table_type(d3):
     assert len(set(ops)) == 1
     assert ops[0] != Operation(d3, 2, (0,) * 9)
     assert Operation(d3, 1, (0, 1, 2)) != Operation(Domain(4), 1, (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("k", [3, 300])    # uint8 rows; big-endian uint16 rows
+def test_pickled_operation_and_relation_keep_their_hash(k):
+    dom = Domain(k)
+    op = Operation(dom, 2, np.arange(k ** 2) * 7 % k)
+    rel = relation(dom, 3, [(k - 1, 0, 1), (1, k - 2, 0), (0, 0, k - 1)])
+    for item, rows in ((op, "row"), (rel, "rows")):
+        copy = pickle.loads(pickle.dumps(item))
+        assert copy == item and len({item, copy}) == 1
+        assert getattr(copy, rows).dtype == core._row_dtype(k)
+        assert not getattr(copy, rows).flags.writeable
 
 
 def test_operation_row_is_read_only(d3, t3):

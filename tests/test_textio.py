@@ -1,3 +1,5 @@
+import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -101,19 +103,35 @@ def test_text_block_matches_join(k, width, n, seed):
 @pytest.mark.parametrize("lo, hi", [(0, 12), (995, 1_005), (9_998, 10_003),
                                     (999_995, 1_000_010)])
 def test_index_names_cross_digit_counts(lo, hi):
-    runs = list(textio._index_names(lo, hi))
-    # one run per digit count, each as long as its bounds say
-    assert [a for a, _, _ in runs] == [lo] + [b for _, b, _ in runs[:-1]]
-    assert runs[-1][1] == hi
-    assert all(len(str(a)) == len(str(b - 1)) == names.shape[1] - 1 for a, b, names in runs)
-    assert [bytes(row).decode("ascii") for _, _, names in runs for row in names] == [
-        f"g{i}" for i in range(lo, hi)]
+    # a stand-in set of hi unary tables at k = 2 (keys 0..3), in blocks of
+    # 32,768 tables
+    keys = (np.arange(hi) % 4).astype(np.uint8)
+    ops = SimpleNamespace(domain=Domain(2), row_keys=lambda arity: keys)
+    text = bytearray()
+    for block in operation_set_blocks(ops, 1):
+        text += memoryview(block)
+    assert text.startswith(b"# count %d\n" % hi) and text.count(b"\nop g") == hi
+    tail = text[text.index(b"op g%d\n" % lo):].decode("ascii")
+    assert tail == "".join(f"op g{i}\ndomain 2\narity 1\ntable {i % 4 // 2} {i % 2}\n"
+                           for i in range(lo, hi))
+
+
+def _join_operations(ops, arity):
+    """The text of operation_set_blocks by str.join, a member at a time."""
+    k = ops.domain.k
+    return f"# count {ops.count(arity)}\n" + "".join(
+        f"op g{i}\ndomain {k}\narity {arity}\ntable " + " ".join(map(str, row)) + "\n"
+        for i, row in enumerate(ops.tables(arity).tolist()))
+
+
+# the arities per k: tables below, at and past the 2^64 of integer keys
+_ARITIES = {2: (1, 7), 3: (1, 4), 4: (1, 3), 7: (1, 2), 10: (1, 2), 11: (1, 2), 256: (1, 1)}
 
 
 @st.composite
 def _operation_sets(draw):
-    k = draw(st.sampled_from([2, 3, 10, 11, 256]))
-    arity = draw(st.integers(1, 2))
+    k = draw(st.sampled_from(sorted(_ARITIES)))
+    arity = draw(st.integers(*_ARITIES[k]))
     n = draw(st.sampled_from([1, 2, 5, 9, 10, 11, 101]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     width = k ** arity
@@ -128,7 +146,12 @@ def _operation_sets(draw):
     # one block, a row per block, blocks of two rows plus a partial one, and
     # blocks of seven rows, which hold g7-g13 and g98-g104
     block = draw(st.sampled_from([textio.EMIT_BLOCK_ENTRIES, 1, 2 * width + 1, 7 * width]))
-    return ops, arity, block
+    # the default chunks (the tables are narrower than one or not a multiple
+    # of one, but at k = 256), one-entry chunks, and one chunk as wide as the
+    # table where that has at most 2^16 texts
+    texts = draw(st.sampled_from([textio.CHUNK_TEXTS, k,
+                                  k ** width if k ** width <= 1 << 16 else k]))
+    return ops, arity, block, texts
 
 
 def _distinct_rows(k, arity, n):
@@ -136,19 +159,24 @@ def _distinct_rows(k, arity, n):
         [[i // k ** p % k for p in range(k ** arity)] for i in range(n)])})
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_operation_sets())
-# g9 -> g10 and g99 -> g100 inside one block and across blocks
-@example((_distinct_rows(2, 3, 101), 3, 7 * 8))
-@example((_distinct_rows(2, 3, 101), 3, 10 * 8))
-@example((_distinct_rows(11, 1, 11), 1, 7 * 11))
-@example((_distinct_rows(11, 1, 101), 1, 2 * 11 + 1))
+# g9 -> g10, g99 -> g100 and g999 -> g1000 inside one block and across blocks
+@example((_distinct_rows(2, 3, 101), 3, 7 * 8, textio.CHUNK_TEXTS))
+@example((_distinct_rows(2, 3, 101), 3, 10 * 8, 2 ** 8))
+@example((_distinct_rows(2, 4, 1_003), 4, 7 * 16, textio.CHUNK_TEXTS))
+@example((_distinct_rows(2, 4, 1_003), 4, 100 * 16, 2 ** 16))
+@example((_distinct_rows(11, 1, 11), 1, 7 * 11, textio.CHUNK_TEXTS))
+@example((_distinct_rows(11, 1, 101), 1, 2 * 11 + 1, 11))
 def test_operation_set_blocks_match_emit_operations(case):
-    ops, arity, block = case
-    with mock.patch.object(textio, "EMIT_BLOCK_ENTRIES", block):
-        blocks = list(operation_set_blocks(ops, arity))
-    named = [(f"g{i}", op) for i, op in enumerate(ops.members(arity))]
-    assert b"".join(blocks).decode("ascii") == emit_operations(named, count_comment=True)
+    ops, arity, block, texts = case
+    with (mock.patch.object(textio, "EMIT_BLOCK_ENTRIES", block),
+          mock.patch.object(textio, "CHUNK_TEXTS", texts)):
+        # each block is a view of one buffer, valid until the next is made
+        blocks = [bytes(b) for b in operation_set_blocks(ops, arity)]
+        named = [(f"g{i}", op) for i, op in enumerate(ops.members(arity))]
+        emitted = emit_operations(named, count_comment=True)
+    assert b"".join(blocks).decode("ascii") == emitted == _join_operations(ops, arity)
     rows_per_block = max(1, block // ops.tables(arity).shape[1])
     count = ops.count(arity)
     starts = range(0, count, rows_per_block)
@@ -158,6 +186,26 @@ def test_operation_set_blocks_match_emit_operations(case):
     assert len(blocks) == 1 + len(starts) + crossings
 
 
+def test_key_built_ternary_set_is_written_in_one_small_buffer():
+    # 250,000 random ternary tables at k = 3, named g0 ... g249999
+    keys = np.random.default_rng(25).integers(0, 3 ** 27, size=250_000, dtype=np.uint64)
+    ops = OperationSet._of_keys(Domain(3), 3, keys)
+    count = ops.count(3)
+    written = 0
+    tracemalloc.start()
+    try:
+        for block in operation_set_blocks(ops, 3):
+            written += len(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    line = len("op g\ndomain 3\narity 3\ntable \n") + 2 * 27 - 1
+    assert written == len(f"# count {count}\n") + sum(line + len(str(i)) for i in range(count))
+    # the text is 21 MB; the records of one block, their buffer and the
+    # block's temporaries stay under 1 MiB whatever the member count
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("k, arity", [(3, 3), (4, 3)])     # integer keys; byte keys
 def test_key_built_set_is_counted_tested_and_written_undecoded(k, arity):
     rng = np.random.default_rng(k)
@@ -165,7 +213,7 @@ def test_key_built_set_is_counted_tested_and_written_undecoded(k, arity):
     keys = _row_keys(rng.permutation(np.vstack([rows, rows[:7]])), k)
     ops = OperationSet._of_keys(Domain(k), arity, keys)
     with mock.patch.object(textio, "EMIT_BLOCK_ENTRIES", 3 * k ** arity):
-        text = b"".join(operation_set_blocks(ops, arity)).decode("ascii")
+        text = b"".join(map(bytes, operation_set_blocks(ops, arity))).decode("ascii")
     member = Operation(Domain(k), arity, rows[5])
     assert ops.count() == ops.count(arity) == len(ops) == 40
     assert ops.arities() == (arity,) and member in ops
