@@ -19,9 +19,8 @@ from .clonegen import FRAGMENT_CAP, clone_fragment
 from .ppformula import RelationEnv, emit_smt, emit_text, eval_formula, parse_formula
 from .snow import snow_f, snow_pp_formula, snow_t, verify_separation
 from .synthesis import ROW_BUDGET, dedup_rows, synthesize_ppdef, validation_details
-from .textio import (FormatError, emit_operations, emit_relations,
-                     operation_set_blocks, parse_operations, parse_relations,
-                     parse_tuple_lists)
+from .textio import (FormatError, operation_blocks, operation_set_blocks, parse_operations,
+                     parse_relations, parse_tuple_lists, relation_blocks)
 
 
 def _write(path: str | None, text: str | Iterable):
@@ -64,13 +63,13 @@ def cmd_snow(args) -> int:
     f_op = snow_f(k)
     formula = snow_pp_formula(k)
     if args.emit_t:
-        _write(args.emit_t, emit_operations([("T", snow_t(k))]))
+        _write(args.emit_t, operation_blocks([("T", snow_t(k))]))
     if args.emit_f:
-        _write(args.emit_f, emit_operations([("f", f_op)]))
+        _write(args.emit_f, operation_blocks([("f", f_op)]))
     if args.emit_graph_t:
-        _write(args.emit_graph_t, emit_relations([("T", graph_of(snow_t(k)))]))
+        _write(args.emit_graph_t, relation_blocks([("T", graph_of(snow_t(k)))]))
     if args.emit_graph_f:
-        _write(args.emit_graph_f, emit_relations([("f", graph_of(f_op))]))
+        _write(args.emit_graph_f, relation_blocks([("f", graph_of(f_op))]))
     if args.emit_formula:
         _write(args.emit_formula, emit_text(formula))
     print(f"k={k}: T has arity {(k - 1) ** 2}, f has arity {k - 1}, "
@@ -146,7 +145,7 @@ def cmd_eval_formula(args) -> int:
     formula = parse_formula(Path(args.formula).read_text(encoding="utf-8"))
     env = _load_env(args.relations)
     result = eval_formula(formula, env)
-    _write(args.out, emit_relations([("result", result)]))
+    _write(args.out, relation_blocks([("result", result)]))
     return 0
 
 

@@ -729,6 +729,11 @@ def _run_filters(grids, filters, k: int, threads: int):
     return keys, [tuple(map(sum, zip(*flows))) for flows in per_filter]
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"the budget must be at least 1, got {budget}")
+
+
 def _table_grids(domain: Domain, arity: int, budget: int, threads: int) -> list[_Grid]:
     """All k^(k^arity) tables as flat grids, one chunk per thread."""
     count = domain.k ** (domain.k ** arity)
@@ -790,10 +795,12 @@ def enumerate_centraliser(fs: OperationSet, arity: int, budget: int = DEFAULT_BU
     Arity 1 and 2 run it over every candidate table; arity 3 over the
     triples of binary slice members that agree as identification minors, by
     the fillings of the cells with pairwise-distinct arguments.  Higher
-    arities are rejected.  threads is clamped to [1, os.cpu_count()].
+    arities and a budget below 1 are rejected (ValueError).  threads is
+    clamped to [1, os.cpu_count()].
     """
     if arity not in (1, 2, 3):
         raise ValueError("centraliser enumeration supports arities 1..3 only")
+    _check_budget(budget)
     domain = fs.domain
     threads = _clamp_threads(threads)
     members = list(fs.members())
@@ -819,8 +826,10 @@ def enumerate_polymorphisms(relations, arity: int, budget: int = DEFAULT_BUDGET,
                             threads: int = 1) -> OperationSet:
     """All arity-ary operations preserving every relation in the list.
 
-    threads is clamped to [1, os.cpu_count()].
+    A budget below 1 is rejected (ValueError).  threads is clamped to
+    [1, os.cpu_count()].
     """
+    _check_budget(budget)
     relations = list(relations)
     if not relations:
         raise ValueError("need at least one relation")

@@ -15,15 +15,17 @@ two fixed squares: p1, p2 or their pullbacks.  A sample (drawn off-diagonal
 cells, x on the anti-diagonal) is decided by comparing its cells with the
 patterns whose anti-diagonal is x, usually none.  Cells are drawn only for
 a refuted (x, y) whose x is the anti-diagonal of some pattern, each such
-tuple from its own stream seeded by (seed, position of x, y), so its draws
-depend on no other tuple.  Every other refuted tuple is decided without
-draws: no atom over the square can be 1 on it, so all of its samples
-satisfy the formula or none does, and its count is exact for any draws.
+tuple from its own stream of the standard library's generator,
+random.Random seeded by (seed, position of x, y), so its draws depend on
+no other tuple.  Every other refuted tuple is decided without draws: no
+atom over the square can be 1 on it, so all of its samples satisfy the
+formula or none does, and its count is exact for any draws.
 The argument tuples that no pattern lies under are all decided alike, so
 one of them is decided for all, and the checks visit at most nine tuples.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
@@ -31,11 +33,13 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .core import CapExceeded, Domain, Operation, OperationSet, graph_of, sparse_op
+from .core import (CapExceeded, Domain, Operation, OperationSet, _digit_matrix, graph_of,
+                   sparse_op)
 from .clonegen import clone_fragment, fragment_contains
 from .ppformula import PPFormula, eval_formula
 
 WITNESS_SAMPLE_CAP = 1_000_000_000     # bytes of drawn sample cells
+DRAW_BLOCK = 1 << 16                   # random bytes asked for at a time
 FULL_EVAL_MAX_K = 4
 FRAGMENT_MAX_MAPS = 10_000_000
 
@@ -324,6 +328,36 @@ def _witness_soundness(k: int, inst: SnowInstance) -> CheckResult:
                        f"all {graph_size} graph tuples witnessed")
 
 
+def _draw_cells(k: int, key: tuple[int, ...], count: int) -> np.ndarray:
+    """count cells drawn uniformly from range(k), as a flat uint8 array.
+
+    The stream is random.Random(' '.join(map(str, key))).randbytes, read
+    in 4-byte words.  With c the most digits such that k^c <= 256, a byte
+    below the largest multiple of k^c that fits in 256 gives the c base-k
+    digits of its remainder mod k^c, most significant first; the other
+    bytes are skipped.  randbytes is asked for multiples of 4 bytes only,
+    so the stream does not depend on the blocks, of at most DRAW_BLOCK
+    bytes, in which it is read.
+    """
+    c = 1
+    while k ** (c + 1) <= 256:
+        c += 1
+    limit = 256 // k ** c * k ** c
+    # the digits of every byte below limit, one c-byte void scalar each
+    digits = np.tile(_digit_matrix(c, k, np.uint8), (limit // k ** c, 1))
+    digits = digits.view(f"V{c}").reshape(-1)
+    rng = random.Random(" ".join(map(str, key)))
+    out = np.empty(-(-count // c) * c, dtype=np.uint8)
+    filled = 0
+    while filled < count:
+        want = -(-(count - filled) // c)           # bytes, if none is skipped
+        drawn = np.frombuffer(rng.randbytes(min(DRAW_BLOCK, -(-want // 4) * 4)), np.uint8)
+        kept = drawn[drawn < limit][:want]
+        out[filled:filled + len(kept) * c].view(digits.dtype)[...] = np.take(digits, kept)
+        filled += len(kept) * c
+    return out[:count]
+
+
 def _witness_completeness(k: int, inst: SnowInstance, samples: int,
                           seed: int) -> CheckResult:
     """Randomised search for free tuples outside graph(f) satisfying the formula.
@@ -334,10 +368,10 @@ def _witness_completeness(k: int, inst: SnowInstance, samples: int,
     variables are determined by their defining atoms, so each sample decides
     satisfiability of the sampled square exactly.  Only a refuted (x, y)
     with a pattern under x reads its cells; they are drawn uniformly as one
-    (samples, n^2 - n) uint8 block from np.random.default_rng([seed, i, y]),
-    i the position of x in product order.  Every other refuted tuple stands
-    for samples undrawn rows: its atoms are constant, and all samples
-    satisfy or none does.  The tuples no pattern lies under are decided as
+    (samples, n^2 - n) uint8 block, row by row, by _draw_cells from the
+    stream random.Random(f"{seed} {i} {y}"), i the position of x in product
+    order.  Every other refuted tuple stands for samples undrawn rows: its
+    atoms are constant, and all samples satisfy or none does.  The tuples no pattern lies under are decided as
     one class (_tuple_classes), so the work does not grow with k^(k-1).
     """
     patterns = _atom_patterns(inst)
@@ -355,8 +389,7 @@ def _witness_completeness(k: int, inst: SnowInstance, samples: int,
             tuples_checked += weight
             cells = undrawn
             if x in patterned:
-                cells = np.random.default_rng([seed, i, y]).integers(
-                    0, k, size=(samples, width), dtype=np.uint8)
+                cells = _draw_cells(k, (seed, i, y), samples * width).reshape(samples, width)
             violations += weight * _count_satisfying(inst, patterns, x, y, cells)
     if violations:
         return CheckResult("completeness-sampling", "FAIL",

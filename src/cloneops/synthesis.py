@@ -82,7 +82,12 @@ class SynthesisResult:
 
 def synthesize_ppdef(env: RelationEnv, gen: GeneratingSystem,
                      row_budget: int = ROW_BUDGET) -> SynthesisResult:
-    """Assemble the defining formula; deterministic in the environment order."""
+    """Assemble the defining formula; deterministic in the environment order.
+
+    A row_budget below 1 is rejected (ValueError) before any work.
+    """
+    if row_budget < 1:
+        raise ValueError(f"the row budget must be at least 1, got {row_budget}")
     if not isinstance(env, RelationEnv):
         env = RelationEnv(env)
     if env.domain != gen.domain:

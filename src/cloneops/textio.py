@@ -27,7 +27,9 @@ of the text of all k^c chunks (_chunk_texts), picked by the chunk's value:
 a remainder of the row's base-k number, or a Horner pass over the chunk's
 columns.  For k > 10 each value's text is zero-padded to the width of
 k - 1's and the padding is dropped once the records are filled.
-emit_operations and emit_relations format rows and return the text as str.
+operation_blocks and relation_blocks format rows and yield the text in
+blocks of at most EMIT_BLOCK_ENTRIES entries, so a writer holds one block
+at a time; emit_operations and emit_relations return it joined, as str.
 operation_set_blocks writes one arity of an OperationSet straight from its
 sorted row keys, the names' digits picked in the same way from a table of
 000 ... 999: a block of records at a time, into one buffer the job reuses,
@@ -251,9 +253,10 @@ def _flat_text(records: np.ndarray, lead: int, k: int) -> np.ndarray:
     return records[keep]
 
 
-def _text_block(rows, k: int, *heads: np.ndarray) -> np.ndarray:
+def _text_blocks(rows, k: int, *heads: np.ndarray) -> Iterator[np.ndarray]:
     """heads[0][i] + heads[1][i] + ... + ' '.join(map(str, rows[i])) + '\n'
-    for each row, as one flat uint8 array.
+    for each row, as flat uint8 arrays, one per block of rows of at most
+    EMIT_BLOCK_ENTRIES entries (or of one row).
 
     rows is a 2-d integer array over range(k), each head a 2-d uint8 array
     with a row for each of them or one row for all.  Each line is one
@@ -261,17 +264,17 @@ def _text_block(rows, k: int, *heads: np.ndarray) -> np.ndarray:
     """
     rows = np.asarray(rows)
     lead = sum(head.shape[1] for head in heads)
-    records = np.empty((rows.shape[0], lead + rows.shape[1] * _entry_width(k)), dtype=np.uint8)
-    at = 0
-    for head in heads:
-        records[:, at:at + head.shape[1]] = head
-        at += head.shape[1]
-    # a block of rows at a time, which bounds the chunk values held
     step = max(1, EMIT_BLOCK_ENTRIES // rows.shape[1])
     for start in range(0, len(rows), step):
-        _put_entries(records[start:start + step], lead, rows[start:start + step], k,
-                     rows.shape[1])
-    return _flat_text(records, lead, k)
+        block = rows[start:start + step]
+        records = np.empty((len(block), lead + rows.shape[1] * _entry_width(k)),
+                           dtype=np.uint8)
+        at = 0
+        for head in heads:
+            records[:, at:at + head.shape[1]] = head[start:start + step] if len(head) > 1 else head
+            at += head.shape[1]
+        _put_entries(records, lead, block, k, rows.shape[1])
+        yield _flat_text(records, lead, k)
 
 
 def _after_name(k: int, arity: int) -> np.ndarray:
@@ -322,24 +325,37 @@ def operation_set_blocks(ops, arity: int) -> Iterator[bytes | np.ndarray]:
             lo = end
 
 
-def emit_operations(named_ops, count_comment: bool = False) -> str:
+def operation_blocks(named_ops, count_comment: bool = False) -> Iterator[bytes | np.ndarray]:
+    """The text of emit_operations as blocks of UTF-8 bytes, each a bytes
+    object or a flat uint8 array, at most EMIT_BLOCK_ENTRIES table entries
+    (or one table) per block."""
     named_ops = [(name.encode("utf-8"), op) for name, op in named_ops]
-    parts = [f"# count {len(named_ops)}\n".encode("ascii")] if count_comment else []
+    if count_comment:
+        yield f"# count {len(named_ops)}\n".encode("ascii")
     # one run per length of the names, so that their bytes form a matrix
     for (k, arity, width), group in groupby(
             named_ops, key=lambda pair: (pair[1].domain.k, pair[1].arity, len(pair[0]))):
         names, group_ops = zip(*group)
         names = np.frombuffer(b"".join(names), np.uint8).reshape(len(names), width)
-        parts.append(_text_block([op.row for op in group_ops], k,
-                                 np.frombuffer(b"op ", np.uint8)[None, :], names,
-                                 _after_name(k, arity)[None, :]))
-    return b"".join(parts).decode("utf-8") or "\n"
+        yield from _text_blocks([op.row for op in group_ops], k,
+                                np.frombuffer(b"op ", np.uint8)[None, :], names,
+                                _after_name(k, arity)[None, :])
+
+
+def relation_blocks(named_rels) -> Iterator[bytes | np.ndarray]:
+    """The text of emit_relations as blocks of UTF-8 bytes, each a bytes
+    object or a flat uint8 array, at most EMIT_BLOCK_ENTRIES tuple entries
+    (or one tuple) per block."""
+    for name, rel in named_rels:
+        yield (f"rel {name}\ndomain {rel.domain.k}\narity {rel.arity}\ntuples\n"
+               .encode("utf-8"))
+        yield from _text_blocks(rel.rows, rel.domain.k)
+        yield b"end\n"
+
+
+def emit_operations(named_ops, count_comment: bool = False) -> str:
+    return b"".join(operation_blocks(named_ops, count_comment)).decode("utf-8") or "\n"
 
 
 def emit_relations(named_rels) -> str:
-    parts = []
-    for name, rel in named_rels:
-        parts.append(f"rel {name}\ndomain {rel.domain.k}\narity {rel.arity}\ntuples\n")
-        parts.append(str(_text_block(rel.rows, rel.domain.k), "ascii"))
-        parts.append("end\n")
-    return "".join(parts) or "\n"
+    return b"".join(relation_blocks(named_rels)).decode("utf-8") or "\n"

@@ -162,6 +162,25 @@ def test_budget_exit_code(snow_files):
                 "--budget", "10"]) == 3
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_one_exit_code(snow_files, tmp_path, budget, capsys):
+    out = tmp_path / "cent.ops"
+    capsys.readouterr()
+    assert run(["centraliser", "--ops", str(snow_files["t"]), "--arity", "2",
+                "--budget", budget, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the budget must be at least 1, got {budget}\n"
+    assert not out.exists()
+    gen = tmp_path / "gen.rel"
+    gen.write_text("rel gamma\ndomain 3\narity 3\ntuples\n1 2 1\n2 1 1\nend\n")
+    out = tmp_path / "phi.pp"
+    assert run(["ppdef", "--relations", str(snow_files["gt"]), "--gen", str(gen),
+                "--row-budget", budget, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the row budget must be at least 1, got {budget}\n"
+    assert not out.exists()
+
+
 def test_console_script_version():
     out = subprocess.run([sys.executable, "-m", "cloneops.cli", "--version"],
                          capture_output=True, text=True)
@@ -176,6 +195,20 @@ def test_cli_import_leaves_out_the_thread_pool():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout == "False\n"
+
+
+def test_witness_job_leaves_out_numpy_random_and_openssl():
+    # the cells are drawn from the standard library's generator, so the job
+    # never imports numpy.random, whose import also loads OpenSSL (_hashlib)
+    script = ("import sys\n"
+              "from cloneops.cli import run\n"
+              "code = run(['verify-snow', '--k', '5', '--mode', 'witness', '--samples', '1000'])\n"
+              "print(code, sorted({'numpy.random', '_hashlib'} & set(sys.modules)), "
+              "file=sys.stderr)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "PASS completeness-sampling: no violation in 2500x1000 samples" in out.stdout
+    assert out.stderr == "0 []\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -202,6 +202,19 @@ def test_arity_cap_and_budget(t3_set):
         enumerate_centraliser(t3_set, 2, budget=100)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_rejected_before_any_work(t3_set, d3, t3, budget, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the budget check")
+    for name in ("_member_test", "_table_grids", "_ternary_grids", "_run_filters"):
+        monkeypatch.setattr(commutation, name, no_work)
+    for arity in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+            enumerate_centraliser(t3_set, arity, budget=budget)
+    with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+        enumerate_polymorphisms([graph_of(t3)], 1, budget=budget)
+
+
 def test_commute_mask_matches_scalar(d3, t3):
     rng = np.random.default_rng(5)
     tables = rng.integers(0, 3, size=(40, 9), dtype=np.uint8)

@@ -189,15 +189,48 @@ def test_full_mode_ignores_the_seed():
     assert verify_separation(3, "full", seed=-1).passed
 
 
+def _stream_cells(k, key, count):
+    """The first count cells of the witness stream keyed by key, byte by byte.
+
+    The bytes are random.Random(' '.join(map(str, key))).randbytes, read
+    in 4-byte words.  With k^c <= 256 < k^(c+1), a byte below the largest
+    multiple of k^c in 256 gives the c base-k digits of its remainder mod
+    k^c, most significant first, and every other byte is skipped.
+    """
+    c = max(c for c in range(1, 9) if k ** c <= 256)
+    limit = 256 // k ** c * k ** c
+    digits = [[b % k ** c // k ** j % k for j in reversed(range(c))] for b in range(limit)]
+    rng = random.Random(" ".join(map(str, key)))
+    cells = []
+    while len(cells) < count:
+        for byte in rng.randbytes(4):
+            if byte < limit:
+                cells += digits[byte]
+    return cells[:count]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 10, 16])
+def test_drawn_cells_follow_the_stream_definition(k):
+    c = max(c for c in range(1, 9) if k ** c <= 256)
+    # 1001 is a multiple of no c; the last count needs a second block
+    for count in (1, c + 1, 1001, snow.DRAW_BLOCK * c + 7):
+        key = (2 ** 70, count, k - 1)
+        drawn = snow._draw_cells(k, key, count)
+        assert drawn.dtype == np.uint8
+        assert drawn.tolist() == _stream_cells(k, key, count)
+
+
 def test_witness_draws_only_where_a_pattern_can_read_them(monkeypatch):
     inst = snow_instance(5)
     keys = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: keys.append(tuple(seed)) or default_rng(seed))
+    draw = snow._draw_cells
+    monkeypatch.setattr(snow, "_draw_cells",
+                        lambda k, key, count: keys.append((k, key, count)) or draw(k, key, count))
     result = snow._witness_completeness(5, inst, 10_000, 1)
     assert (result.status, result.detail) == (
         "PASS", "no violation in 2500x10000 samples")
+    assert {(k, count) for k, _, count in keys} == {(5, 10_000 * 12)}
+    keys = [key for _, key, _ in keys]
     tuples = list(product(range(5), repeat=4))
     drawn = {(tuples[i], y) for seed, i, y in keys}
     patterned = set().union(*snow._atom_patterns(inst))
@@ -228,9 +261,9 @@ def test_witness_k3_report_text():
 
 
 def test_witness_sample_cap_raises_before_any_draw(monkeypatch):
-    def no_draws(seed=None):
+    def no_draws(*args):
         raise AssertionError("samples were drawn before the cap check")
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(snow, "_draw_cells", no_draws)
     monkeypatch.setattr(snow, "snow_instance", no_draws)
     # at most 6 x (k-1) refuted tuples draw samples x (n^2 - n) cells each
     with pytest.raises(CapExceeded, match=r"bytes \(.*\), over the cap"):
@@ -270,12 +303,14 @@ def test_atom_patterns_are_the_pullbacks_of_the_ones_of_t(k):
 
 
 def _reference_violations(k, inst, samples, seed):
-    """Satisfying samples outside the claimed graph, with every square assembled.
+    """Satisfying samples outside the claimed graph, with every square
+    assembled, and the samples under the claimed up on which atom 3 or 5
+    is 1, the pullback matches.
 
     T is evaluated on each assembled square and on its re-orderings for
-    atoms 3 and 5.  Every refuted (x, y) draws its cells, from the generator
-    the witness check gives it: default_rng([seed, i, y]), i the position of
-    x in product order.
+    atoms 3 and 5.  Every refuted (x, y) draws its cells, row by row, from
+    the stream the witness check gives it, keyed by (seed, i, y), i the
+    position of x in product order.
     """
     n = k - 1
     anti, (_, a3, a5) = _formula_positions(k)
@@ -286,7 +321,7 @@ def _reference_violations(k, inst, samples, seed):
         return (squares[:, None, :] == ones).all(axis=2).any(axis=1).astype(np.uint8)
 
     claimed = {inst.up: 1, inst.down: 1}
-    violations = 0
+    violations = matches = 0
     for i, x in enumerate(product(range(k), repeat=n)):
         for y in range(k):
             if y == claimed.get(x, 0):
@@ -296,13 +331,14 @@ def _reference_violations(k, inst, samples, seed):
             v0 = rule(np.tile(xv[::-1], n)[None, :])[0]
             squares = np.zeros((samples, n * n), dtype=np.uint8)
             squares[:, anti] = xv
-            rng = np.random.default_rng([seed, i, y])
-            squares[:, others] = rng.integers(0, k, size=(samples, len(others)),
-                                              dtype=np.uint8)
-            sat = (rule(squares) == y) & (rule(squares[:, a3]) == u0)
-            sat &= rule(squares[:, a5]) == v0
+            cells = _stream_cells(k, (seed, i, y), samples * len(others))
+            squares[:, others] = np.array(cells, dtype=np.uint8).reshape(samples, -1)
+            atom3, atom5 = rule(squares[:, a3]), rule(squares[:, a5])
+            sat = (rule(squares) == y) & (atom3 == u0) & (atom5 == v0)
             violations += int(sat.sum())
-    return violations
+            if x == inst.up:
+                matches += int((atom3 | atom5).sum())
+    return violations, matches
 
 
 @settings(max_examples=30, deadline=None)
@@ -322,7 +358,9 @@ def test_witness_checks_match_the_assembled_squares(k, claim, samples, seed):
     real = snow_instance(k)
     up = tuple(int(d) for d in np.unravel_index(claim % k ** n, (k,) * n))
     inst = dataclasses.replace(real, up=up)
-    expected = _reference_violations(k, inst, samples, seed)
+    expected, matches = _reference_violations(k, inst, samples, seed)
+    if (k, claim, samples, seed) in ((3, 8, 40, 0), (4, 59, 20_000, 2)):
+        assert matches
     result = snow._witness_completeness(k, inst, samples, seed)
     if up == real.up:
         assert expected == 0

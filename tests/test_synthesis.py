@@ -9,6 +9,7 @@ from cloneops import (CapExceeded, Domain, OperationSet, RelationEnv,
                       eval_formula, full_relation, graph_of, relation, snow_f,
                       snow_t, subuniverse_closure, synthesize_ppdef,
                       validate_synthesis, validation_details)
+import cloneops.synthesis as synthesis
 from cloneops.ppformula import PPFormula
 from cloneops.synthesis import SynthesisResult
 
@@ -282,6 +283,19 @@ def test_row_budget(d3, t3):
     gen = dedup_rows([(1, 2, 1), (2, 1, 1)], d3)
     with pytest.raises(CapExceeded):
         synthesize_ppdef(env, gen, row_budget=1000)
+
+
+@pytest.mark.parametrize("row_budget", [0, -1])
+def test_row_budget_below_one_rejected_before_any_work(d3, t3, row_budget, monkeypatch):
+    env = RelationEnv({"T": graph_of(t3)})
+    gen = dedup_rows([(1, 2, 1), (2, 1, 1)], d3)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the row budget check")
+    monkeypatch.setattr(RelationEnv, "__iter__", no_work)
+    monkeypatch.setattr(synthesis, "_digit_matrix", no_work)
+    with pytest.raises(ValueError, match=f"row budget must be at least 1, got {row_budget}"):
+        synthesize_ppdef(env, gen, row_budget=row_budget)
 
 
 def test_smt_for_synthesized_formula_counts_atoms(d3, t3, f3):

@@ -12,7 +12,7 @@ from cloneops import (Domain, FormatError, Operation, OperationSet,
                       make_projection, parse_operations, parse_relations,
                       parse_tuple_lists, relation, snow_t)
 from cloneops.core import _row_dtype, _row_keys
-from cloneops.textio import _text_block, operation_set_blocks
+from cloneops.textio import _text_blocks, operation_set_blocks, relation_blocks
 
 
 def test_operation_round_trip(t3):
@@ -95,9 +95,14 @@ def test_text_block_matches_join(k, width, n, seed):
     rows = np.random.default_rng(seed).integers(0, k, size=(n, width))
     rows[0, -1] = k - 1
     expected = "".join(" ".join(map(str, row)) + "\n" for row in rows.tolist())
-    # int64 rows, and the rows' own type: big-endian past k = 256
+    # int64 rows, and the rows' own type: big-endian past k = 256; in one
+    # block, and in blocks of at most 7 entries
     for typed in (rows, rows.astype(_row_dtype(k))):
-        assert _text_block(typed, k).tobytes().decode("ascii") == expected
+        assert b"".join(_text_blocks(typed, k)).decode("ascii") == expected
+        with mock.patch.object(textio, "EMIT_BLOCK_ENTRIES", 7):
+            blocks = list(_text_blocks(typed, k))
+        assert len(blocks) == -(-n // max(1, 7 // width))
+        assert b"".join(blocks).decode("ascii") == expected
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 12), (995, 1_005), (9_998, 10_003),
@@ -204,6 +209,37 @@ def test_key_built_ternary_set_is_written_in_one_small_buffer():
     # the text is 21 MB; the records of one block, their buffer and the
     # block's temporaries stay under 1 MiB whatever the member count
     assert peak < 1 << 20
+
+
+def test_relation_blocks_hold_one_block_at_a_time():
+    graph = graph_of(snow_t(4))                 # 262,144 tuples of 10 entries
+    written = 0
+    tracemalloc.start()
+    try:
+        for block in relation_blocks([("T", graph)]):
+            written += len(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == len("rel T\ndomain 4\narity 10\ntuples\n") + 262_144 * 20 + 4
+    # the text is 5.2 MB; the records of one block of 2^16 entries and the
+    # block's temporaries stay under 1 MiB
+    assert peak < 1 << 20
+
+
+def test_operation_blocks_split_tables_and_names_alike(d3):
+    rng = np.random.default_rng(9)
+    # unary and binary tables, with names of several lengths
+    named = [(f"op{'x' * (i % 3)}{i}",
+              Operation(d3, 1 + i % 2, rng.integers(0, 3, 3 ** (1 + i % 2))))
+             for i in range(40)]
+    with mock.patch.object(textio, "EMIT_BLOCK_ENTRIES", 20):
+        blocks = list(textio.operation_blocks(named, count_comment=True))
+    text = b"".join(blocks).decode("ascii")
+    assert len(blocks) > 10
+    assert text == emit_operations(named, count_comment=True)
+    assert parse_operations(text) == named
+    assert emit_operations([]) == emit_relations([]) == "\n"
 
 
 @pytest.mark.parametrize("k, arity", [(3, 3), (4, 3)])     # integer keys; byte keys
