@@ -152,9 +152,9 @@ def _drop_repeats(keys: np.ndarray) -> np.ndarray:
 
 
 def _isin_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Mask of the probe keys that occur in the sorted keys."""
+    """Mask of the probe keys that occur in the sorted keys, in the probe's shape."""
     if not len(keys):
-        return np.zeros(len(probe), dtype=bool)
+        return np.zeros(probe.shape, dtype=bool)
     pos = np.searchsorted(keys, probe)
     np.minimum(pos, len(keys) - 1, out=pos)
     return keys[pos] == probe
@@ -188,15 +188,19 @@ def _strictly_increasing(rows: np.ndarray) -> bool:
     return True
 
 
-def _digit_matrix(width: int, k: int, dtype=np.int64) -> np.ndarray:
+def _digit_matrix(width: int, k: int, dtype=np.int64, out: np.ndarray | None = None) -> np.ndarray:
     """Rows 0..k^width-1 written as width base-k digits, most significant first.
 
     Column pos repeats each digit k^(width-1-pos) times, k^pos times over:
-    range(k) broadcast into that shape of a view of the output.
+    range(k) broadcast into that shape of a view of the output.  Given out,
+    a C-contiguous array of k^width rows and at least width columns, the
+    digits are written into its first width columns, and out is returned.
     """
-    out = np.empty((k ** width, width), dtype=dtype)
+    if out is None:
+        out = np.empty((k ** width, width), dtype=dtype)
+    columns = out.shape[1]
     for pos in range(width):
-        out.reshape(k ** pos, k, k ** (width - 1 - pos), width)[..., pos] = np.arange(k)[:, None]
+        out.reshape(k ** pos, k, k ** (width - 1 - pos), columns)[..., pos] = np.arange(k)[:, None]
     return out
 
 
@@ -595,7 +599,8 @@ def graph_of(op: Operation) -> Relation:
     Its rows are the argument tuples in lexicographic order, each followed by
     its value, so they are distinct and sorted as built."""
     k, n = op.domain.k, op.arity
-    rows = np.column_stack([_digit_matrix(n, k, op.row.dtype), op.row])
+    rows = _digit_matrix(n, k, out=np.empty((k ** n, n + 1), dtype=op.row.dtype))
+    rows[:, n] = op.row
     return Relation._of_rows(op.domain, n + 1, rows)
 
 

@@ -34,20 +34,25 @@ range of them.  The pinning candidates and the columns still needed are
 read off the same matrices.  Existential columns that no remaining atom
 mentions are then dropped and repeated rows removed.
 
-Each extension step is one pipeline over blocks of rows.  The variable,
-lookup or not, the atoms it completes and the columns that stay are chosen
-for the whole table; then each block of table rows whose extension has at
-most FILTER_BLOCK_ROWS rows is extended, filtered, cut to the columns that
-stay and deduplicated, and written into one output array sized for the
-whole extension, which ends cut to the rows written; rows repeated across
-blocks are removed at the end.  So a step holds its input table, its
-output and one block of the extension, never the whole extension: at k=4
-the 262,144 x 12 extension of the snow formula's lookup is never built, and
-its 64-row result is all the step keeps.  A table of one block is extended
-as one block, with no output array.  Any extension that would exceed
-EVAL_TABLE_BYTES, including those by unconstrained free variables, raises
-CapExceeded before its first block is built: a lookup counts its rows
-first.
+The table is held as a grid: distinct rows, each followed by all k^j
+fillings of its last j columns, which take every value.  A step that adds
+a variable by all k values, with no atom to check and no column to drop,
+only makes j one larger.  Every other step is a pipeline over blocks of at
+most FILTER_BLOCK_ROWS cells, whose results go into one output array sized
+for the whole step.  A lookup extends each block of written-out rows by
+lookup, taking each row's count from the pass that charged the step; but
+on a grid, when k is at most its bound positions and its keys are
+integers, the variable is one more all-value column and its atom one more
+filter, as for a variable added by all values.  An atom with integer keys
+tests each cell by one add: its key is a part read off the cell's row
+plus a part of its filling, computed once per step.  So at k=4 the snow
+formula's last step filters its 64 x 4^6 grid, and its 262,144 x 11 table
+is never built.  The kept columns of the cells that pass are keyed the
+same way and deduplicated by key.  Atoms with wide keys, and kept columns
+too wide for an integer key, see the cells written out as rows.  Any
+extension that would exceed EVAL_TABLE_BYTES, including those by
+unconstrained free variables, raises CapExceeded before its first block is
+built: a lookup counts its rows first, on a grid by summed keys.
 """
 from __future__ import annotations
 
@@ -57,8 +62,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import (CapExceeded, Domain, Relation, _isin_sorted, _last_entries, _row_dtype,
-                   _row_keys, _unique_rows)
+from .core import (CapExceeded, Domain, Relation, _digit_matrix, _isin_sorted, _key_rows,
+                   _key_width, _last_entries, _row_dtype, _row_keys, _sorted_distinct,
+                   _unique_rows)
 
 EVAL_TABLE_BYTES = 1 << 26
 FILTER_BLOCK_ROWS = 1 << 16
@@ -151,8 +157,9 @@ class _Index:
 
     def __init__(self, keys: np.ndarray, k: int, width: int, is_sorted: bool):
         self.k, self.present, self.keys = k, None, None
+        self.wide = keys.dtype.kind == "V"     # keyed by the rows' bytes
         self._per_prefix = None     # a bitmap's row count per prefix, on first use
-        if keys.dtype.kind == "u" and k ** width <= BITMAP_KEYS_PER_ROW * len(keys):
+        if not self.wide and k ** width <= BITMAP_KEYS_PER_ROW * len(keys):
             self.present = np.zeros(k ** width, dtype=bool)
             self.present[keys] = True
         else:
@@ -163,6 +170,7 @@ class _Index:
         """The index whose bitmap is present, a 1-d bool array over the key space."""
         index = cls.__new__(cls)
         index.k, index.present, index.keys, index._per_prefix = k, present, None, None
+        index.wide = False
         return index
 
     def contains(self, probe: np.ndarray) -> np.ndarray:
@@ -171,26 +179,42 @@ class _Index:
             return self.present[probe]
         return _isin_sorted(self.keys, probe)
 
-    def find(self, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For each prefix, a row of all entries but the last: where the
-        rows that start with it are, and how many there are.  For a bitmap
-        the place is the prefix's key, the row of k entries of present that
+    def find(self, prefixes: np.ndarray,
+             counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """For each prefix of all entries but the last, a row or, when the
+        keys are integers, its key (core._row_keys): where the rows that
+        start with it are, and how many there are (counts, when given, as
+        an earlier call on the prefixes found them).  For a bitmap the
+        place is the prefix's key, the row of k entries of present that
         holds them; for sorted keys, the position of the first."""
+        k = self.k
+        if prefixes.ndim == 2 and not self.wide:
+            prefixes = _row_keys(prefixes, k)
         if self.present is not None:
-            if self._per_prefix is None:
-                self._per_prefix = np.zeros(len(self.present) // self.k,
-                                            dtype=np.min_scalar_type(self.k))
-                for hits in self.present.reshape(-1, self.k).T:
-                    self._per_prefix += hits
-            at = _row_keys(prefixes, self.k)
-            return at, self._per_prefix[at]
-        # the rows between (prefix, 0) and (prefix, k - 1)
-        bounds = np.empty((len(prefixes), prefixes.shape[1] + 1), dtype=prefixes.dtype)
-        bounds[:, :-1] = prefixes
-        bounds[:, -1] = 0
-        at = np.searchsorted(self.keys, _row_keys(bounds, self.k), "left")
-        bounds[:, -1] = self.k - 1
-        return at, np.searchsorted(self.keys, _row_keys(bounds, self.k), "right") - at
+            if counts is None:
+                if self._per_prefix is None:
+                    self._per_prefix = np.zeros(len(self.present) // k,
+                                                dtype=np.min_scalar_type(k))
+                    for hits in self.present.reshape(-1, k).T:
+                        self._per_prefix += hits
+                counts = self._per_prefix[prefixes]
+            return prefixes, counts
+        # the rows between (prefix, 0) and (prefix, k - 1); wide keys are
+        # views of the bounds
+        if self.wide:
+            bounds = np.empty((len(prefixes), prefixes.shape[1] + 1), dtype=prefixes.dtype)
+            bounds[:, :-1] = prefixes
+            bounds[:, -1] = 0
+            at = np.searchsorted(self.keys, _row_keys(bounds, k), "left")
+            bounds[:, -1] = k - 1
+            last = _row_keys(bounds, k)
+        else:
+            first = prefixes.astype(self.keys.dtype) * k
+            at, last = np.searchsorted(self.keys, first, "left"), first + (k - 1)
+        if counts is None:
+            counts = (np.searchsorted(self.keys, last, "right") - at).astype(
+                np.min_scalar_type(k))
+        return at, counts
 
     def last_entries(self, at: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The last entries of the rows that find placed at at, counts[i]
@@ -206,16 +230,45 @@ class _Index:
                                        + np.arange(counts.sum())], self.k)
 
 
-def _holds(index: _Index, table: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+def _column_keys(rows: np.ndarray, cols: np.ndarray, k: int, first: int = 0) -> np.ndarray:
+    """Per row and atom, the part of the atom's key (core._row_keys) that
+    the rows hold as the columns first, first + 1, ... of a grid cell;
+    cols holds a row of column positions per atom, and the others read 0.
+    A cell's key is the part of its row plus the part of its filling."""
+    width = rows.shape[1]
+    cols = cols - first
+    outside = (cols < 0) | (cols >= width)
+    if outside.any():
+        rows = np.concatenate((rows, np.zeros((len(rows), 1), dtype=rows.dtype)), axis=1)
+        cols = np.where(outside, width, cols)
+    atoms, arity = cols.shape
+    entries = np.take(rows, cols.ravel(), axis=1).reshape(len(rows) * atoms, arity)
+    return _row_keys(entries, k).reshape(len(rows), atoms)
+
+
+def _holds(index: _Index, table, cols: np.ndarray, k: int) -> np.ndarray:
     """Mask of the table rows whose entries in the columns of every atom are
     a row of the index; cols holds a row of column positions per atom.
 
-    Every row's keys for every atom are looked up at once, so the caller
-    passes a block of rows and few enough atoms.
+    The table is a 2-d array of rows or, for integer keys, two parts of the
+    keys of grid cells (_column_keys) whose broadcast sum holds a row per
+    cell.  Every row's keys for every atom are looked up at once, so the
+    caller passes a block of rows and few enough atoms.
     """
     atoms, arity = cols.shape
-    probe = _row_keys(np.take(table, cols.ravel(), axis=1).reshape(-1, arity), k)
-    return index.contains(probe).reshape(-1, atoms).all(axis=1)
+    if isinstance(table, tuple):
+        probe = np.add(*table)
+    else:
+        probe = _row_keys(np.take(table, cols.ravel(), axis=1).reshape(-1, arity), k)
+    return _rows_all(index.contains(probe.reshape(-1, atoms)))
+
+
+def _rows_all(mask: np.ndarray) -> np.ndarray:
+    """mask.all(axis=1) of a 2-d bool array; a reduction over a short last
+    axis is slow, so a mask with fewer columns than rows is read transposed."""
+    if mask.shape[1] < len(mask):
+        return np.ascontiguousarray(mask.T).all(axis=0)
+    return mask.all(axis=1)
 
 
 def _pin_bound(size: int, k: int) -> int:
@@ -234,41 +287,71 @@ def _lookup_order(vars_: tuple[str, ...], var: str) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(vars_) if v != var) + (vars_.index(var),)
 
 
-def _lookup_size(table: np.ndarray, probe: list[int], index: _Index,
-                 k: int) -> tuple[int, int]:
-    """The rows that extending the table by lookup gives, and a bound on
-    the rows and the entries of the index one table row reads: the most
-    last entries of one prefix, and k for a bitmap, whose last entries
-    read a row of k entries.  The prefixes are counted FILTER_BLOCK_ROWS
-    rows at a time."""
-    total, most = 0, 0
-    for start in range(0, len(table), FILTER_BLOCK_ROWS):
-        _, counts = index.find(table[start:start + FILTER_BLOCK_ROWS, probe])
-        total += int(counts.sum())
-        most = max(most, int(counts.max(initial=0)))
-    return total, max(most, k if index.present is not None else 1)
+def _cells(table: np.ndarray, j: int, k: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the grid written out: each table row followed
+    by each of the k^j fillings of j values, in increasing order."""
+    if not j:
+        return table[start:stop]
+    width = table.shape[1]
+    rows = np.empty((stop - start, width + j), dtype=table.dtype)
+    at, filling = np.divmod(np.arange(start, stop), k ** j)
+    rows[:, :width] = table[at]
+    for pos in range(width + j - 1, width - 1, -1):
+        filling, rows[:, pos] = np.divmod(filling, k)
+    return rows
 
 
-def _extend_by_lookup(table: np.ndarray, probe: list[int], index: _Index,
-                      k: int) -> np.ndarray:
+def _grid_blocks(table: np.ndarray, j: int, k: int):
+    """fill, all values of the grid's last columns, as many as give at most
+    sqrt(FILTER_BLOCK_ROWS) fillings, and an iterator over blocks of the
+    table's rows followed by the other columns (_cells), of at most
+    FILTER_BLOCK_ROWS cells each, or one row."""
+    last = 0
+    while last < j and k ** (2 * last + 2) <= FILTER_BLOCK_ROWS:
+        last += 1
+    step = max(FILTER_BLOCK_ROWS // k ** last, 1)
+    size = len(table) * k ** (j - last)
+    return _digit_matrix(last, k, table.dtype), (
+        _cells(table, j - last, k, start, min(start + step, size))
+        for start in range(0, size, step))
+
+
+def _lookup_size(table: np.ndarray, j: int, probe: list[int], index: _Index,
+                 k: int) -> tuple[int, int, np.ndarray]:
+    """The rows that extending the grid (table x k^j) by lookup gives, a
+    bound on the rows and the entries of the index one cell reads (the
+    most last entries of one prefix, and k for a bitmap, whose last
+    entries read a row of k entries), and each cell's count in the order
+    of _cells; counted a block at a time, by summed keys where the grid
+    has fillings and the keys are integers."""
+    fill, blocks = _grid_blocks(table, j, k)
+    summed = fill.shape[1] and not index.wide
+    if summed:
+        probe = np.array([probe])
+        fill_part = _column_keys(fill, probe, k, table.shape[1] + j - fill.shape[1])
+    counts = [np.zeros(0, dtype=np.min_scalar_type(k))]
+    for rows in blocks:
+        if summed:
+            prefixes = (_column_keys(rows, probe, k) + fill_part.T).ravel()
+        else:
+            prefixes = _cells(rows, fill.shape[1], k, 0, len(rows) * len(fill))[:, probe]
+        counts.append(index.find(prefixes)[1])
+    counts = np.concatenate(counts)
+    most = int(counts.max(initial=0))
+    return int(counts.sum()), max(most, k if index.present is not None else 1), counts
+
+
+def _extend_by_lookup(table: np.ndarray, probe: list[int], index: _Index, k: int,
+                      counts: np.ndarray | None = None) -> np.ndarray:
     """Each table row followed by every last entry of the index's rows
     that start with the table row's entries in the probe columns, in one
     pass: the caller passes a block of rows and has charged the whole
-    extension (_lookup_size)."""
-    at, counts = index.find(table[:, probe])
+    extension (_lookup_size), whose counts for the block it may pass."""
+    at, counts = index.find(table[:, probe], counts)
     grown = np.empty((int(counts.sum()), table.shape[1] + 1), dtype=table.dtype)
     grown[:, :-1] = np.repeat(table, counts, axis=0)
     grown[:, -1] = index.last_entries(at, counts)
     return grown
-
-
-def _extend_by_domain(table: np.ndarray, k: int) -> np.ndarray:
-    """Each table row followed by each of the k values, in increasing order."""
-    count, width = table.shape
-    grown = np.empty((count, k, width + 1), dtype=table.dtype)
-    grown[:, :, :width] = table[:, None, :]
-    grown[:, :, width] = np.arange(k, dtype=table.dtype)
-    return grown.reshape(count * k, width + 1)
 
 
 def _distinct(rows: np.ndarray, k: int) -> np.ndarray:
@@ -276,12 +359,10 @@ def _distinct(rows: np.ndarray, k: int) -> np.ndarray:
     return _unique_rows(rows, k) if rows.shape[1] else rows[:1]
 
 
-def _extend_block(block: np.ndarray, extend, filters: list, keep: np.ndarray,
-                  k: int) -> np.ndarray:
-    """The block's extension (extend(block)) filtered, cut to the keep
-    columns and, if that drops any, deduplicated; filters holds, per
-    relation, its index and a row of the extension's columns per atom."""
-    rows = extend(block)
+def _extend_block(rows: np.ndarray, filters: list, keep: np.ndarray, k: int) -> np.ndarray:
+    """A block of extended rows filtered, cut to the keep columns and, if
+    that drops any, deduplicated; filters holds, per relation, its index
+    and a row of the rows' columns per atom."""
     for index, cols in filters:
         # as many atoms at a time as gather FILTER_BLOCK_ROWS entries, or
         # one; each drops its failing rows before the next
@@ -294,31 +375,60 @@ def _extend_block(block: np.ndarray, extend, filters: list, keep: np.ndarray,
     return rows
 
 
-def _extension_step(table: np.ndarray, extend, per_row: int, total: int, filters: list,
-                    keep: np.ndarray, k: int) -> np.ndarray:
-    """The table extended by one variable, filtered by the atoms the
-    variable completes, cut to the keep columns and rid of repeated rows.
+def _grid_step(table: np.ndarray, j: int, filters: list, keep: np.ndarray, k: int):
+    """Per block of the grid (table x k^j), its cells that pass the filters,
+    cut to the keep columns and deduplicated if that drops any.  Atoms with
+    integer keys test every cell of the block by summed keys (_column_keys),
+    as many at a time as give FILTER_BLOCK_ROWS keys, or one.  The kept
+    columns of the cells that pass are keyed the same way if they fit an
+    integer; otherwise, or for atoms with wide keys, the cells are written
+    out as rows (_extend_block)."""
+    fill, blocks = _grid_blocks(table, j, k)
+    width = table.shape[1] + j - fill.shape[1]
+    keyed = [(index, cols, _column_keys(fill, cols, k, width))
+             for index, cols in filters if not index.wide]
+    rest = [(index, cols) for index, cols in filters if index.wide]
+    kept = (None if rest or len(keep) > _key_width(k)
+            else _column_keys(fill, keep[None, :], k, width))
+    for rows in blocks:
+        passed = None       # a mask of the block's cells that passed
+        batch = max(FILTER_BLOCK_ROWS // (len(rows) * len(fill)), 1)
+        for index, cols, fill_part in keyed:
+            for start in range(0, len(cols), batch):
+                part = slice(start, start + batch)
+                found = _holds(index, (_column_keys(rows, cols[part], k)[:, None, :],
+                                       fill_part[None, :, part]), cols[part], k)
+                passed = found if passed is None else passed & found
+        if kept is not None:
+            keys = (_column_keys(rows, keep[None, :], k) + kept.T).ravel()
+            keys = keys if passed is None else keys[passed]
+            yield _key_rows(_sorted_distinct(keys) if len(keep) < width + fill.shape[1]
+                            else keys, k, len(keep))
+            continue
+        cells = np.arange(len(rows) * len(fill))
+        at, filling = np.divmod(cells if passed is None else cells[passed], len(fill))
+        yield _extend_block(np.concatenate((rows[at], fill[filling]), axis=1), rest, keep, k)
 
-    extend maps a block of table rows to their extension, at most per_row
-    rows per table row and total in all.  The table is taken a block at a
-    time, as many rows as extend to at most FILTER_BLOCK_ROWS rows (or
-    one), and each block's result (_extend_block) is written into one
-    output array of total rows, then cut to the rows written; so no more
-    than a block of the extension is held at once.  Rows that repeat
-    across blocks are removed from the output at the end.
-    """
-    step = max(FILTER_BLOCK_ROWS // per_row, 1)
-    if len(table) <= step:
-        return _extend_block(table, extend, filters, keep, k)
-    out = np.empty((total, len(keep)), dtype=_row_dtype(k))
+
+def _extension_step(blocks, total: int, width: int, dropped: bool, k: int) -> np.ndarray:
+    """The rows of the blocks (each from _extend_block) written into one
+    output array of total rows, then cut to the rows written, so that no
+    more than a block of the extension is held at once; if a column was
+    dropped, rows that repeat across blocks are removed at the end.  A
+    single block is returned as it is, with no output array, and no block
+    as no rows."""
+    first = next(blocks, np.zeros((0, width), dtype=_row_dtype(k)))
+    second = next(blocks, None)
+    if second is None:
+        return first
+    out = np.empty((total, width), dtype=first.dtype)
     size = 0
-    for start in range(0, len(table), step):
-        rows = _extend_block(table[start:start + step], extend, filters, keep, k)
+    for rows in chain((first, second), blocks):
         out[size:size + len(rows)] = rows
         size += len(rows)
-    if len(keep) <= table.shape[1]:     # a column was dropped
+    if dropped:
         return _distinct(out[:size], k)
-    out.resize((size, len(keep)), refcheck=False)
+    out.resize((size, width), refcheck=False)
     return out
 
 
@@ -358,9 +468,11 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
     """The relation defined by the formula: projection of the satisfying set.
 
     Of several pinned variables the one with the fewest values per bound
-    prefix comes next, ties in the default order, then in atom order.
+    prefix comes next, ties in the default order, then in atom order.  The
+    table of partial assignments is held as a grid, rows times the k^j
+    fillings of j all-value columns, and written out only at the end.
     Raises CapExceeded, before the table is extended, when the extended
-    table of partial assignments would exceed EVAL_TABLE_BYTES.
+    table would exceed EVAL_TABLE_BYTES.
     """
     if not isinstance(env, RelationEnv):
         env = RelationEnv(env)
@@ -402,8 +514,11 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
     free[[rank[v] for v in formula.free_vars]] = True
     added = np.zeros(len(order), dtype=bool)
     column = np.zeros(len(order), dtype=np.intp)     # the column of each variable in cols
-    # one row per partial assignment of the variables in cols
+    # one row per partial assignment of the variables in cols, held as a
+    # grid: the table's rows, each followed by all k^j fillings of the
+    # last j columns
     table = np.zeros((1, 0), dtype=dtype)
+    j = 0
     cols = np.zeros(0, dtype=id_dtype)
     while not added.all():
         pin, pin_key = None, None
@@ -414,8 +529,8 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
             known = added[ids]
             # the atoms whose unbound positions all hold one variable pin it
             unbound = ids[np.arange(len(ids)), known.argmin(axis=1)]
-            bound = known.sum(axis=1)
-            pins = np.flatnonzero(((ids == unbound[:, None]) | known).all(axis=1)
+            bound = np.ascontiguousarray(known.T).sum(axis=0)
+            pins = np.flatnonzero(_rows_all((ids == unbound[:, None]) | known)
                                   & (bound >= group.min_bound))
             if not len(pins):
                 continue
@@ -425,7 +540,7 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
                    int(group.places[best]))
             if pin is None or key < pin_key:
                 pin, pin_key = group, key
-        count, width = table.shape
+        count, width = len(table) * k ** j, table.shape[1] + j
         looked_up = None    # the place of the atom whose lookup adds var
         if pin is None:
             var = int(added.argmin())       # the first variable of the default order not added
@@ -434,14 +549,17 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
             if count * k > len(pin.rel):
                 looked_up = place
         if looked_up is None:
-            total, per_row = count * k, k
-            extend = lambda block: _extend_by_domain(block, k)
+            total = count * k
         else:
             vars_ = formula.atoms[looked_up][1]
             probe = [int(column[rank[v]]) for v in vars_ if v != order[var]]
             index = pin.index(_lookup_order(vars_, order[var]), k)
-            total, per_row = _lookup_size(table, probe, index, k)
-            extend = lambda block: _extend_by_lookup(block, probe, index, k)
+            total, per_row, counts = _lookup_size(table, j, probe, index, k)
+            if j and k <= len(probe) and len(vars_) <= _key_width(k):
+                # a grid is extended by all k values and the atom filters
+                # them, one summed key per cell and value, where looking up
+                # would write out each cell's len(probe) entries
+                looked_up = None
         _check_table_size(total, width + 1, dtype.itemsize)
         added[var] = True
         column[var] = width
@@ -452,7 +570,7 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
         needed = free.copy()
         filters = []
         for group in groups:
-            complete = added[group.ids].all(axis=1)
+            complete = _rows_all(added[group.ids])
             if complete.any():
                 check = complete if looked_up is None else complete & (group.places != looked_up)
                 if check.any():
@@ -461,9 +579,24 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
                 group.ids, group.places = group.ids[~complete], group.places[~complete]
             needed[group.ids] = True
         keep = np.flatnonzero(needed[cols])
-        table = _extension_step(table, extend, per_row, total, filters, keep, k)
+        dropped = len(keep) <= width
+        if looked_up is not None:
+            step = max(FILTER_BLOCK_ROWS // per_row, 1)
+            blocks = (_extend_block(_extend_by_lookup(_cells(table, j, k, start,
+                                                             min(start + step, count)),
+                                                      probe, index, k,
+                                                      counts[start:start + step]),
+                                    filters, keep, k)
+                      for start in range(0, count, step))
+        elif filters or dropped:
+            blocks = _grid_step(table, j + 1, filters, keep, k)
+        else:
+            j += 1      # var is one more column of all values
+            continue
+        table, j = _extension_step(blocks, total, len(keep), dropped, k), 0
         cols = cols[keep]
         column[cols] = np.arange(len(cols))
+    table = _cells(table, j, k, 0, len(table) * k ** j)
     alpha = formula.alpha or range(1, len(formula.free_vars) + 1)
     columns = [column[rank[formula.free_vars[a - 1]]] for a in alpha]
     return Relation(formula.domain, formula.output_arity, table[:, columns])
@@ -595,7 +728,8 @@ def emit_smt(formula: PPFormula, env, goal: Relation) -> str:
         out.append(f"(declare-const {v} Int)")
         rng.append(f"(and (<= 0 {v}) (< {v} {k}))")
     out.append("(assert (and " + " ".join(rng) + "))")
-    atom_terms = [f"(mem_{_smt_symbol(rel_name)} " + " ".join(vars_) + ")"
+    symbol = {name: _smt_symbol(name) for name in used}
+    atom_terms = [f"(mem_{symbol[rel_name]} " + " ".join(vars_) + ")"
                   for rel_name, vars_ in formula.atoms]
     if formula.exist_vars:
         binders = " ".join(f"({y} Int)" for y in formula.exist_vars)

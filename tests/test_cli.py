@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import subprocess
 import sys
 
@@ -102,6 +103,11 @@ def test_ppdef_pipeline(snow_files, tmp_path):
     formula = parse_formula(text)
     assert len(formula.atoms) == 6561
     assert smt.read_text().count("(mem_T") == 6561
+    # the golden files, byte for byte (the digests CI checks)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "91cc1104169d06c983222bc123ddc29648565940cc0cf0e17ceaa57175fa1d88")
+    assert hashlib.sha256(smt.read_bytes()).hexdigest() == (
+        "ef230812e9fb575ed1c25d3f1d5eadf92b0587bb98ad8181f8344a9a62137b25")
 
 
 def test_ppdef_validation_failure(snow_files, tmp_path):

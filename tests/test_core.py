@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -139,6 +140,20 @@ def test_graph_rows_are_built_sorted_and_distinct(k, arity, monkeypatch):
     assert g.rows.dtype == op.row.dtype and not g.rows.flags.writeable
     assert np.array_equal(g.rows, np.unique(g.rows, axis=0))
     assert g.arity == arity + 1 and len(g) == k ** arity
+
+
+def test_graph_rows_are_written_in_place():
+    # the digits go straight into the rows: no second k^n x n matrix (4.75
+    # MiB traced when the digit matrix was stacked with the values)
+    op = Operation(Domain(4), 9, np.zeros(4 ** 9, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        g = graph_of(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.rows.nbytes == 4 ** 9 * 10
+    assert peak < 1.1 * g.rows.nbytes
 
 
 def test_image_fix_of_t3(t3):

@@ -125,8 +125,8 @@ def _lookup_spy(monkeypatch):
     calls = []
     extend = ppformula._extend_by_lookup
 
-    def spy(table, probe, index, k):
-        grown = extend(table, probe, index, k)
+    def spy(table, probe, index, k, counts=None):
+        grown = extend(table, probe, index, k, counts)
         calls.append((table, probe, grown))
         return grown
     monkeypatch.setattr(ppformula, "_extend_by_lookup", spy)
@@ -229,6 +229,69 @@ def test_eval_matches_brute_force_property():
         calls = _lookup_spy(mp)
         _eval_matches_brute_force()
     assert calls, "no example extended its table by lookup"
+
+
+@st.composite
+def _grid_instances(draw):
+    """Formulas whose variables come in runs that no completed atom covers
+    (atoms of up to 4 distinct variables), with free variables in no atom
+    and alpha maps with repeats, at k = 2, 3; or, at k = 300, with an
+    atom of 8 entries, keyed by its bytes, over the alphabet {0, 1, 299}.
+    Each relation holds a few random rows and maybe its atoms' rows under
+    a planted assignment; returned with the alphabet for brute_eval."""
+    k = draw(st.sampled_from([2, 3, 300]))
+    dom = Domain(k)
+    alphabet = [0, 1, 299] if k == 300 else list(range(k))
+    # at k = 300 two variables, so that a grid has at most 300 cells
+    names = [f"v{i}" for i in range(2 if k == 300 else draw(st.integers(2, 5)))]
+    value = st.sampled_from(alphabet)
+    planted = {v: draw(value) for v in names}
+    env, atoms = {}, []
+    for a in range(draw(st.integers(1, 3))):
+        arity = 8 if k == 300 and not a else draw(st.integers(2, 4))
+        vars_ = tuple(draw(st.lists(st.sampled_from(names), min_size=arity, max_size=arity)))
+        rows = draw(st.sets(st.tuples(*[value] * arity), max_size=6))
+        if arity == 8:
+            # over 300 rows: the atom pins no variable while none is bound
+            rng = random.Random(draw(st.integers(0, 1 << 16)))
+            rows |= set(rng.sample(list(product(alphabet, repeat=8)), 300))
+        if draw(st.booleans()):
+            rows.add(tuple(planted[v] for v in vars_))
+        env[f"R{a}"] = relation(dom, arity, rows)
+        atoms.append((f"R{a}", vars_))
+    used = [v for v in names if any(v in vars_ for _, vars_ in atoms)]
+    free = draw(st.lists(st.sampled_from(used), min_size=1, unique=True))
+    if k < 300:
+        # free variables in no atom range over all k values
+        free += [f"w{i}" for i in range(draw(st.integers(0, 2)))]
+    alpha = draw(st.none() | st.lists(st.integers(1, len(free)), min_size=1, max_size=5))
+    formula = PPFormula(dom, tuple(free), tuple(v for v in names if v not in free),
+                        tuple(atoms), None if alpha is None else tuple(alpha))
+    return formula, env, alphabet
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_instances())
+def _grid_eval_matches_brute_force(instance):
+    formula, env, alphabet = instance
+    assert set(eval_formula(formula, env).tuples) == brute_eval(formula, env, alphabet)
+
+
+def test_grid_eval_matches_brute_force_property(monkeypatch):
+    # with 7 cells per block, a grid spans several blocks of base rows
+    monkeypatch.setattr(ppformula, "FILTER_BLOCK_ROWS", 7)
+    grids = []
+    step = ppformula._grid_step
+
+    def spy(table, j, filters, keep, k):
+        grids.append((len(table) * k ** j, j, k, any(index.wide for index, _ in filters)))
+        return step(table, j, filters, keep, k)
+    monkeypatch.setattr(ppformula, "_grid_step", spy)
+    _grid_eval_matches_brute_force()
+    # grids of two or more all-value columns over several blocks were
+    # filtered, some by atoms keyed by their bytes
+    assert any(cells > 7 and j >= 2 for cells, j, _, _ in grids)
+    assert any(k == 300 and wide for _, _, k, wide in grids)
 
 
 @settings(max_examples=200, deadline=None)
@@ -363,9 +426,10 @@ def test_eval_snow_k4_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(got) == 64
-    # the 262,144 x 11 table the lookup of y extends is read a block at a
-    # time: its 262,144 x 12 extension is never built whole
-    assert peak < 9 * 2 ** 20
+    # the last step's 64 x 4^6 grid is filtered a block of cells at a
+    # time: neither its 262,144 x 11 table nor its extension is ever built
+    # (4.05 MiB here, 6.6 MiB when the table was built)
+    assert peak < 4.5 * 2 ** 20
 
 
 def test_eval_cap_raises_before_allocating():
