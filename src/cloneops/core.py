@@ -188,19 +188,22 @@ def _strictly_increasing(rows: np.ndarray) -> bool:
     return True
 
 
-def _digit_matrix(width: int, k: int, dtype=np.int64, out: np.ndarray | None = None) -> np.ndarray:
+def _digit_matrix(width: int, k: int, dtype=np.int64, out: np.ndarray | None = None,
+                  first: int = 0) -> np.ndarray:
     """Rows 0..k^width-1 written as width base-k digits, most significant first.
 
     Column pos repeats each digit k^(width-1-pos) times, k^pos times over:
     range(k) broadcast into that shape of a view of the output.  Given out,
-    a C-contiguous array of k^width rows and at least width columns, the
-    digits are written into its first width columns, and out is returned.
+    a C-contiguous 2-d array whose rows are a multiple of k^width, the digits
+    are written into its columns first, ..., first+width-1, once per k^width
+    rows, and out is returned.
     """
     if out is None:
         out = np.empty((k ** width, width), dtype=dtype)
     columns = out.shape[1]
-    for pos in range(width):
-        out.reshape(k ** pos, k, k ** (width - 1 - pos), columns)[..., pos] = np.arange(k)[:, None]
+    # an empty out (k = 0) has no groups of k^width rows to write
+    for pos in range(width if len(out) else 0):
+        out.reshape(-1, k, k ** (width - 1 - pos), columns)[..., first + pos] = np.arange(k)[:, None]
     return out
 
 

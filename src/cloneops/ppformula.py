@@ -35,24 +35,20 @@ read off the same matrices.  Existential columns that no remaining atom
 mentions are then dropped and repeated rows removed.
 
 The table is held as a grid: distinct rows, each followed by all k^j
-fillings of its last j columns, which take every value.  A step that adds
-a variable by all k values, with no atom to check and no column to drop,
-only makes j one larger.  Every other step is a pipeline over blocks of at
-most FILTER_BLOCK_ROWS cells, whose results go into one output array sized
-for the whole step.  A lookup extends each block of written-out rows by
-lookup, taking each row's count from the pass that charged the step; but
-on a grid, when k is at most its bound positions and its keys are
-integers, the variable is one more all-value column and its atom one more
-filter, as for a variable added by all values.  An atom with integer keys
-tests each cell by one add: its key is a part read off the cell's row
-plus a part of its filling, computed once per step.  So at k=4 the snow
-formula's last step filters its 64 x 4^6 grid, and its 262,144 x 11 table
-is never built.  The kept columns of the cells that pass are keyed the
-same way and deduplicated by key.  Atoms with wide keys, and kept columns
-too wide for an integer key, see the cells written out as rows.  Any
-extension that would exceed EVAL_TABLE_BYTES, including those by
-unconstrained free variables, raises CapExceeded before its first block is
-built: a lookup counts its rows first, on a grid by summed keys.
+fillings of its last j columns.  A variable added by all k values with no
+atom to check and no column to drop only makes j one larger.  Any other
+step runs over blocks of at most FILTER_BLOCK_ROWS cells into one output
+array.  An atom with integer keys tests a cell by one add, of a key part
+read off its row and one off its filling, and the kept columns of the
+cells that pass are keyed and deduplicated the same way; atoms with wide
+keys see the cells written out.  A lookup on a grid whose k is at most its
+bound positions adds an all-value column that its atom filters; any other
+lookup writes the grid out (it was charged when its columns were added)
+and takes each row's count from the pass that charged the step.  So at k=4
+the snow formula's 64 x 4^6 grid is never written out.  Any extension over
+EVAL_TABLE_BYTES, unconstrained free variables included, raises
+CapExceeded before its first block is built: a lookup counts its rows
+first.
 """
 from __future__ import annotations
 
@@ -157,9 +153,8 @@ class _Index:
 
     def __init__(self, keys: np.ndarray, k: int, width: int, is_sorted: bool):
         self.k, self.present, self.keys = k, None, None
-        self.wide = keys.dtype.kind == "V"     # keyed by the rows' bytes
         self._per_prefix = None     # a bitmap's row count per prefix, on first use
-        if not self.wide and k ** width <= BITMAP_KEYS_PER_ROW * len(keys):
+        if keys.dtype.kind == "u" and k ** width <= BITMAP_KEYS_PER_ROW * len(keys):
             self.present = np.zeros(k ** width, dtype=bool)
             self.present[keys] = True
         else:
@@ -170,7 +165,6 @@ class _Index:
         """The index whose bitmap is present, a 1-d bool array over the key space."""
         index = cls.__new__(cls)
         index.k, index.present, index.keys, index._per_prefix = k, present, None, None
-        index.wide = False
         return index
 
     def contains(self, probe: np.ndarray) -> np.ndarray:
@@ -188,7 +182,8 @@ class _Index:
         place is the prefix's key, the row of k entries of present that
         holds them; for sorted keys, the position of the first."""
         k = self.k
-        if prefixes.ndim == 2 and not self.wide:
+        wide = self.keys is not None and self.keys.dtype.kind == "V"
+        if prefixes.ndim == 2 and not wide:
             prefixes = _row_keys(prefixes, k)
         if self.present is not None:
             if counts is None:
@@ -201,7 +196,7 @@ class _Index:
             return prefixes, counts
         # the rows between (prefix, 0) and (prefix, k - 1); wide keys are
         # views of the bounds
-        if self.wide:
+        if wide:
             bounds = np.empty((len(prefixes), prefixes.shape[1] + 1), dtype=prefixes.dtype)
             bounds[:, :-1] = prefixes
             bounds[:, -1] = 0
@@ -246,21 +241,16 @@ def _column_keys(rows: np.ndarray, cols: np.ndarray, k: int, first: int = 0) -> 
     return _row_keys(entries, k).reshape(len(rows), atoms)
 
 
-def _holds(index: _Index, table, cols: np.ndarray, k: int) -> np.ndarray:
+def _holds(index: _Index, table: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     """Mask of the table rows whose entries in the columns of every atom are
     a row of the index; cols holds a row of column positions per atom.
 
-    The table is a 2-d array of rows or, for integer keys, two parts of the
-    keys of grid cells (_column_keys) whose broadcast sum holds a row per
-    cell.  Every row's keys for every atom are looked up at once, so the
-    caller passes a block of rows and few enough atoms.
+    Every row's keys for every atom are looked up at once, so the caller
+    passes a block of rows and few enough atoms.
     """
     atoms, arity = cols.shape
-    if isinstance(table, tuple):
-        probe = np.add(*table)
-    else:
-        probe = _row_keys(np.take(table, cols.ravel(), axis=1).reshape(-1, arity), k)
-    return _rows_all(index.contains(probe.reshape(-1, atoms)))
+    probe = _row_keys(np.take(table, cols.ravel(), axis=1).reshape(-1, arity), k)
+    return _rows_all(index.contains(probe).reshape(-1, atoms))
 
 
 def _rows_all(mask: np.ndarray) -> np.ndarray:
@@ -287,58 +277,60 @@ def _lookup_order(vars_: tuple[str, ...], var: str) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(vars_) if v != var) + (vars_.index(var),)
 
 
-def _cells(table: np.ndarray, j: int, k: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the grid written out: each table row followed
-    by each of the k^j fillings of j values, in increasing order."""
-    if not j:
-        return table[start:stop]
+def _cells(table: np.ndarray, j: int, k: int) -> np.ndarray:
+    """The grid (table x k^j) written out: each table row followed by each
+    of the k^j fillings of j values, in increasing order."""
     width = table.shape[1]
-    rows = np.empty((stop - start, width + j), dtype=table.dtype)
-    at, filling = np.divmod(np.arange(start, stop), k ** j)
-    rows[:, :width] = table[at]
-    for pos in range(width + j - 1, width - 1, -1):
-        filling, rows[:, pos] = np.divmod(filling, k)
-    return rows
+    rows = np.empty((len(table) * k ** j, width + j), dtype=table.dtype)
+    rows.reshape(len(table), k ** j, width + j)[:, :, :width] = table[:, None]
+    return _digit_matrix(j, k, out=rows, first=width)
+
+
+def _written_out(table: np.ndarray, j: int, k: int, size: int):
+    """The grid (table x k^j) written out (_cells) in blocks of at most size
+    rows, in order; size >= 1."""
+    if k ** j > size:
+        # a table row at a time, with its first all-value column written out
+        return chain.from_iterable(_written_out(_cells(table[i:i + 1], 1, k), j - 1, k, size)
+                                   for i in range(len(table)))
+    step = size // k ** j
+    return (_cells(table[start:start + step], j, k) for start in range(0, len(table), step))
 
 
 def _grid_blocks(table: np.ndarray, j: int, k: int):
     """fill, all values of the grid's last columns, as many as give at most
-    sqrt(FILTER_BLOCK_ROWS) fillings, and an iterator over blocks of the
-    table's rows followed by the other columns (_cells), of at most
-    FILTER_BLOCK_ROWS cells each, or one row."""
+    sqrt(FILTER_BLOCK_ROWS) fillings, and the grid of the table and its other
+    columns written out in blocks (_written_out) of at most FILTER_BLOCK_ROWS
+    cells, each a row followed by each filling."""
     last = 0
     while last < j and k ** (2 * last + 2) <= FILTER_BLOCK_ROWS:
         last += 1
-    step = max(FILTER_BLOCK_ROWS // k ** last, 1)
-    size = len(table) * k ** (j - last)
-    return _digit_matrix(last, k, table.dtype), (
-        _cells(table, j - last, k, start, min(start + step, size))
-        for start in range(0, size, step))
+    fill = _digit_matrix(last, k, table.dtype)
+    return fill, _written_out(table, j - last, k, max(FILTER_BLOCK_ROWS // len(fill), 1))
 
 
 def _lookup_size(table: np.ndarray, j: int, probe: list[int], index: _Index,
-                 k: int) -> tuple[int, int, np.ndarray]:
+                 k: int) -> tuple[int, int, np.ndarray | None]:
     """The rows that extending the grid (table x k^j) by lookup gives, a
     bound on the rows and the entries of the index one cell reads (the
     most last entries of one prefix, and k for a bitmap, whose last
-    entries read a row of k entries), and each cell's count in the order
-    of _cells; counted a block at a time, by summed keys where the grid
-    has fillings and the keys are integers."""
+    entries read a row of k entries), and, for a table (j = 0), each row's
+    count; counted a block at a time, by summed keys where the grid has
+    fillings (its keys are then integers)."""
     fill, blocks = _grid_blocks(table, j, k)
-    summed = fill.shape[1] and not index.wide
-    if summed:
-        probe = np.array([probe])
-        fill_part = _column_keys(fill, probe, k, table.shape[1] + j - fill.shape[1])
-    counts = [np.zeros(0, dtype=np.min_scalar_type(k))]
+    width, cols = table.shape[1] + j - fill.shape[1], np.array([probe], dtype=np.intp)
+    total, most, counts = 0, 0, []
     for rows in blocks:
-        if summed:
-            prefixes = (_column_keys(rows, probe, k) + fill_part.T).ravel()
+        if fill.shape[1]:
+            prefixes = (_column_keys(rows, cols, k) + _column_keys(fill, cols, k, width).T).ravel()
         else:
-            prefixes = _cells(rows, fill.shape[1], k, 0, len(rows) * len(fill))[:, probe]
-        counts.append(index.find(prefixes)[1])
-    counts = np.concatenate(counts)
-    most = int(counts.max(initial=0))
-    return int(counts.sum()), max(most, k if index.present is not None else 1), counts
+            prefixes = rows[:, probe]
+        found = index.find(prefixes)[1]
+        total, most = total + int(found.sum()), max(most, int(found.max(initial=0)))
+        if not j:
+            counts.append(found)
+    return (total, max(most, k if index.present is not None else 1),
+            np.concatenate(counts) if counts else None)
 
 
 def _extend_by_lookup(table: np.ndarray, probe: list[int], index: _Index, k: int,
@@ -378,45 +370,37 @@ def _extend_block(rows: np.ndarray, filters: list, keep: np.ndarray, k: int) -> 
 def _grid_step(table: np.ndarray, j: int, filters: list, keep: np.ndarray, k: int):
     """Per block of the grid (table x k^j), its cells that pass the filters,
     cut to the keep columns and deduplicated if that drops any.  Atoms with
-    integer keys test every cell of the block by summed keys (_column_keys),
-    as many at a time as give FILTER_BLOCK_ROWS keys, or one.  The kept
-    columns of the cells that pass are keyed the same way if they fit an
-    integer; otherwise, or for atoms with wide keys, the cells are written
-    out as rows (_extend_block)."""
+    integer keys test the cells by summed keys (_column_keys), as many at a
+    time as give FILTER_BLOCK_ROWS keys, or one, and so are the kept columns
+    keyed; atoms with wide keys, or kept columns too wide for an integer
+    key, see the cells that pass written out (_extend_block)."""
     fill, blocks = _grid_blocks(table, j, k)
-    width = table.shape[1] + j - fill.shape[1]
-    keyed = [(index, cols, _column_keys(fill, cols, k, width))
-             for index, cols in filters if not index.wide]
-    rest = [(index, cols) for index, cols in filters if index.wide]
-    kept = (None if rest or len(keep) > _key_width(k)
-            else _column_keys(fill, keep[None, :], k, width))
+    width, most = table.shape[1] + j - fill.shape[1], _key_width(k)
+    keyed = [(index, cols) for index, cols in filters if cols.shape[1] <= most]
+    rest = [(index, cols) for index, cols in filters if cols.shape[1] > most]
     for rows in blocks:
-        passed = None       # a mask of the block's cells that passed
-        batch = max(FILTER_BLOCK_ROWS // (len(rows) * len(fill)), 1)
-        for index, cols, fill_part in keyed:
+        passed = np.ones(len(rows) * len(fill), dtype=bool)
+        batch = max(FILTER_BLOCK_ROWS // len(passed), 1)
+        for index, cols in keyed:
             for start in range(0, len(cols), batch):
-                part = slice(start, start + batch)
-                found = _holds(index, (_column_keys(rows, cols[part], k)[:, None, :],
-                                       fill_part[None, :, part]), cols[part], k)
-                passed = found if passed is None else passed & found
-        if kept is not None:
-            keys = (_column_keys(rows, keep[None, :], k) + kept.T).ravel()
-            keys = keys if passed is None else keys[passed]
-            yield _key_rows(_sorted_distinct(keys) if len(keep) < width + fill.shape[1]
-                            else keys, k, len(keep))
+                part = cols[start:start + batch]
+                keys = _column_keys(rows, part, k)[:, None] + _column_keys(fill, part, k, width)
+                passed &= _rows_all(index.contains(keys.reshape(-1, len(part))))
+        if rest or len(keep) > most:
+            yield _extend_block(_cells(rows, fill.shape[1], k)[passed], rest, keep, k)
             continue
-        cells = np.arange(len(rows) * len(fill))
-        at, filling = np.divmod(cells if passed is None else cells[passed], len(fill))
-        yield _extend_block(np.concatenate((rows[at], fill[filling]), axis=1), rest, keep, k)
+        keys = (_column_keys(rows, keep[None, :], k)
+                + _column_keys(fill, keep[None, :], k, width).T).ravel()[passed]
+        yield _key_rows(_sorted_distinct(keys) if len(keep) < width + fill.shape[1]
+                        else keys, k, len(keep))
 
 
 def _extension_step(blocks, total: int, width: int, dropped: bool, k: int) -> np.ndarray:
-    """The rows of the blocks (each from _extend_block) written into one
-    output array of total rows, then cut to the rows written, so that no
-    more than a block of the extension is held at once; if a column was
-    dropped, rows that repeat across blocks are removed at the end.  A
-    single block is returned as it is, with no output array, and no block
-    as no rows."""
+    """The rows of the blocks written into one output array of total rows,
+    then cut to the rows written, so that no more than a block of the
+    extension is held at once; if a column was dropped, rows repeated
+    across blocks are removed at the end.  A single block is returned as
+    it is, and no block as no rows."""
     first = next(blocks, np.zeros((0, width), dtype=_row_dtype(k)))
     second = next(blocks, None)
     if second is None:
@@ -470,9 +454,8 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
     Of several pinned variables the one with the fewest values per bound
     prefix comes next, ties in the default order, then in atom order.  The
     table of partial assignments is held as a grid, rows times the k^j
-    fillings of j all-value columns, and written out only at the end.
-    Raises CapExceeded, before the table is extended, when the extended
-    table would exceed EVAL_TABLE_BYTES.
+    fillings of j all-value columns.  Raises CapExceeded, before the table
+    is extended, when the extended table would exceed EVAL_TABLE_BYTES.
     """
     if not isinstance(env, RelationEnv):
         env = RelationEnv(env)
@@ -554,12 +537,16 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
             vars_ = formula.atoms[looked_up][1]
             probe = [int(column[rank[v]]) for v in vars_ if v != order[var]]
             index = pin.index(_lookup_order(vars_, order[var]), k)
-            total, per_row, counts = _lookup_size(table, j, probe, index, k)
+            # a grid is extended by all k values and the atom filters them,
+            # k summed keys per cell, when k is at most the len(probe) entries
+            # per cell that looking up writes out and keys (1.7 times faster
+            # at k=4 with 9, 6 times slower at k=300 with 1); otherwise it is
+            # written out, as it was charged when its columns were added
             if j and k <= len(probe) and len(vars_) <= _key_width(k):
-                # a grid is extended by all k values and the atom filters
-                # them, one summed key per cell and value, where looking up
-                # would write out each cell's len(probe) entries
                 looked_up = None
+            else:
+                table, j = _cells(table, j, k), 0
+            total, per_row, counts = _lookup_size(table, j, probe, index, k)
         _check_table_size(total, width + 1, dtype.itemsize)
         added[var] = True
         column[var] = width
@@ -582,10 +569,8 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
         dropped = len(keep) <= width
         if looked_up is not None:
             step = max(FILTER_BLOCK_ROWS // per_row, 1)
-            blocks = (_extend_block(_extend_by_lookup(_cells(table, j, k, start,
-                                                             min(start + step, count)),
-                                                      probe, index, k,
-                                                      counts[start:start + step]),
+            blocks = (_extend_block(_extend_by_lookup(table[start:start + step], probe, index,
+                                                      k, counts[start:start + step]),
                                     filters, keep, k)
                       for start in range(0, count, step))
         elif filters or dropped:
@@ -596,7 +581,7 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
         table, j = _extension_step(blocks, total, len(keep), dropped, k), 0
         cols = cols[keep]
         column[cols] = np.arange(len(cols))
-    table = _cells(table, j, k, 0, len(table) * k ** j)
+    table = _cells(table, j, k)
     alpha = formula.alpha or range(1, len(formula.free_vars) + 1)
     columns = [column[rank[formula.free_vars[a - 1]]] for a in alpha]
     return Relation(formula.domain, formula.output_arity, table[:, columns])

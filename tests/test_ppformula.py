@@ -284,7 +284,8 @@ def test_grid_eval_matches_brute_force_property(monkeypatch):
     step = ppformula._grid_step
 
     def spy(table, j, filters, keep, k):
-        grids.append((len(table) * k ** j, j, k, any(index.wide for index, _ in filters)))
+        grids.append((len(table) * k ** j, j, k,
+                      any(cols.shape[1] > _key_width(k) for _, cols in filters)))
         return step(table, j, filters, keep, k)
     monkeypatch.setattr(ppformula, "_grid_step", spy)
     _grid_eval_matches_brute_force()
@@ -428,8 +429,25 @@ def test_eval_snow_k4_peak_memory():
     assert len(got) == 64
     # the last step's 64 x 4^6 grid is filtered a block of cells at a
     # time: neither its 262,144 x 11 table nor its extension is ever built
-    # (4.05 MiB here, 6.6 MiB when the table was built)
-    assert peak < 4.5 * 2 ** 20
+    # (3.74 MiB here, 6.6 MiB when the table was built)
+    assert peak < 4.2 * 2 ** 20
+
+
+def test_eval_unconstrained_free_vars_peak_memory():
+    # a, b, c are in no atom: the result is x's 4 values times the 64^3
+    # fillings of the grid, written out at the end with no per-cell index
+    # arrays (3.0 times its rows here, 9.0 with them)
+    k = 64
+    phi = PPFormula(Domain(k), ("x", "a", "b", "c"), (), (("U", ("x",)),))
+    env = {"U": relation(Domain(k), 1, [(3,), (7,), (9,), (11,)])}
+    tracemalloc.start()
+    try:
+        got = eval_formula(phi, env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 4 * k ** 3
+    assert peak < 3.5 * got.rows.nbytes
 
 
 def test_eval_cap_raises_before_allocating():
