@@ -539,7 +539,7 @@ def eval_formula(formula: PPFormula, env: RelationEnv | Mapping[str, Relation]) 
             index = pin.index(_lookup_order(vars_, order[var]), k)
             # a grid is extended by all k values and the atom filters them,
             # k summed keys per cell, when k is at most the len(probe) entries
-            # per cell that looking up writes out and keys (1.7 times faster
+            # per cell that looking up writes out and keys (1.8 times faster
             # at k=4 with 9, 6 times slower at k=300 with 1); otherwise it is
             # written out, as it was charged when its columns were added
             if j and k <= len(probe) and len(vars_) <= _key_width(k):

@@ -429,7 +429,7 @@ def test_eval_snow_k4_peak_memory():
     assert len(got) == 64
     # the last step's 64 x 4^6 grid is filtered a block of cells at a
     # time: neither its 262,144 x 11 table nor its extension is ever built
-    # (3.74 MiB here, 6.6 MiB when the table was built)
+    # (3.9 MiB here, 6.6 MiB when the table was built)
     assert peak < 4.2 * 2 ** 20
 
 
