@@ -17,9 +17,12 @@ __version__ = "0.1.0"
 import gc as _gc
 
 # The imports below (numpy among them) build over 10,000 objects that live as
-# long as the process and hold no cyclic garbage, and the collector would
-# otherwise make about 30 passes over them on the way.  It is paused for the
-# imports and then left as the importer had it, also when an import fails.
+# long as the process and hold no cyclic garbage.  The collector is paused
+# for the imports, which would otherwise cost about 30 passes over them, and
+# then left as the importer had it, also when an import fails.  What the
+# imports built is moved into the oldest generation (freeze, then unfreeze),
+# so the young-generation passes that follow do not walk it.  An importer
+# that froze objects itself is left alone, as unfreezing would thaw them.
 _collecting = _gc.isenabled()
 _gc.disable()
 try:
@@ -41,6 +44,9 @@ try:
     from .textio import (FormatError, emit_operations, emit_relations,
                          parse_operations, parse_relations, parse_tuple_lists)
 finally:
+    if not _gc.get_freeze_count():
+        _gc.freeze()
+        _gc.unfreeze()
     if _collecting:
         _gc.enable()
 del _gc, _collecting

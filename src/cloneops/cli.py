@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import inspect
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -17,7 +16,7 @@ from .core import CapExceeded, OperationSet, graph_of
 from .commutation import DEFAULT_BUDGET, enumerate_centraliser
 from .clonegen import FRAGMENT_CAP, clone_fragment
 from .ppformula import RelationEnv, emit_smt, emit_text, eval_formula, parse_formula
-from .snow import snow_f, snow_pp_formula, snow_t, verify_separation
+from .snow import WITNESS_SAMPLES, snow_f, snow_pp_formula, snow_t, verify_separation
 from .synthesis import ROW_BUDGET, dedup_rows, synthesize_ppdef, validation_details
 from .textio import (FormatError, operation_blocks, operation_set_blocks, parse_operations,
                      parse_relations, parse_tuple_lists, relation_blocks)
@@ -169,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["full", "witness"], default="full")
     p.add_argument("--report")
-    p.add_argument("--samples", type=int,
-                   default=inspect.signature(verify_separation).parameters["samples"].default)
+    p.add_argument("--samples", type=int, default=WITNESS_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_snow)
 

@@ -36,27 +36,28 @@ which also holds their container, `OperationSet`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (_BLOCK_ENTRIES, CapExceeded, Domain, Operation, OperationSet,
-                   Relation, _digit_matrix, _isin_sorted, _key_weights, _key_width,
-                   _row_keys, args_to_index, check_table_entries, graph_of, index_to_args,
-                   sparse_op)
+                   Relation, _digit_matrix, _Frozen, _isin_sorted, _key_weights, _key_width,
+                   _Record, _row_keys, args_to_index, check_table_entries, graph_of,
+                   index_to_args, sparse_op)
 
 DEFAULT_BUDGET = 250_000_000
 CANDIDATE_BLOCK = 200_000   # the most grid pairs a step builds per-candidate arrays for
 
 
-@dataclass
-class EnumerationStats:
-    candidates: int
-    survivors: int
-    details: dict = field(default_factory=dict)
+class EnumerationStats(_Record):
+    __slots__ = ("candidates", "survivors", "details")
+
+    def __init__(self, candidates: int, survivors: int, details: dict | None = None):
+        self.candidates, self.survivors = candidates, survivors
+        self.details = {} if details is None else details
 
 
 def preserves(op: Operation, rel: Relation) -> bool:
@@ -217,8 +218,7 @@ def preserve_mask(tables: np.ndarray, rel: Relation, ell: int) -> np.ndarray:
 # exact commutation tests on the factored candidate grid
 
 
-@dataclass(frozen=True, eq=False)
-class _Grid:
+class _Grid(_Frozen):
     """Candidate tables in factored form.
 
     Candidate (t, e) is the table base[t] with each free cell c (a key of
@@ -232,12 +232,17 @@ class _Grid:
     Candidates are assembled into tables only for a sweep (`tables`); the
     survivors leave as keys (`keys`).
     """
-    base: np.ndarray        # (rows, k^ell) tables; their free cells are ignored
-    ext: np.ndarray         # (extensions, free cells) fillings of the free cells
-    slot: dict
-    ti: np.ndarray
-    ei: np.ndarray
-    live: np.ndarray | None = None      # (len(ti), len(ei)) bool
+    __slots__ = ("base", "ext", "slot", "ti", "ei", "live")
+    __eq__, __hash__ = object.__eq__, object.__hash__     # by identity: the fields are arrays
+
+    def __init__(self, base: np.ndarray, ext: np.ndarray, slot: dict, ti: np.ndarray,
+                 ei: np.ndarray, live: np.ndarray | None = None):
+        # base: (rows, k^ell) tables, their free cells ignored; ext: (extensions,
+        # free cells) fillings of the free cells; live: (len(ti), len(ei)) bool
+        self._init(base, ext, slot, ti, ei, live)
+
+    def _replace(self, **changes) -> "_Grid":
+        return _Grid(**{**dict(zip(self.__slots__, self._values())), **changes})
 
     @classmethod
     def of(cls, base: np.ndarray, ext: np.ndarray | None = None, free_cells=()) -> "_Grid":
@@ -290,7 +295,7 @@ class _Grid:
         else:
             live = live[np.ix_(rows, cols)]
             live = None if live.all() else live
-        return replace(self, ti=self.ti[rows], ei=self.ei[cols], live=live)
+        return self._replace(ti=self.ti[rows], ei=self.ei[cols], live=live)
 
     def split(self, limit: int) -> list["_Grid"]:
         """This grid as grids of whole triples, each spanning at most limit
@@ -299,7 +304,7 @@ class _Grid:
         if len(self.ti) * len(self.ei) <= limit:
             return [self]
         step = max(1, limit // len(self.ei))
-        return [replace(self, ti=self.ti[at:at + step], live=None).keep(
+        return [self._replace(ti=self.ti[at:at + step], live=None).keep(
                     True if self.live is None else self.live[at:at + step])
                 for at in range(0, len(self.ti), step)]
 
@@ -405,8 +410,7 @@ def _super_terms(ones: list[tuple[int, ...]], ell: int) -> dict:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _CountLayout:
+class _CountLayout(NamedTuple):
     """Where the cell counts of one member lie on grids with given free cells.
 
     A cell count is a per-triple count over the base cells it covers plus a
@@ -556,7 +560,7 @@ def _unary_filter(grid: _Grid, member: Operation, ell: int) -> list[_Grid]:
         sides = (grid.column(image).ravel(), member.row[grid.column(cell)].ravel())
         on_ext = image in grid.slot
         signatures[0][:, j], signatures[1][:, j] = sides[on_ext], sides[not on_ext]
-    return [replace(grid, ti=grid.ti[rows], ei=grid.ei[cols], live=None).keep(
+    return [grid._replace(ti=grid.ti[rows], ei=grid.ei[cols], live=None).keep(
                 True if grid.live is None else grid.live[np.ix_(rows, cols)])
             for rows, cols in _join(*(_row_keys(sig, k) for sig in signatures))]
 

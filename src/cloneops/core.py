@@ -20,7 +20,6 @@ when they are asked for.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -260,13 +259,62 @@ def _table_rows(data, k: int, width: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Domain:
-    k: int
+class _Record:
+    """Base of the small value classes: equal and shown by the tuple of the
+    fields that __slots__ names."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"domain size must be at least 2, got {self.k}")
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """An immutable _Record, hashed and pickled by its fields: `_init` sets
+    them once, in order, and they cannot be assigned or deleted after."""
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Domain(_Frozen):
+    """The domain {0, ..., k-1}, k >= 2."""
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        if k < 2:
+            raise ValueError(f"domain size must be at least 2, got {k}")
+        self._init(k)
+
+    # compared and hashed with every operation and relation: one field, inline
+    def __eq__(self, other):
+        return self.k == other.k if other.__class__ is Domain else NotImplemented
+
+    def __hash__(self):
+        return hash((self.k,))
 
     @property
     def elements(self) -> range:

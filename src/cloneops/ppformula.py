@@ -52,15 +52,14 @@ first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import (CapExceeded, Domain, Relation, _digit_matrix, _isin_sorted, _key_rows,
-                   _key_width, _last_entries, _row_dtype, _row_keys, _sorted_distinct,
-                   _unique_rows)
+from .core import (CapExceeded, Domain, Relation, _digit_matrix, _Frozen, _isin_sorted,
+                   _key_rows, _key_width, _last_entries, _row_dtype, _row_keys,
+                   _sorted_distinct, _unique_rows)
 
 EVAL_TABLE_BYTES = 1 << 26
 FILTER_BLOCK_ROWS = 1 << 16
@@ -69,29 +68,27 @@ FILTER_BLOCK_ROWS = 1 << 16
 BITMAP_KEYS_PER_ROW = 8
 
 
-@dataclass(frozen=True)
-class PPFormula:
-    domain: Domain
-    free_vars: tuple[str, ...]
-    exist_vars: tuple[str, ...]
-    atoms: tuple[tuple[str, tuple[str, ...]], ...]
-    alpha: tuple[int, ...] | None = None
+class PPFormula(_Frozen):
+    __slots__ = ("domain", "free_vars", "exist_vars", "atoms", "alpha")
 
-    def __post_init__(self):
-        if not self.free_vars:
+    def __init__(self, domain: Domain, free_vars: tuple[str, ...], exist_vars: tuple[str, ...],
+                 atoms: tuple[tuple[str, tuple[str, ...]], ...],
+                 alpha: tuple[int, ...] | None = None):
+        if not free_vars:
             raise ValueError("a formula needs at least one free variable")
-        declared = list(self.free_vars) + list(self.exist_vars)
-        if len(set(declared)) != len(declared):
-            raise ValueError("variable names must be unique")
+        declared = list(free_vars) + list(exist_vars)
         names = set(declared)
-        for rel_name, vars_ in self.atoms:
-            for v in vars_:
-                if v not in names:
-                    raise ValueError(f"atom over '{rel_name}' uses undeclared variable '{v}'")
-        if self.alpha is not None:
-            for a in self.alpha:
-                if not 1 <= a <= len(self.free_vars):
+        if len(names) != len(declared):
+            raise ValueError("variable names must be unique")
+        if set().union(*(vars_ for _, vars_ in atoms)) - names:
+            rel_name, v = next((rel_name, v) for rel_name, vars_ in atoms
+                               for v in vars_ if v not in names)
+            raise ValueError(f"atom over '{rel_name}' uses undeclared variable '{v}'")
+        if alpha is not None:
+            for a in alpha:
+                if not 1 <= a <= len(free_vars):
                     raise ValueError(f"duplication map entry {a} out of range")
+        self._init(domain, free_vars, exist_vars, atoms, alpha)
 
     @property
     def output_arity(self) -> int:

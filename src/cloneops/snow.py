@@ -26,18 +26,19 @@ one of them is decided for all, and the checks visit at most nine tuples.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .core import (CapExceeded, Domain, Operation, OperationSet, _digit_matrix, graph_of,
-                   sparse_op)
+from .core import (CapExceeded, Domain, Operation, OperationSet, _digit_matrix, _Record,
+                   graph_of, sparse_op)
 from .clonegen import clone_fragment, fragment_contains
 from .ppformula import PPFormula, eval_formula
 
+WITNESS_SAMPLES = 100_000               # samples per refuted tuple by default
 WITNESS_SAMPLE_CAP = 1_000_000_000     # bytes of drawn sample cells
 DRAW_BLOCK = 1 << 16                   # random bytes asked for at a time
 FULL_EVAL_MAX_K = 4
@@ -93,8 +94,7 @@ def snow_f(k: int) -> Operation:
     return sparse_op(Domain(k), k - 1, {up_tuple(k): 1, down_tuple(k): 1})
 
 
-@dataclass(frozen=True)
-class ArrowPlan:
+class ArrowPlan(NamedTuple):
     """Index sequences through an n-by-n square, as flat 0-based positions.
 
     Position (i, j), 1-based, sits at flat index (i-1)*n + (j-1); squares
@@ -122,8 +122,7 @@ def arrow_plan(n: int) -> ArrowPlan:
         anti=anti, anti_reversed=anti[::-1])
 
 
-@dataclass(frozen=True)
-class SnowInstance:
+class SnowInstance(NamedTuple):
     domain: Domain
     n: int
     t_op: Operation | None      # None when the table exceeds the entry cap
@@ -199,19 +198,20 @@ def snow_pp_formula(k: int) -> PPFormula:
 # verification
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # PASS / FAIL / SKIP
     detail: str
 
 
-@dataclass
-class SeparationReport:
-    k: int
-    mode: str
-    params: dict = field(default_factory=dict)
-    checks: list[CheckResult] = field(default_factory=list)
+class SeparationReport(_Record):
+    __slots__ = ("k", "mode", "params", "checks")
+
+    def __init__(self, k: int, mode: str, params: dict | None = None,
+                 checks: list[CheckResult] | None = None):
+        self.k, self.mode = k, mode
+        self.params = {} if params is None else params
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -398,7 +398,7 @@ def _witness_completeness(k: int, inst: SnowInstance, samples: int,
                        f"no violation in {tuples_checked}x{samples} samples")
 
 
-def verify_separation(k: int, mode: str = "full", samples: int = 100_000,
+def verify_separation(k: int, mode: str = "full", samples: int = WITNESS_SAMPLES,
                       seed: int = 0) -> SeparationReport:
     """Check that the formula defines graph(f) and that f is outside the fragment.
 

@@ -15,8 +15,8 @@ checks rather than assumes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .ppformula import PPFormula, RelationEnv, eval_formula
 ROW_BUDGET = 100_000_000
 
 
-@dataclass(frozen=True)
-class GeneratingSystem:
+class GeneratingSystem(NamedTuple):
     domain: Domain
     gamma0: tuple[tuple[int, ...], ...]   # the generating tuples, in order
     rows: tuple[tuple[int, ...], ...]     # matrix rows v_1..v_{m0}
@@ -66,8 +65,7 @@ def dedup_rows(gamma0_raw, domain: Domain) -> GeneratingSystem:
     return GeneratingSystem(domain, tuple(gamma0), rows, iota, tuple(alpha))
 
 
-@dataclass
-class SynthesisResult:
+class SynthesisResult(NamedTuple):
     formula: PPFormula
     row_count: int                 # L = sum over relations of s^n * m
     atom_counts: dict              # relation name -> atoms kept after dedup

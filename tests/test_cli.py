@@ -234,6 +234,34 @@ def test_package_import_pauses_the_collector(enabled):
     assert left_enabled == str(enabled)
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_package_import_leaves_the_young_generations_small(enabled):
+    # what the import built is moved to the oldest generation, so the next
+    # collections of the young ones do not walk it
+    script = ("import gc\n"
+              f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
+              "import cloneops\n"
+              "print(len(gc.get_objects(0)) + len(gc.get_objects(1)), gc.get_freeze_count())\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    young, frozen = map(int, out.stdout.split())
+    assert young < 1000
+    assert frozen == 0
+
+
+def test_package_import_keeps_the_importers_freeze():
+    script = ("import gc\n"
+              "kept = [[] for _ in range(1000)]\n"
+              "gc.freeze()\n"
+              "before = gc.get_freeze_count()\n"
+              "import cloneops\n"
+              "print(before, gc.get_freeze_count())\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    before, after = map(int, out.stdout.split())
+    assert after == before >= 1000
+
+
 def test_main_freezes_the_heap_and_exits_with_the_run_code(snow_files, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["cloneops", "centraliser", "--ops", str(snow_files["t"]),
                                       "--arity", "2", "--budget", "10"])

@@ -1,7 +1,6 @@
 import os
 import random
 import tracemalloc
-from dataclasses import replace
 from itertools import product
 from unittest.mock import patch
 
@@ -533,7 +532,7 @@ def test_grid_keys_match_the_tables_keys(shape, form, seed):
 
 def _all_pairs(grid):
     """The same candidates as a grid with an all-True live mask."""
-    return replace(grid, live=np.ones(grid.shape, dtype=bool))
+    return grid._replace(live=np.ones(grid.shape, dtype=bool))
 
 
 def _cut_across(grid, seed):

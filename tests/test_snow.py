@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import product
 
@@ -357,7 +356,7 @@ def test_witness_checks_match_the_assembled_squares(k, claim, samples, seed):
     n = k - 1
     real = snow_instance(k)
     up = tuple(int(d) for d in np.unravel_index(claim % k ** n, (k,) * n))
-    inst = dataclasses.replace(real, up=up)
+    inst = real._replace(up=up)
     expected, matches = _reference_violations(k, inst, samples, seed)
     if (k, claim, samples, seed) in ((3, 8, 40, 0), (4, 59, 20_000, 2)):
         assert matches
